@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .errors import DimensionMismatchError, DocumentError, FieldMismatchError, FieldReductionError
+from .errors import (
+    DimensionMismatchError,
+    DocumentError,
+    FieldMismatchError,
+    FieldReductionError,
+    NotNilpotentError,
+)
 from .fields import Field, same_field
 from .linalg import Matrix, Subspace
 
@@ -234,7 +240,7 @@ def power_filtration(A: Algebra):
                     vecs.append(A.vec_mul(u, v))
         powers.append(Subspace.span(F, A.dim, vecs))
         if len(powers) > A.dim + 1:
-            raise ArithmeticError("algebra is not nilpotent")
+            raise NotNilpotentError("algebra is not nilpotent")
     return powers
 
 
@@ -373,11 +379,6 @@ def next_names(A: Algebra, count: int):
         taken.append(nm)
         out.append(nm)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def cached_powers(A: Algebra):
-    return tuple(power_filtration(A))
 
 
 @lru_cache(maxsize=None)

@@ -713,7 +713,10 @@ def parse_algebra(doc) -> Algebra:
             raise DocumentError(f"duplicate product pair ({i},{j})")
         row = {}
         for term in terms:
-            k, c = term["k"], term["c"]
+            try:
+                k, c = term["k"], term["c"]
+            except (TypeError, KeyError) as exc:
+                raise DocumentError(f"malformed term in product ({i},{j})") from exc
             if not isinstance(k, int) or not 0 <= k < dim:
                 raise DocumentError(f"product target index {k!r} out of range")
             if k in row:

@@ -33,6 +33,10 @@ class CaseNotCoveredError(NiljError):
     """The input falls outside the documented case split."""
 
 
+class NotNilpotentError(NiljError, ArithmeticError):
+    """The algebra's power filtration does not reach zero."""
+
+
 class InvalidCocycleError(NiljError):
     """A claimed cocycle fails the cocycle-space membership check."""
 

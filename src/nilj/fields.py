@@ -7,6 +7,7 @@ the arithmetic; it is immutable and shareable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,31 +144,22 @@ class Field:
             raise RootNotInFieldError(a, 2)
         return root
 
-    def elements(self):
-        if self.p is None:
-            raise NiljError("cannot enumerate the rationals")
-        return range(self.p)
-
 
 def _int_nth_root(m: int, n: int) -> int | None:
+    """The exact integer n-th root of m >= 0, or None; integer arithmetic only."""
     if m == 0:
         return 0
-    r = round(m ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**n == m:
-            return cand
-    # float seed can be off for large m; fall back to integer bisection
-    lo, hi = 0, 1 << (m.bit_length() // n + 2)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = mid**n
-        if v == m:
-            return mid
-        if v < m:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    if n == 2:
+        r = math.isqrt(m)
+    else:
+        # Newton's iteration from above: r_{k+1} = ((n-1) r_k + m // r_k^(n-1)) // n
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            nxt = ((n - 1) * r + m // r ** (n - 1)) // n
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r**n == m else None
 
 
 QQ = Field()

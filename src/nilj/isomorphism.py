@@ -15,8 +15,18 @@ filtration: leading (graded) digits first with table-driven pruning, then the
 lower digits, which are solved linearly whenever correction cross-terms
 provably vanish (they land below the last nonzero power).  Digits too deep to
 influence any product are factored out of the search and re-attached
-combinatorially, so automorphism counts are exact.  Every candidate that the
-engine emits is re-verified from scratch before anyone sees it.
+combinatorially, so automorphism counts are exact.
+
+The engine works in filtration coordinates and emits arrays of matrices.
+``search_isomorphism`` maps its single hit back to the original bases and
+re-verifies it with ``verify_isomorphism``.  ``_automorphism_array`` maps the
+find-all output back in blocks of AUT_BLOCK and re-verifies every block
+(multiplicativity on all basis pairs, full rank mod p) before keeping it.
+
+``orbit_census`` works on that verified array directly: the induced action on
+H2 class coordinates and the orbit images are batched numpy contractions over
+int64 residues, reduced mod p after every contraction (no floating point),
+and ``_check_int64`` refuses moduli whose sums could overflow.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from .linalg import Matrix, Subspace
 
 AUT_CANDIDATE_BUDGET = 10**8
 GRADED_TABLE_LIMIT = 2500  # max p^(level-1 dim); the pairing table is quadratic in this
+AUT_BLOCK = 1024  # automorphisms per numpy block; bounds the census's working memory
 
 
 @dataclass(frozen=True)
@@ -374,11 +385,6 @@ def _forced_candidate_fast(fa: _FastAlgebra, fb: _FastAlgebra, gen_images):
     return cols
 
 
-def _cols_to_matrix(field: Field, cols) -> Matrix:
-    n = len(cols)
-    return Matrix.from_rows(field, [[cols[c][r] for c in range(n)] for r in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # graded stage
 # ---------------------------------------------------------------------------
@@ -430,8 +436,12 @@ class _GradedTables:
 
 
 def _digit_table(p: int, width: int):
-    codes = np.arange(p**width, dtype=np.int64)
-    digits = np.empty((p**width, width), dtype=np.int64)
+    return _digits(np.arange(p**width, dtype=np.int64), p, width)
+
+
+def _digits(codes, p: int, width: int):
+    """Base-p digits of each code, least significant first: a (len, width) array."""
+    digits = np.empty((len(codes), width), dtype=np.int64)
     tmp = codes.copy()
     for t in range(width):
         digits[:, t] = tmp % p
@@ -748,7 +758,6 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, imgs1, find_all):
     n = MA.A.dim
     s = MA.n1
     m = MA.m
-    F = MA.A.field
     faA = _fast(MA.full)
     fbB = _fast(MB.full)
     base = [list(v) + [0] * (n - s) for v in imgs1]
@@ -758,7 +767,7 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, imgs1, find_all):
         if k_idx >= len(relevant):
             cols = _forced_candidate_fast(faA, fbB, [tuple(v) for v in gens])
             if cols is not None:
-                yield _cols_to_matrix(F, cols)
+                yield cols
             return
         K = relevant[k_idx]
         if 2 * K >= m:
@@ -789,7 +798,6 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
     function of the digits; the defect is interpolated from T+1 evaluations
     and the linear system is solved over F_p.
     """
-    F = MA.A.field
     p = MA.p
     s = MA.n1
     faA = _fast(MA.full)
@@ -814,19 +822,13 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
             return None, None
         return defects + _pair_defects_fast(faA, fbB, cols), cols
 
-    def emit(tvals):
-        cols = _forced_candidate_fast(faA, fbB, build(tvals))
-        if cols is not None:
-            return _cols_to_matrix(F, cols)
-        return None
-
     d0, cols0 = full_defect((0,) * T)
     if d0 is None:
         return
     if T == 0:
-        mat = emit(())
-        if mat is not None:
-            yield mat
+        cols = _forced_candidate_fast(faA, fbB, build(()))
+        if cols is not None:
+            yield cols
         return
     cols = []
     for t in range(T):
@@ -856,38 +858,47 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
             combos.add(tuple(vec))
         solutions = sorted(combos)
     for t in solutions:
-        mat = emit(t)
-        if mat is not None:
-            yield mat
+        found = _forced_candidate_fast(faA, fbB, build(t))
+        if found is not None:
+            yield found
 
 
-def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, mat: Matrix, find_all):
-    """Re-attach digits that cannot influence any product (levels k with J^{k+1} = 0)."""
-    if not find_all:
-        yield mat
+def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, cols, find_all):
+    """Re-attach digits that cannot influence any product (levels k with J^{k+1} = 0).
+
+    Yields (k, n, n) arrays of engine-coordinate matrices, at most AUT_BLOCK at
+    a time: the core alone, or with ``find_all`` every setting of the free digits.
+    """
+    core = np.array(cols, dtype=np.int64).T  # columns are the images
+    slots = []
+    if find_all:
+        for k in range(max(2, MA.m - 1), MA.m):
+            lo, hi = MB.block[k]
+            for g in range(MA.n1):
+                for c in range(lo, hi):
+                    slots.append((g, c))
+    if not slots:
+        yield core[None]
         return
     p = MA.p
-    s = MA.n1
-    F = MA.A.field
-    slots = []
-    for k in range(max(2, MA.m - 1), MA.m):
-        lo, hi = MB.block[k]
-        for g in range(s):
-            for c in range(lo, hi):
-                slots.append((g, c))
-    if not slots:
-        yield mat
-        return
-    data = mat.row_list()
-    for combo in iproduct(range(p), repeat=len(slots)):
-        rows = [list(r) for r in data]
-        for (g, c), val in zip(slots, combo):
-            rows[c][g] = (rows[c][g] + val) % p
-        yield Matrix.from_rows(F, rows)
+    rows = [c for _g, c in slots]
+    gens = [g for g, _c in slots]
+    total = p ** len(slots)
+    for start in range(0, total, AUT_BLOCK):
+        codes = np.arange(start, min(start + AUT_BLOCK, total), dtype=np.int64)
+        digits = _digits(codes, p, len(slots))
+        out = np.repeat(core[None], len(digits), axis=0)
+        out[:, rows, gens] = (out[:, rows, gens] + digits) % p
+        yield out
 
 
 def _search(A: Algebra, B: Algebra, find_all):
-    """All (or the first) isomorphism matrices A -> B, in original coordinates."""
+    """All (or the first) isomorphisms A -> B as engine-coordinate matrix arrays.
+
+    Each yielded (k, n, n) array holds matrices in filtration coordinates;
+    ``_model(B).to_old @ M @ _model(A).to_new`` maps one back to the original
+    bases.
+    """
     MA, MB = _model(A), _model(B)
     if MA.m != MB.m or MA.block_dims() != MB.block_dims():
         return
@@ -896,11 +907,10 @@ def _search(A: Algebra, B: Algebra, find_all):
             f"{MA.p}^({MA.n1}^2) graded candidates exceed the search budget"
         )
     for imgs1 in _graded_level1_solutions(MA, MB):
-        for core in _lift_candidates(MA, MB, imgs1, find_all):
-            for full in _free_digit_expansion(MA, MB, core, find_all):
-                yield MB.to_old.mul(full).mul(MA.to_new)
-                if not find_all:
-                    return
+        for cols in _lift_candidates(MA, MB, imgs1, find_all):
+            yield from _free_digit_expansion(MA, MB, cols, find_all)
+            if not find_all:
+                return
 
 
 def _prepare_pair(A: Algebra, B: Algebra, field: Field):
@@ -922,7 +932,9 @@ def search_isomorphism(A: Algebra, B: Algebra, field: Field) -> Morphism | None:
     Ap, Bp = _prepare_pair(A, B, field)
     if Ap.dim != Bp.dim:
         return None
-    for mat in _search(Ap, Bp, find_all=False):
+    for engine in _search(Ap, Bp, find_all=False):
+        full = Matrix.from_rows(field, engine[0].tolist())
+        mat = _model(Bp).to_old.mul(full).mul(_model(Ap).to_new)
         m = Morphism(Ap, Bp, mat)
         if not verify_isomorphism(m):
             raise NiljError("search produced an unverified candidate")
@@ -932,18 +944,139 @@ def search_isomorphism(A: Algebra, B: Algebra, field: Field) -> Morphism | None:
 
 def enumerate_automorphisms(A: Algebra, field: Field) -> list:
     """All invertible multiplicative matrices of A over F_p, deterministically ordered."""
+    autos = _automorphism_array(A, field)
+    count, n, _ = autos.shape
+    return [Matrix(n, n, tuple(flat), field) for flat in autos.reshape(count, -1).tolist()]
+
+
+# ---------------------------------------------------------------------------
+# exact F_p arrays
+# ---------------------------------------------------------------------------
+
+
+def _check_int64(p: int, width: int):
+    """Refuse a modulus whose width-term sums of residue products overflow int64."""
+    if width * (p - 1) ** 2 >= 2**63:
+        raise NiljError(f"F_{p} is too large for exact int64 sums of {width} products")
+
+
+def _inv_mod(x, p: int):
+    """Elementwise inverse of nonzero residues, by Fermat's little theorem."""
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _rref_mod_p(mats, p: int):
+    """Reduced row echelon forms over F_p of a (B, r, c) residue array.
+
+    Returns (reduced, rank).  Zero rows sink to the bottom, so the nonzero
+    rows of reduced[b] are the canonical basis of the row space of mats[b].
+    """
+    M = np.array(mats, dtype=np.int64) % p
+    rank = np.zeros(len(M), dtype=np.int64)
+    below = np.arange(M.shape[1])
+    for c in range(M.shape[2]):
+        cand = (M[:, :, c] != 0) & (below >= rank[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not len(b):
+            continue
+        src = cand[b].argmax(axis=1)
+        dst = rank[b]
+        pivot = M[b, src]
+        M[b, src] = M[b, dst]
+        pivot = pivot * _inv_mod(pivot[:, c], p)[:, None] % p
+        M[b, dst] = pivot
+        f = M[b, :, c]
+        f[np.arange(len(b)), dst] = 0
+        M[b] = (M[b] - f[:, :, None] * pivot[:, None, :]) % p
+        rank[b] += 1
+    return M, rank
+
+
+def _structure_tensor(A: Algebra):
+    """C[i, j, k]: the coefficient of e_k in e_i e_j, as residues."""
+    n = A.dim
+    C = np.zeros((n, n, n), dtype=np.int64)
+    for (i, j), terms in A.products().items():
+        for k, c in terms.items():
+            C[i, j, k] = C[j, i, k] = c
+    return C
+
+
+def _verify_automorphism_block(C, phis, p: int):
+    """Raise unless every phis[b] (columns are basis images) is an automorphism.
+
+    Multiplicativity phi(e_i e_j) = phi(e_i) phi(e_j) is compared for all
+    basis pairs at once; invertibility is a full rank mod p.
+    """
+    b, n, _ = phis.shape
+    # phi(e_i e_j)[t] = sum_k phi[t, k] C[i, j, k], laid out [b, t, i, j]
+    lhs = (phis @ C.reshape(n * n, n).T % p).reshape(b, n, n, n)
+    # phi(e_i) phi(e_j)[t] = sum_{a,c} phi[a, i] phi[c, j] C[a, c, t]
+    half = (phis.transpose(0, 2, 1) @ C.reshape(n, n * n) % p).reshape(b, n, n, n)  # [b, i, c, t]
+    rhs = half.transpose(0, 1, 3, 2) @ phis[:, None] % p  # [b, i, t, j]
+    if not np.array_equal(lhs, rhs.transpose(0, 2, 1, 3)):
+        raise NiljError("enumerated automorphism is not multiplicative")
+    _, rank = _rref_mod_p(phis, p)
+    if (rank < n).any():
+        raise NiljError("enumerated automorphism is singular")
+
+
+def _unique_rows(rows):
+    """Distinct rows of a 2-D array in lexicographic order, like np.unique(axis=0)."""
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[keep]
+
+
+def _automorphism_array(A: Algebra, field: Field):
+    """Every automorphism of A over F_p as a sorted, deduplicated (N, n, n) array.
+
+    Rows are ordered as ``sorted(mat.data)`` orders the matrices.  The
+    search's engine-coordinate output is mapped back to the original basis
+    AUT_BLOCK matrices at a time, and each block is re-verified before it is
+    kept in a small residue dtype.
+    """
     Ap, _ = _prepare_pair(A, A, field)
+    p, n = field.p, Ap.dim
     powers = power_filtration(Ap)
     sq_dim = powers[1].dim if len(powers) > 1 else 0
-    g = Ap.dim - sq_dim
-    if field.p ** (g * Ap.dim) > AUT_CANDIDATE_BUDGET:
+    g = n - sq_dim
+    if p ** (g * n) > AUT_CANDIDATE_BUDGET:
         raise SearchBudgetExceededError(
-            f"{field.p}^({g}*{Ap.dim}) candidate images exceed the enumeration budget"
+            f"{p}^({g}*{n}) candidate images exceed the enumeration budget"
         )
-    out = {}
-    for mat in _search(Ap, Ap, find_all=True):
-        out[mat.data] = mat
-    return [out[k] for k in sorted(out)]
+    _check_int64(p, n)
+    M = _model(Ap)
+    to_old = np.array(M.to_old.row_list(), dtype=np.int64)
+    to_new = np.array(M.to_new.row_list(), dtype=np.int64)
+    C = _structure_tensor(Ap)
+    dtype = np.int16 if p <= 2**15 else np.int64
+
+    def convert(engine):
+        phis = (to_old @ engine % p) @ to_new % p
+        _verify_automorphism_block(C, phis, p)
+        return phis.astype(dtype)
+
+    kept, pending, count = [], [], 0
+    for engine in _search(Ap, Ap, find_all=True):
+        pending.append(engine)
+        count += len(engine)
+        while count >= AUT_BLOCK:
+            stack = np.concatenate(pending)
+            kept.append(convert(stack[:AUT_BLOCK]))
+            pending, count = [stack[AUT_BLOCK:]], count - AUT_BLOCK
+    if count:
+        kept.append(convert(np.concatenate(pending)))
+    return _unique_rows(np.concatenate(kept).reshape(-1, n * n)).reshape(-1, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +1147,7 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     spaces = h2(Ap)
     hdim = len(spaces.h2_reps)
     ann = cached_annihilator(Ap)
-    autos = enumerate_automorphisms(Ap, field)
+    autos = _automorphism_array(Ap, field)
     admissible = []
     if hdim >= r:
         for rows in _canonical_subspaces(field, hdim, r):
@@ -1022,38 +1155,7 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
             if joint_radical(thetas).intersect(ann).is_zero():
                 admissible.append(_canonicalize(field, rows))
     admissible_set = set(admissible)
-    p = field.p
-    n = Ap.dim
-    # fixed extractor: invert [h2 reps | b2 basis | complement] once, so each
-    # class-coordinate read is a plain matrix apply
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    cols = [list(c.upper()) for c in spaces.h2_reps] + [list(v) for v in spaces.b2.vectors()]
-    span = Subspace.span(field, len(pairs), [list(c) for c in cols])
-    for t in range(len(pairs)):
-        unit = [1 if k == t else 0 for k in range(len(pairs))]
-        grown = Subspace.span(field, len(pairs), [list(c) for c in cols] + [unit])
-        if grown.dim > len(cols):
-            cols.append(unit)
-    T = Matrix.from_rows(field, [[cols[c][r] for c in range(len(cols))] for r in range(len(pairs))])
-    extractor = T.inverse().row_list()[:hdim]
-    rep_mats = [[[int(c.mat.at(i, j)) for j in range(n)] for i in range(n)] for c in spaces.h2_reps]
-    actions = set()
-    for phi in autos:
-        ph = [[int(phi.at(i, j)) for j in range(n)] for i in range(n)]
-        cols_out = []
-        for mat in rep_mats:
-            # congruence phi^T mat phi, then upper-triangle coordinates
-            tmp = [[sum(ph[k][i] * mat[k][l] for k in range(n)) % p for l in range(n)]
-                   for i in range(n)]
-            acted = [[sum(tmp[i][k] * ph[k][j] for k in range(n)) % p for j in range(n)]
-                     for i in range(n)]
-            vec = [acted[i][j] for (i, j) in pairs]
-            cols_out.append(tuple(
-                sum(int(erow[t]) * vec[t] for t in range(len(vec))) % p
-                for erow in extractor
-            ))
-        actions.add(tuple(tuple(col[t] for col in cols_out) for t in range(hdim)))
-    action_rows = sorted(actions)
+    actions = _induced_actions(spaces, autos) if admissible else None
     unseen = set(admissible_set)
     orbits = []
     for rows in admissible:
@@ -1061,16 +1163,10 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
             continue
         # the deduplicated actions form the full induced group, so the orbit
         # is the one-pass image of the representative
-        orbit = set()
-        for M in action_rows:
-            moved_rows = [
-                tuple(sum(M[i][t] * v[t] for t in range(hdim)) % p for i in range(hdim))
-                for v in rows
-            ]
-            moved = _canonicalize(field, moved_rows)
+        orbit = _orbit_images(actions, rows, field.p)
+        for moved in orbit:
             if moved not in admissible_set:
                 raise NiljError("orbit left the admissible census")
-            orbit.add(moved)
         if rows not in orbit:
             raise NiljError("orbit image lost its own representative")
         unseen -= orbit
@@ -1086,6 +1182,55 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
         aut_group_order=len(autos),
         orbit_members=tuple(o[2] for o in orbits),
     )
+
+
+def _induced_actions(spaces, autos):
+    """The distinct matrices by which automorphisms act on H2 class coordinates.
+
+    Row t, column h of an action holds class coordinate t of phi^T R_h phi,
+    where R_h is the h-th H2 representative.
+    """
+    A = spaces.algebra
+    field, n = A.field, A.dim
+    p = field.p
+    hdim = len(spaces.h2_reps)
+    # fixed extractor: invert [h2 reps | b2 basis | complement] once, so each
+    # class-coordinate read is a plain matrix apply
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    _check_int64(p, len(pairs))
+    cols = [list(c.upper()) for c in spaces.h2_reps] + [list(v) for v in spaces.b2.vectors()]
+    for t in range(len(pairs)):
+        unit = [1 if k == t else 0 for k in range(len(pairs))]
+        grown = Subspace.span(field, len(pairs), [list(c) for c in cols] + [unit])
+        if grown.dim > len(cols):
+            cols.append(unit)
+    T = Matrix.from_rows(field, [[cols[c][r] for c in range(len(cols))] for r in range(len(pairs))])
+    extractor = np.array(T.inverse().row_list()[:hdim], dtype=np.int64)
+    reps = np.array([c.mat.row_list() for c in spaces.h2_reps], dtype=np.int64)
+    upper = np.triu_indices(n)  # row-major, the order of ``pairs``
+    found = []
+    for start in range(0, len(autos), AUT_BLOCK):
+        phi = autos[start:start + AUT_BLOCK, None].astype(np.int64)
+        # congruence phi^T R phi, reduced after each contraction
+        acted = (phi.transpose(0, 1, 3, 2) @ reps % p) @ phi % p
+        coords = acted[:, :, upper[0], upper[1]] @ extractor.T % p  # [b, h, t]
+        action = coords.transpose(0, 2, 1).reshape(len(phi), -1)
+        found.append(_unique_rows(action.astype(autos.dtype)))
+    distinct = _unique_rows(np.concatenate(found))
+    return distinct.reshape(-1, hdim, hdim).astype(np.int64)
+
+
+def _orbit_images(actions, rows, p: int) -> set:
+    """Canonical bases of the images of the subspace spanned by ``rows``."""
+    R = np.array(rows, dtype=np.int64)
+    r, h = R.shape
+    images = []
+    for start in range(0, len(actions), AUT_BLOCK):
+        moved = R @ actions[start:start + AUT_BLOCK].transpose(0, 2, 1) % p
+        reduced, _ = _rref_mod_p(moved, p)
+        images.append(_unique_rows(reduced.reshape(len(moved), -1)))
+    distinct = _unique_rows(np.concatenate(images)).reshape(-1, r, h)
+    return {tuple(tuple(row) for row in mat if any(row)) for mat in distinct.tolist()}
 
 
 def class_line(spaces, theta: Cocycle, field: Field):

@@ -149,3 +149,11 @@ def test_parse_algebra_validation():
     bad = dict(base, products=[{"i": 0, "j": 0, "terms": [{"k": 7, "c": "1"}]}])
     with pytest.raises(DocumentError):
         catalog.parse_algebra(bad)
+
+
+def test_parse_algebra_rejects_incomplete_terms():
+    base = catalog.serialize_algebra(catalog.instantiate("J2,2"))
+    for term in ({"c": "1"}, {"k": 1}, 3):
+        bad = dict(base, products=[{"i": 0, "j": 0, "terms": [term]}])
+        with pytest.raises(DocumentError):
+            catalog.parse_algebra(bad)

@@ -1,0 +1,150 @@
+"""The numpy orbit census against the pure-Python algorithm it replaced, its
+invariance under changes of basis, and the exact F_p array kernels under it."""
+
+import random
+
+import numpy as np
+import pytest
+
+from nilj import catalog
+from nilj.algebra import cached_annihilator, change_basis, reduce_mod
+from nilj.cohomology import Cocycle, h2, is_automorphism, radical as joint_radical
+from nilj.errors import NiljError
+from nilj.fields import Field
+from nilj.isomorphism import (
+    _automorphism_array,
+    _canonical_subspaces,
+    _canonicalize,
+    _check_int64,
+    _rref_mod_p,
+    _structure_tensor,
+    _verify_automorphism_block,
+    enumerate_automorphisms,
+    orbit_census,
+)
+from nilj.linalg import Matrix
+
+F5, F7 = Field(5), Field(7)
+
+
+def reference_census(A, field, r):
+    """The census the slow way: every automorphism as a Matrix, the congruence
+    phi^T R phi with Matrix products, class coordinates by solving against the
+    H2 basis, and one _canonicalize per (orbit, action) pair."""
+    Ap = reduce_mod(A, field.p)
+    spaces = h2(Ap)
+    hdim = len(spaces.h2_reps)
+    ann = cached_annihilator(Ap)
+    autos = enumerate_automorphisms(Ap, field)
+    admissible = []
+    if hdim >= r:
+        for rows in _canonical_subspaces(field, hdim, r):
+            thetas = [spaces.cocycle_from_class(row) for row in rows]
+            if joint_radical(thetas).intersect(ann).is_zero():
+                admissible.append(_canonicalize(field, rows))
+    coords = {}
+    actions = set()
+    for phi in autos:
+        cols = []
+        for rep in spaces.h2_reps:
+            acted = Cocycle(Ap, phi.transpose().mul(rep.mat).mul(phi))
+            key = acted.upper()
+            if key not in coords:
+                coords[key] = spaces.class_coords(acted)
+            cols.append(coords[key])
+        actions.add(tuple(tuple(col[t] for col in cols) for t in range(hdim)))
+    unseen = set(admissible)
+    orbits = []
+    for rows in admissible:
+        if rows not in unseen:
+            continue
+        orbit = set()
+        for M in actions:
+            moved = [
+                tuple(sum(M[i][t] * v[t] for t in range(hdim)) % field.p for i in range(hdim))
+                for v in rows
+            ]
+            orbit.add(_canonicalize(field, moved))
+        unseen -= orbit
+        orbits.append((min(orbit), len(orbit), frozenset(orbit)))
+    orbits.sort(key=lambda o: o[0])
+    return (
+        tuple(o[0] for o in orbits),
+        tuple(o[1] for o in orbits),
+        tuple(o[2] for o in orbits),
+        len(autos),
+    )
+
+
+@pytest.mark.parametrize("name", ["J3,2", "J3,3", "J4,7"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_census_matches_the_pure_python_reference(name, r):
+    A = catalog.instantiate(name)
+    rep = orbit_census(A, F5, r)
+    got = (rep.orbit_representatives, rep.orbit_sizes, rep.orbit_members, rep.aut_group_order)
+    assert got == reference_census(A, F5, r)
+
+
+def _random_invertible(field, n, rng):
+    while True:
+        P = Matrix.from_rows(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+        if P.is_invertible():
+            return P
+
+
+@pytest.mark.parametrize("name", ["J3,2", "J4,4", "J4,12"])
+def test_census_is_invariant_under_change_of_basis(name):
+    rng = random.Random(f"census-basis:{name}")
+    A5 = reduce_mod(catalog.instantiate(name), 5)
+
+    def summary(B):
+        rep = orbit_census(B, F5, 1)
+        assert all(rep.aut_group_order % size == 0 for size in rep.orbit_sizes)
+        return rep.total_admissible, rep.orbit_count, sorted(rep.orbit_sizes), rep.aut_group_order
+
+    base = summary(A5)
+    for _ in range(2):
+        assert summary(change_basis(A5, _random_invertible(F5, A5.dim, rng))) == base
+
+
+def test_automorphism_array_is_sorted_and_verified():
+    A5 = reduce_mod(catalog.instantiate("J3,2"), 5)
+    autos = enumerate_automorphisms(A5, F5)
+    keys = [m.data for m in autos]
+    assert keys == sorted(set(keys))
+    assert all(is_automorphism(A5, m) for m in autos[::37])
+    assert _automorphism_array(A5, F5).shape == (len(autos), 3, 3)
+
+
+def test_block_check_rejects_a_corrupted_automorphism():
+    A5 = reduce_mod(catalog.instantiate("J3,2"), 5)
+    C = _structure_tensor(A5)
+    block = _automorphism_array(A5, F5)[:16].astype(np.int64)
+    _verify_automorphism_block(C, block, 5)
+    bad = block.copy()
+    bad[7, 1, 1] = (bad[7, 1, 1] + 1) % 5  # phi(b) no longer equals phi(a)^2
+    assert not is_automorphism(A5, Matrix.from_rows(F5, bad[7].tolist()))
+    with pytest.raises(NiljError, match="not multiplicative"):
+        _verify_automorphism_block(C, bad, 5)
+    singular = block.copy()
+    singular[3] = 0  # the zero map is multiplicative but not invertible
+    with pytest.raises(NiljError, match="singular"):
+        _verify_automorphism_block(C, singular, 5)
+
+
+def test_batched_rref_matches_matrix_rref():
+    rng = np.random.default_rng(17)
+    for rows, cols in ((1, 5), (2, 4), (3, 3), (4, 6)):
+        mats = rng.integers(0, 7, (40, rows, cols))
+        mats[::5, -1] = mats[::5, 0]  # some rank-deficient inputs
+        reduced, rank = _rref_mod_p(mats, 7)
+        for m, red, k in zip(mats.tolist(), reduced.tolist(), rank.tolist()):
+            ref, ref_rank, _ = Matrix.from_rows(F7, m).rref()
+            assert k == ref_rank
+            assert red == ref.row_list()
+
+
+def test_int64_guard_refuses_large_moduli():
+    _check_int64(5, 15)
+    with pytest.raises(NiljError):
+        _check_int64(2**31 + 11, 5)

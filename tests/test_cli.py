@@ -73,6 +73,28 @@ def test_algebra_documents_via_file(tmp_path, capsys):
     assert main(["invariants", f"@{path}"]) == 0
 
 
+def _assert_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_product_term_without_target_is_a_usage_error(tmp_path, capsys):
+    doc = {"dim": 2, "field": "Q", "basis": ["a", "b"],
+           "products": [{"i": 0, "j": 0, "terms": [{"c": 1}]}]}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _assert_usage_error(["invariants", f"@{path}"], capsys)
+
+
+def test_non_nilpotent_document_is_a_usage_error(tmp_path, capsys):
+    doc = {"dim": 1, "field": "Q", "basis": ["a"],
+           "products": [{"i": 0, "j": 0, "terms": [{"k": 0, "c": 1}]}]}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _assert_usage_error(["invariants", f"@{path}"], capsys)
+
+
 def test_verify_catalog_exit_code(capsys):
     # two bundled entries fail the Jordan identity, so verification fails
     assert main(["verify-catalog"]) == 1

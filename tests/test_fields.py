@@ -56,6 +56,14 @@ def test_higher_roots():
     assert Field(5).nth_root(2, 3) == 3  # 3^3 = 27 = 2 mod 5
 
 
+def test_roots_of_huge_rationals_are_exact():
+    # a float seed overflows long before these sizes
+    assert QQ.sqrt(10**400) == 10**200
+    assert QQ.nth_root(10**600, 3) == 10**200
+    assert QQ.sqrt(10**400 + 1) is None
+    assert QQ.nth_root(Fraction(10**600, 27), 3) == Fraction(10**200, 3)
+
+
 def test_sqrt_or_raise_names_the_radicand():
     with pytest.raises(RootNotInFieldError) as err:
         Field(5).sqrt_or_raise(2)
