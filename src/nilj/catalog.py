@@ -275,7 +275,7 @@ def _check_binding(entry: CatalogEntry, binding, field: Field):
             raise InadmissibleParameterError(
                 f"{entry.name}: {param} = {bad} is inadmissible"
             )
-    return {k: Fraction(v) for k, v in binding.items()}
+    return {k: QQ.of(v) for k, v in binding.items()}
 
 
 def instantiate(name: str, binding=None, field: Field = QQ) -> Algebra:
@@ -290,7 +290,7 @@ def instantiate(name: str, binding=None, field: Field = QQ) -> Algebra:
 def adhoc(name: str, field: Field = QQ, binding=None) -> Algebra:
     basis, src = ADHOC[name]
     if binding:
-        src = _substitute_params(src, {k: Fraction(v) for k, v in binding.items()})
+        src = _substitute_params(src, {k: QQ.of(v) for k, v in binding.items()})
     return Algebra(field, tuple(basis), _parse_product_table(list(basis), src))
 
 
@@ -354,7 +354,7 @@ def sample_bindings(name: str):
 def instance_label(name: str, binding) -> str:
     if not binding:
         return name
-    inner = ",".join(f"{k}={Fraction(v)}" for k, v in sorted(binding.items()))
+    inner = ",".join(f"{k}={QQ.of(v)}" for k, v in sorted(binding.items()))
     return f"{name}[{inner}]"
 
 

@@ -14,7 +14,7 @@ import sys
 from . import catalog, reports
 from .algebra import invariant_vector, reduce_mod
 from .cohomology import h2, parse_cocycle
-from .errors import NiljError
+from .errors import DocumentError, NiljError
 from .extension import ExtensionSpec, central_extend, diagnose
 from .fields import QQ, Field
 from .isomorphism import (
@@ -27,18 +27,48 @@ from .isomorphism import (
 from .linalg import Matrix
 
 
+def _prime_field(text: str) -> Field:
+    try:
+        return Field(int(text))
+    except ValueError:
+        raise NiljError(f"bad prime {text!r}") from None
+
+
 def _parse_field(text: str | None) -> Field:
     if text is None or text == "Q":
         return QQ
     if text.startswith("p:"):
-        return Field(int(text[2:]))
+        return _prime_field(text[2:])
     raise NiljError(f"bad field spec {text!r} (use Q or p:<prime>)")
+
+
+def _parse_binding(text: str) -> dict:
+    """``name=value,...`` as a dict of stripped strings."""
+    binding = {}
+    for item in text.split(","):
+        k, sep, v = item.partition("=")
+        if not sep or not k.strip():
+            raise NiljError(f"bad parameter binding {item!r} (use name=value)")
+        binding[k.strip()] = v.strip()
+    return binding
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_ref(ref: str, field: Field = QQ):
     if ref.startswith("@"):
-        with open(ref[1:], encoding="utf-8") as fh:
-            A = catalog.parse_algebra(json.load(fh))
+        text = _read(ref[1:])
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DocumentError(f"{ref[1:]} is not valid JSON: {exc}") from None
+        A = catalog.parse_algebra(doc)
         if field.is_prime_field and not A.field.is_prime_field:
             A = reduce_mod(A, field.p)
         return A
@@ -47,9 +77,7 @@ def _parse_ref(ref: str, field: Field = QQ):
         if not ref.endswith("]"):
             raise NiljError(f"bad algebra reference {ref!r}")
         name, inner = ref[:-1].split("[", 1)
-        for item in inner.split(","):
-            k, v = item.split("=")
-            binding[k.strip()] = v.strip()
+        binding = _parse_binding(inner)
     if name in catalog.ADHOC:
         return catalog.adhoc(name, field, binding)
     return catalog.instantiate(name, binding, field)
@@ -60,13 +88,7 @@ def _print_algebra(A, name=""):
 
 
 def _cmd_verify_catalog(args) -> int:
-    extra = None
-    if args.params:
-        extra = {}
-        for item in args.params.split(","):
-            k, v = item.split("=")
-            extra[k.strip()] = v.strip()
-    section = reports.verify_catalog(extra)
+    section = reports.verify_catalog(_parse_binding(args.params) if args.params else None)
     _emit_section(section)
     return 0 if section.ok else 1
 
@@ -150,8 +172,7 @@ def _cmd_iso(args) -> int:
     if not args.map:
         print("iso needs either --map <file> or --search", file=sys.stderr)
         return 2
-    with open(args.map, encoding="utf-8") as fh:
-        rows = [line.split() for line in fh.read().strip().splitlines()]
+    rows = [line.split() for line in _read(args.map).strip().splitlines()]
     mat = Matrix.from_rows(A.field, rows)
     ok = verify_isomorphism(Morphism(A, B, mat))
     print("isomorphism verified" if ok else "map is NOT an isomorphism")
@@ -184,7 +205,7 @@ def _cmd_lemma_a(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    primes = tuple(int(p) for p in args.primes.split(","))
+    primes = tuple(_prime_field(p).p for p in args.primes.split(","))
     doc = reports.build_report(primes)
     text = doc.render_text()
     if args.out:
@@ -200,9 +221,7 @@ def _cmd_report(args) -> int:
 
 def _emit_section(section) -> None:
     for row in section.rows:
-        flag = "ok  " if row.get("ok", True) else "FAIL"
-        detail = "  ".join(f"{k}={v}" for k, v in row.items() if k != "ok")
-        print(f"[{flag}] {detail}")
+        print(reports.format_row(row))
     print(f"section: {'PASS' if section.ok else 'FAIL'}")
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .algebra import Algebra, cached_annihilator
+from .algebra import Algebra, _unit, cached_annihilator
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -221,26 +221,15 @@ def h2(A: Algebra) -> CocycleSpaces:
     space, greedily in the fixed upper-triangle pivot order, so repeated runs
     produce identical output.
     """
-    F = A.field
     z2 = cocycle_space(A)
     b2 = coboundary_space(A)
-    reps = []
-    current = [list(v) for v in b2.vectors()]
-    base_dim = b2.dim
-    for v in z2.vectors():
-        grown = Subspace.span(F, z2.ambient, current + [list(v)])
-        if grown.dim > base_dim + len(reps):
-            reps.append(Cocycle.from_upper(A, v))
-            current.append(list(v))
     assoc = associativity_constraint_space(A).intersect(z2)
-    assoc_reps = []
-    current = [list(v) for v in b2.vectors()]
-    for v in assoc.vectors():
-        grown = Subspace.span(F, z2.ambient, current + [list(v)])
-        if grown.dim > base_dim + len(assoc_reps):
-            assoc_reps.append(Cocycle.from_upper(A, v))
-            current.append(list(v))
-    return CocycleSpaces(A, z2, b2, tuple(reps), tuple(assoc_reps))
+
+    def extend_b2(space):
+        ech = b2.echelon()
+        return tuple(Cocycle.from_upper(A, v) for v in space.vectors() if ech.add(v))
+
+    return CocycleSpaces(A, z2, b2, extend_b2(z2), extend_b2(assoc))
 
 
 def radical(thetas) -> Subspace:
@@ -383,7 +372,3 @@ def parse_cocycle(A: Algebra, text: str) -> Cocycle:
             coef = F.neg(coef)
         out = out.add(Cocycle.delta(A, idx[0], idx[1], coef))
     return out
-
-
-def _unit(A: Algebra, i: int) -> tuple:
-    return tuple(A.field.one if k == i else A.field.zero for k in range(A.dim))

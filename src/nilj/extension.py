@@ -69,10 +69,8 @@ def diagnose(spec: ExtensionSpec) -> ExtensionDiagnostics:
         meet = radical(spec.cocycles).intersect(ann)
     else:
         meet = ann
-    spaces = h2(base)
-    stacked = [list(v) for v in spaces.b2.vectors()] + [list(c.upper()) for c in spec.cocycles]
-    rank = Subspace.span(base.field, spaces.z2.ambient, stacked).dim
-    independent = rank == spaces.b2.dim + len(spec.cocycles)
+    ech = h2(base).b2.echelon()
+    independent = all(ech.add(c.upper()) for c in spec.cocycles)
     return ExtensionDiagnostics(
         joint_radical_meet=meet,
         independent_mod_b2=independent,
@@ -93,23 +91,12 @@ def reconstruct(M: Algebra):
     if ann.dim == M.dim:
         raise NotAnExtensionError("zero algebra is a degenerate central extension")
     F = M.field
-    pivots = []
-    for r in range(ann.dim):
-        row = ann.basis.row(r)
-        pivots.append(next(j for j, x in enumerate(row) if x))
-    comp = [j for j in range(M.dim) if j not in pivots]
+    ech = ann.echelon()
+    comp = [j for j in range(M.dim) if j not in ech.pivots]
 
     def split(vec):
         """vec = sum lam_t ann_t + rest with rest supported on comp."""
-        v = list(vec)
-        lams = []
-        for t in range(ann.dim):
-            lam = v[pivots[t]]
-            lams.append(lam)
-            if lam:
-                row = ann.basis.row(t)
-                v = [F.sub(a, F.mul(lam, b)) for a, b in zip(v, row)]
-        return lams, v
+        return [vec[pc] for pc in ech.pivots], ech.reduce(vec)
 
     base_products = {}
     theta_vals = [dict() for _ in range(ann.dim)]
@@ -140,10 +127,7 @@ def reconstruct(M: Algebra):
 def section_morphism_matrix(M: Algebra, base: Algebra) -> Matrix:
     """Block map from central_extend(reconstruct(M)) back to M's coordinates."""
     ann = cached_annihilator(M)
-    pivots = []
-    for r in range(ann.dim):
-        row = ann.basis.row(r)
-        pivots.append(next(j for j, x in enumerate(row) if x))
+    pivots = ann.echelon().pivots
     comp = [j for j in range(M.dim) if j not in pivots]
     cols = [tuple(M.field.one if k == i else M.field.zero for k in range(M.dim)) for i in comp]
     cols += [ann.basis.row(r) for r in range(ann.dim)]

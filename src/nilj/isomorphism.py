@@ -50,11 +50,10 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     NiljError,
-    RootNotInFieldError,
     SearchBudgetExceededError,
 )
 from .fields import Field, same_field
-from .linalg import Matrix, Subspace
+from .linalg import Echelon, Matrix, _dot, _kernel
 
 AUT_CANDIDATE_BUDGET = 10**8
 GRADED_TABLE_LIMIT = 2500  # max p^(level-1 dim); the pairing table is quadratic in this
@@ -118,17 +117,11 @@ class _FilteredModel:
         levels = []
         rows = []
         for k in range(1, self.m):
-            Jk, Jk1 = powers[k - 1], powers[k]
-            cur = [list(v) for v in Jk1.vectors()]
-            cur_dim = Jk1.dim
-            added = 0
-            for v in Jk.vectors():
-                grown = Subspace.span(F, n, cur + [list(v)])
-                if grown.dim > cur_dim + added:
+            ech = powers[k].echelon()
+            for v in powers[k - 1].vectors():
+                if ech.add(v):
                     rows.append(list(v))
                     levels.append(k)
-                    cur.append(list(v))
-                    added += 1
         order = sorted(range(n), key=lambda i: levels[i])
         self.levels = tuple(levels[i] for i in order)
         self.basis_rows = Matrix.from_rows(F, [rows[i] for i in order])
@@ -221,9 +214,10 @@ def _model(A: Algebra) -> _FilteredModel:
 class _FastAlgebra:
     """Raw residue arithmetic for one F_p algebra (hot search loops only)."""
 
-    __slots__ = ("p", "n", "items", "rows")
+    __slots__ = ("field", "p", "n", "items", "rows")
 
     def __init__(self, A: Algebra):
+        self.field = A.field
         self.p = A.field.p
         self.n = A.dim
         items = []
@@ -263,75 +257,41 @@ def _closure_fast(fa: _FastAlgebra, fb: _FastAlgebra, gen_images, collect_defect
     only on fa, so with ``collect_defects`` the defect layout is identical
     across calls that differ only in the images.
     """
-    p = fa.p
     n = fa.n
-    known_vecs = []
-    known_imgs = []
-    pivots = []
+    # rows (vector | image); once the rank is n, row i is (e_i | image of e_i)
+    ech = Echelon(fa.field, 2 * n, key=n)
     defects = []
 
-    def reduce(vec, img):
-        v = list(vec)
-        w = list(img)
-        for idx, pc in enumerate(pivots):
-            f = v[pc]
-            if f:
-                kv = known_vecs[idx]
-                ki = known_imgs[idx]
-                for t in range(n):
-                    if kv[t]:
-                        v[t] = (v[t] - f * kv[t]) % p
-                for t in range(n):
-                    if ki[t]:
-                        w[t] = (w[t] - f * ki[t]) % p
-        return v, w
-
-    def insert(v, w):
-        pc = next(t for t, x in enumerate(v) if x)
-        s = pow(v[pc], -1, p)
-        known_vecs.append([x * s % p for x in v])
-        known_imgs.append([x * s % p for x in w])
-        pivots.append(pc)
+    def defect():
+        """Record the image part of a dependent pair's residual; True if it rules out."""
+        w = ech.residual[n:]
+        defects.extend(w)
+        return any(w) and not collect_defects
 
     frontier = []
     for g, img in enumerate(gen_images):
         vec = tuple(1 if i == g else 0 for i in range(n))
-        v, w = reduce(vec, img)
-        if any(v):
-            insert(v, w)
-        else:
-            defects.extend(w)
-            if any(w) and not collect_defects:
-                return None, defects
+        if not ech.add(vec + tuple(img)) and defect():
+            return None, defects
         frontier.append((vec, tuple(img)))
     pool = list(frontier)
-    while frontier and len(known_vecs) < n:
+    while frontier and ech.rank < n:
         new = []
         for v1, w1 in pool:
             for v2, w2 in frontier:
-                pv = fa.mul(v1, v2)
-                pw = fb.mul(w1, w2)
-                rv, rw = reduce(pv, pw)
-                if any(rv):
-                    insert(rv, rw)
-                    new.append((tuple(pv), tuple(pw)))
-                else:
-                    defects.extend(rw)
-                    if any(rw) and not collect_defects:
-                        return None, defects
+                pv = tuple(fa.mul(v1, v2))
+                pw = tuple(fb.mul(w1, w2))
+                if ech.add(pv + pw):
+                    new.append((pv, pw))
+                elif defect():
+                    return None, defects
         if not new:
             break
         pool.extend(new)
         frontier = new
-    if len(known_vecs) < n:
+    if ech.rank < n:
         return None, defects
-    cols = []
-    for i in range(n):
-        unit = tuple(1 if t == i else 0 for t in range(n))
-        v, w = reduce(unit, (0,) * n)
-        # unit = combination of known vectors, so its image is -w
-        cols.append(tuple((-x) % p for x in w))
-    return cols, defects
+    return [tuple(row[n:]) for row in ech.rows], defects
 
 
 def _pair_defects_fast(fa: _FastAlgebra, fb: _FastAlgebra, cols):
@@ -356,21 +316,9 @@ def _pair_defects_fast(fa: _FastAlgebra, fb: _FastAlgebra, cols):
     return out
 
 
-def _int_invertible(cols, p) -> bool:
-    n = len(cols)
-    m = [[cols[c][r] % p for c in range(n)] for r in range(n)]
-    for c in range(n):
-        pr = next((r for r in range(c, n) if m[r][c]), None)
-        if pr is None:
-            return False
-        m[c], m[pr] = m[pr], m[c]
-        s = pow(m[c][c], -1, p)
-        m[c] = [x * s % p for x in m[c]]
-        for r in range(c + 1, n):
-            f = m[r][c]
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[c])]
-    return True
+def _int_invertible(cols, field: Field) -> bool:
+    ech = Echelon(field, len(cols))
+    return all(ech.add(col) for col in cols)
 
 
 def _forced_candidate_fast(fa: _FastAlgebra, fb: _FastAlgebra, gen_images):
@@ -378,7 +326,7 @@ def _forced_candidate_fast(fa: _FastAlgebra, fb: _FastAlgebra, gen_images):
     cols, defects = _closure_fast(fa, fb, gen_images)
     if cols is None or any(defects):
         return None
-    if not _int_invertible(cols, fa.p):
+    if not _int_invertible(cols, fa.field):
         return None
     if any(_pair_defects_fast(fa, fb, cols)):
         return None
@@ -496,7 +444,7 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
             for c, a, b in MA._exprs[coord]:
                 acc += c * TB.digits2[TB.p2code[assign[a], assign[b]]]
             cols.append([int(x) for x in acc % p])
-        if not _int_invertible([tuple(col) for col in cols], p):
+        if not _int_invertible(cols, MA.A.field):
             return None
         weights = [p**t for t in range(n2)]
         return [sum(w * x for w, x in zip(weights, col)) for col in cols]
@@ -555,7 +503,7 @@ def _finish_graded(MA: _FilteredModel, MB: _FilteredModel, imgs1):
     p = MA.p
     s = MA.n1
     L = {1: [list(v) for v in imgs1]}
-    if not _int_invertible([tuple(v) for v in imgs1], p):
+    if not _int_invertible(imgs1, F):
         return None
 
     def img_of(coord):
@@ -598,7 +546,7 @@ def _finish_graded(MA: _FilteredModel, MB: _FilteredModel, imgs1):
                 acc = [(x + c * y) % p for x, y in zip(acc, term)]
             cols.append(acc)
         L[k] = cols
-        if not _int_invertible([tuple(col) for col in cols], p):
+        if not _int_invertible(cols, F):
             return None
     for i in range(MA.A.dim):
         li = MA.levels[i]
@@ -662,14 +610,14 @@ def _finish_graded(MA: _FilteredModel, MB: _FilteredModel, imgs1):
                 delta = [(t - prod[blo + r]) % p for r, t in enumerate(target)]
                 if not any(delta):
                     continue
-                span_rows = []
+                span = Echelon(F, bhi - blo)
                 for t in range(n):
                     if MA.levels[t] >= li + 1:
                         w = fbB.mul([1 if r == t else 0 for r in range(n)], lifts[j])
-                        span_rows.append(w[blo:bhi])
+                        span.add(w[blo:bhi])
                     if MA.levels[t] >= lj + 1:
                         w = fbB.mul(lifts[i], [1 if r == t else 0 for r in range(n)])
-                        span_rows.append(w[blo:bhi])
+                        span.add(w[blo:bhi])
                 for t in range(n):
                     if MA.levels[t] < li + 1:
                         continue
@@ -679,72 +627,10 @@ def _finish_graded(MA: _FilteredModel, MB: _FilteredModel, imgs1):
                                 [1 if r == t else 0 for r in range(n)],
                                 [1 if r == u else 0 for r in range(n)],
                             )
-                            span_rows.append(w[blo:bhi])
-                if not _in_span_mod_p(span_rows, delta, p):
+                            span.add(w[blo:bhi])
+                if any(span.reduce(delta)):
                     return None
     return L
-
-
-def _int_solve(rows, rhs, width, p):
-    """Particular solution and kernel basis of rows @ t = rhs over F_p, or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ech = []
-    pivs = []
-    for row in aug:
-        v = [x % p for x in row]
-        for er, pc in zip(ech, pivs):
-            f = v[pc]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, er)]
-        pc = next((t for t, x in enumerate(v) if x), None)
-        if pc is None:
-            continue
-        if pc == width:
-            return None  # inconsistent
-        s = pow(v[pc], -1, p)
-        ech.append([x * s % p for x in v])
-        pivs.append(pc)
-    # back-substitute to full reduction
-    for idx in range(len(ech) - 1, -1, -1):
-        for idx2 in range(idx):
-            f = ech[idx2][pivs[idx]]
-            if f:
-                ech[idx2] = [(a - f * b) % p for a, b in zip(ech[idx2], ech[idx])]
-    part = [0] * width
-    for er, pc in zip(ech, pivs):
-        part[pc] = er[width]
-    free = [t for t in range(width) if t not in pivs]
-    nullbasis = []
-    for fc in free:
-        vec = [0] * width
-        vec[fc] = 1
-        for er, pc in zip(ech, pivs):
-            vec[pc] = (-er[fc]) % p
-        nullbasis.append(vec)
-    return part, nullbasis
-
-
-def _in_span_mod_p(rows, vec, p) -> bool:
-    width = len(vec)
-    ech = []
-    pivs = []
-    for row in rows:
-        v = [x % p for x in row]
-        for er, pc in zip(ech, pivs):
-            f = v[pc]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, er)]
-        pc = next((t for t, x in enumerate(v) if x), None)
-        if pc is not None:
-            s = pow(v[pc], -1, p)
-            ech.append([x * s % p for x in v])
-            pivs.append(pc)
-    v = [x % p for x in vec]
-    for er, pc in zip(ech, pivs):
-        f = v[pc]
-        if f:
-            v = [(a - f * b) % p for a, b in zip(v, er)]
-    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -837,16 +723,12 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
         if dt is None or len(dt) != len(d0):
             raise NiljError("defect layout changed across linear-stage evaluations")
         cols.append([(a - b) % p for a, b in zip(dt, d0)])
-    rows = [
-        [cols[t][r] for t in range(T)]
-        for r in range(len(d0))
-        if d0[r] or any(cols[t][r] for t in range(T))
-    ]
-    rhs = [(-d0[r]) % p for r in range(len(d0)) if d0[r] or any(cols[t][r] for t in range(T))]
-    solved = _int_solve(rows, rhs, T, p)
-    if solved is None:
-        return
-    part, nullbasis = solved
+    system = Echelon(MA.A.field, T + 1, key=T)  # rows (defect slopes | -d0)
+    for r in range(len(d0)):
+        row = [cols[t][r] for t in range(T)] + [(-d0[r]) % p]
+        if not system.add(row) and system.residual[T]:
+            return  # inconsistent
+    part, nullbasis = system.solution(), _kernel(MA.A.field, T, system.pivots, system.rows)
     solutions = [tuple(part)]
     if find_all and nullbasis:
         combos = set()
@@ -1199,10 +1081,10 @@ def _induced_actions(spaces, autos):
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     _check_int64(p, len(pairs))
     cols = [list(c.upper()) for c in spaces.h2_reps] + [list(v) for v in spaces.b2.vectors()]
+    ech = spaces.z2.echelon()  # reps and b2 span z2
     for t in range(len(pairs)):
         unit = [1 if k == t else 0 for k in range(len(pairs))]
-        grown = Subspace.span(field, len(pairs), [list(c) for c in cols] + [unit])
-        if grown.dim > len(cols):
+        if ech.add(unit):
             cols.append(unit)
     T = Matrix.from_rows(field, [[cols[c][r] for c in range(len(cols))] for r in range(len(pairs))])
     extractor = np.array(T.inverse().row_list()[:hdim], dtype=np.int64)
@@ -1259,12 +1141,6 @@ def lemma_a_matrix(alpha, field: Field) -> Matrix:
     if not any((a1, a2, a3)):
         raise NiljError("alpha must be nonzero")
 
-    def sq(x):
-        root = F.sqrt(x)
-        if root is None:
-            raise RootNotInFieldError(x)
-        return root
-
     two, four, eight = F.of(2), F.of(4), F.of(8)
     if F.is_zero(a3):
         if not F.is_zero(a1) and F.is_zero(a2):
@@ -1272,9 +1148,9 @@ def lemma_a_matrix(alpha, field: Field) -> Matrix:
         elif F.is_zero(a1) and not F.is_zero(a2):
             rows = [[0, a2, 0], [F.inv(a2), 0, 0], [0, 0, 1]]
         else:
-            r1 = sq(F.div(a2, F.mul(eight, F.mul(a1, F.mul(a1, a1)))))
-            r2 = sq(F.inv(F.mul(eight, F.mul(a1, a2))))
-            r3 = sq(F.div(a1, F.mul(eight, F.mul(a2, F.mul(a2, a2)))))
+            r1 = F.sqrt_or_raise(F.div(a2, F.mul(eight, F.mul(a1, F.mul(a1, a1)))))
+            r2 = F.sqrt_or_raise(F.inv(F.mul(eight, F.mul(a1, a2))))
+            r3 = F.sqrt_or_raise(F.div(a1, F.mul(eight, F.mul(a2, F.mul(a2, a2)))))
             rows = [
                 [F.neg(r1), r2, F.inv(F.mul(two, a1))],
                 [r2, F.neg(r3), F.inv(F.mul(two, a2))],
@@ -1302,8 +1178,8 @@ def lemma_a_matrix(alpha, field: Field) -> Matrix:
         else:
             D = F.add(F.mul(two, F.mul(a1, a2)), a3sq)
             if not F.is_zero(D):
-                s = sq(F.mul(a1, a2))
-                t = sq(D)
+                s = F.sqrt_or_raise(F.mul(a1, a2))
+                t = F.sqrt_or_raise(D)
                 rows = [
                     [
                         F.div(F.mul(s, F.sub(F.neg(t), a3)), F.mul(two, F.mul(a1, D))),
@@ -1356,13 +1232,7 @@ def _verify_lemma_postconditions(F: Field, alpha, A: Matrix):
         for j in range(3):
             if prod.at(i, j) != F.of(shape[i][j]):
                 raise NiljError("lemma product has the wrong shape")
-    image = tuple(_dot3(F, alpha, A.col(j)) for j in range(3))
+    image = tuple(_dot(F, alpha, A.col(j)) for j in range(3))
     if image not in ((F.one, F.zero, F.zero), (F.zero, F.zero, F.one)):
         raise NiljError("alpha does not normalize to a unit covector")
 
-
-def _dot3(F: Field, u, v):
-    acc = F.zero
-    for a, b in zip(u, v):
-        acc = F.add(acc, F.mul(a, b))
-    return acc

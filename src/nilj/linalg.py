@@ -1,11 +1,15 @@
-"""Dense exact linear algebra: matrices, RREF, kernels, subspaces.
+"""Exact linear algebra: matrices, subspaces and one elimination kernel.
 
-Everything is immutable and pure.  Subspaces are always stored with a reduced
-row echelon basis, so two equal subspaces compare equal structurally.
+Matrices and subspaces are immutable and pure.  Subspaces are always stored
+with a reduced row echelon basis, so two equal subspaces compare equal
+structurally.  ``Echelon`` is the one scalar elimination: every RREF, rank,
+kernel, solution, determinant, inverse, span, membership test and
+intersection here runs on it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, SingularMatrixError
@@ -93,79 +97,48 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", int, tuple]:
         """Reduced row echelon form; returns (rref, rank, pivot columns)."""
-        F = self.field
-        m = self.row_list()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if not F.is_zero(m[i][c])), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = F.inv(m[r][c])
-            m[r] = [F.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not F.is_zero(m[i][c]):
-                    f = m[i][c]
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix.from_rows(F, m), r, tuple(pivots)
+        ech = Echelon(self.field, self.cols)
+        for i in range(self.rows):
+            ech.add(self.row(i))
+        zeros = (self.field.zero,) * (self.cols * (self.rows - ech.rank))
+        data = tuple(x for row in ech.rows for x in row) + zeros
+        return Matrix(self.rows, self.cols, data, self.field), ech.rank, tuple(ech.pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
 
     def nullspace(self) -> "Subspace":
         """Basis of {x : self @ x = 0} as a Subspace of dimension cols."""
-        F = self.field
         red, rank, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [F.zero] * self.cols
-            vec[fc] = F.one
-            for r, pc in enumerate(pivots):
-                vec[pc] = F.neg(red.at(r, fc))
-            basis.append(vec)
-        return Subspace.span(F, self.cols, basis)
+        rows = [red.row(r) for r in range(rank)]
+        return Subspace.span(self.field, self.cols, _kernel(self.field, self.cols, pivots, rows))
 
     def solve(self, rhs) -> tuple | None:
         """One solution x of self @ x = rhs, or None when inconsistent."""
         F = self.field
         if len(rhs) != self.rows:
             raise DimensionMismatchError("rhs length mismatch")
-        aug = Matrix(self.rows, self.cols + 1,
-                     tuple(x for i in range(self.rows)
-                           for x in (*self.row(i), F.of(rhs[i]))), F)
-        red, rank, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [F.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.at(r, self.cols)
-        return tuple(x)
+        ech = Echelon(F, self.cols + 1, key=self.cols)
+        for i in range(self.rows):
+            if not ech.add((*self.row(i), F.of(rhs[i]))) and ech.residual[-1]:
+                return None
+        return tuple(ech.solution())
 
     def det(self):
         if self.rows != self.cols:
             raise DimensionMismatchError("determinant of non-square matrix")
         F = self.field
-        m = self.row_list()
+        ech = Echelon(F, self.cols)
         det = F.one
-        for c in range(self.cols):
-            pr = next((i for i in range(c, self.rows) if not F.is_zero(m[i][c])), None)
-            if pr is None:
+        for i in range(self.rows):
+            if not ech.add(self.row(i)):
                 return F.zero
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
+            # the residual's lead is divided out; each pivot already taken to
+            # its right is one row swap of the triangular form
+            pc, lead = next((t, x) for t, x in enumerate(ech.residual) if x)
+            det = F.mul(det, lead)
+            if sum(q > pc for q in ech.pivots) % 2:
                 det = F.neg(det)
-            det = F.mul(det, m[c][c])
-            inv = F.inv(m[c][c])
-            for i in range(c + 1, self.rows):
-                if not F.is_zero(m[i][c]):
-                    f = F.mul(inv, m[i][c])
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[c])]
         return det
 
     def is_invertible(self) -> bool:
@@ -177,12 +150,28 @@ class Matrix:
             raise DimensionMismatchError("inverse of non-square matrix")
         n = self.rows
         ident = Matrix.identity(F, n)
-        aug = Matrix(n, 2 * n, tuple(x for i in range(n)
-                                     for x in (*self.row(i), *ident.row(i))), F)
-        red, rank, pivots = aug.rref()
-        if rank < n or pivots[:n] != tuple(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return Matrix(n, n, tuple(red.at(i, n + j) for i in range(n) for j in range(n)), F)
+        ech = Echelon(F, 2 * n, key=n)
+        for i in range(n):
+            if not ech.add(self.row(i) + ident.row(i)):
+                raise SingularMatrixError("matrix is singular")
+        return Matrix(n, n, tuple(x for row in ech.rows for x in row[n:]), F)
+
+
+def _kernel(F: Field, width: int, pivots, rows) -> list:
+    """Null vectors of fully reduced rows, one per free column among the first width.
+
+    Each is 1 at its free column and minus that column's row entries at the pivots.
+    """
+    out = []
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        vec = [F.zero] * width
+        vec[fc] = F.one
+        for pc, row in zip(pivots, rows):
+            vec[pc] = F.neg(row[fc])
+        out.append(vec)
+    return out
 
 
 def _dot(F: Field, u, v):
@@ -202,14 +191,13 @@ class Subspace:
 
     @staticmethod
     def span(field: Field, ambient: int, vectors) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        if any(len(v) != ambient for v in vecs):
-            raise DimensionMismatchError("spanning vector length mismatch")
-        if not vecs:
-            return Subspace(ambient, Matrix(0, ambient, (), field))
-        red, rank, _ = Matrix.from_rows(field, vecs).rref()
-        rows = [red.row(i) for i in range(rank)]
-        return Subspace(ambient, Matrix(rank, ambient, tuple(x for r in rows for x in r), field))
+        ech = Echelon(field, ambient)
+        for v in vectors:
+            if len(v) != ambient:
+                raise DimensionMismatchError("spanning vector length mismatch")
+            ech.add([field.of(x) for x in v])
+        data = tuple(x for row in ech.rows for x in row)
+        return Subspace(ambient, Matrix(ech.rank, ambient, data, field))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -233,18 +221,21 @@ class Subspace:
     def vectors(self):
         return [self.basis.row(i) for i in range(self.dim)]
 
+    def echelon(self) -> "Echelon":
+        """An Echelon seeded with this subspace's RREF basis."""
+        ech = Echelon(self.field, self.ambient)
+        for v in self.vectors():
+            ech.add(v)
+        return ech
+
     def contains(self, vec) -> bool:
+        if len(vec) != self.ambient:
+            raise DimensionMismatchError("vector length mismatch")
         F = self.field
-        v = [F.of(x) for x in vec]
-        for r in range(self.dim):
-            row = self.basis.row(r)
-            pc = next(j for j, x in enumerate(row) if not F.is_zero(x))
-            if not F.is_zero(v[pc]):
-                f = v[pc]
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, row)]
-        return all(F.is_zero(x) for x in v)
+        return not any(self.echelon().reduce([F.of(x) for x in vec]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        self._check(other)
         return all(self.contains(v) for v in other.vectors())
 
     def add(self, other: "Subspace") -> "Subspace":
@@ -252,27 +243,91 @@ class Subspace:
         return Subspace.span(self.field, self.ambient, self.vectors() + other.vectors())
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: reduce rows (u|u) and (w|0); rows pivoting right span the meet."""
         self._check(other)
-        F = self.field
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(F, self.ambient)
-        # solve x*A = y*B: nullspace of the (ambient x (k+l)) stacked transpose
-        k, l = self.dim, other.dim
-        rows = []
-        for c in range(self.ambient):
-            rows.append([self.basis.at(i, c) for i in range(k)]
-                        + [F.neg(other.basis.at(j, c)) for j in range(l)])
-        sol = Matrix.from_rows(F, rows).nullspace()
-        vecs = []
-        for s in sol.vectors():
-            combo = [F.zero] * self.ambient
-            for i in range(k):
-                if not F.is_zero(s[i]):
-                    combo = [F.add(a, F.mul(s[i], b)) for a, b in zip(combo, self.basis.row(i))]
-            vecs.append(combo)
-        return Subspace.span(F, self.ambient, vecs)
+        F, n = self.field, self.ambient
+        ech = Echelon(F, 2 * n)
+        for u in self.vectors():
+            ech.add(u + u)
+        for w in other.vectors():
+            ech.add(w + (F.zero,) * n)
+        meet = [row[n:] for pc, row in zip(ech.pivots, ech.rows) if pc >= n]
+        return Subspace(n, Matrix(len(meet), n, tuple(x for r in meet for x in r), F))
 
     def _check(self, other: "Subspace"):
         same_field(self.field, other.field)
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient dimension mismatch")
+
+
+class Echelon:
+    """An incremental reduced row echelon basis over one field.
+
+    Rows hold raw scalars (Fractions over Q, residues 0..p-1 over F_p; callers
+    coerce) and stay fully reduced and sorted by pivot.  Pivots are taken only
+    in the first ``key`` columns; later columns ride along with their row, so
+    an augmented right-hand side or an image vector is reduced together with it.
+    """
+
+    __slots__ = ("field", "key", "rows", "pivots", "residual", "_sparse")
+
+    def __init__(self, field: Field, width: int, key: int | None = None):
+        self.field = field
+        self.key = width if key is None else key
+        self.rows = []
+        self.pivots = []
+        self.residual = None
+        self._sparse = []  # (column, value) pairs of each row's nonzero entries
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec) -> list:
+        """vec minus the combination of rows that agrees with it on every pivot."""
+        v = list(vec)
+        p = self.field.p
+        for pc, row in zip(self.pivots, self._sparse):
+            f = v[pc]
+            if f:
+                if p is None:
+                    for t, x in row:
+                        v[t] -= f * x
+                else:
+                    for t, x in row:
+                        v[t] = (v[t] - f * x) % p
+        return v
+
+    def add(self, vec) -> bool:
+        """Extend the basis by vec; False when it reduces to zero on the key columns.
+
+        Either way ``residual`` keeps what vec reduced to.
+        """
+        v = self.residual = self.reduce(vec)
+        pc = next((t for t in range(self.key) if v[t]), None)
+        if pc is None:
+            return False
+        F = self.field
+        s = F.inv(v[pc])
+        new = [(t, F.mul(s, x)) for t, x in enumerate(v) if x]
+        dense = [F.zero] * len(v)
+        for t, x in new:
+            dense[t] = x
+        for i, row in enumerate(self.rows):
+            f = row[pc]
+            if f:
+                for t, x in new:
+                    row[t] = F.sub(row[t], F.mul(f, x))
+                self._sparse[i] = [(t, x) for t, x in enumerate(row) if x]
+        pos = bisect(self.pivots, pc)
+        self.pivots.insert(pos, pc)
+        self.rows.insert(pos, dense)
+        self._sparse.insert(pos, new)
+        return True
+
+    def solution(self) -> list:
+        """x with x[pivot] = the first ride-along entry of that pivot's row, 0 elsewhere."""
+        x = [self.field.zero] * self.key
+        for pc, row in zip(self.pivots, self.rows):
+            x[pc] = row[self.key]
+        return x

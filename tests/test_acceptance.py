@@ -2,7 +2,7 @@
 
 Criteria 3, 4, 5, 8 and 9 assert golden values bundled with the catalog that
 exact computation refutes (see the corrected-truth companions at the bottom
-and notes/decisions.md outside the package); those tests fail honestly with
+and the README's "Known discrepancies" section); those tests fail honestly with
 the discrepancies enumerated in the assertion message rather than being
 weakened to pass.
 """

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nilj import catalog, reports
 from nilj.cli import main
 
@@ -93,6 +95,24 @@ def test_non_nilpotent_document_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     _assert_usage_error(["invariants", f"@{path}"], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-catalog", "--params", "alpha"],
+        ["invariants", "J5,30[alpha]"],
+        ["invariants", "J5,30[alpha=1/0,beta=1]"],
+        ["orbits", "J3,2", "--field", "p:abc"],
+        ["report", "--primes", "5,x"],
+        ["invariants", "@{tmp}/missing.json"],
+        ["invariants", "@{tmp}/bad.json"],
+        ["iso", "J2,1", "J2,1", "--map", "{tmp}/missing"],
+    ],
+)
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text('{"dim": 2,', encoding="utf-8")
+    _assert_usage_error([arg.format(tmp=tmp_path) for arg in argv], capsys)
 
 
 def test_verify_catalog_exit_code(capsys):

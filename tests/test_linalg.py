@@ -28,6 +28,11 @@ def test_rref_prime_field():
     assert rank == 2
 
 
+def test_rref_of_no_rows_keeps_the_column_count():
+    red, rank, pivots = Matrix(0, 3, (), QQ).rref()
+    assert (red.rows, red.cols, rank, pivots) == (0, 3, 0, ())
+
+
 def _random_matrix(field, rows, cols, rng):
     return Matrix.from_rows(field, [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)])
 
@@ -99,3 +104,12 @@ def test_inverse_and_det():
     assert m.det() == -1
     assert m.mul(m.inverse()) == Matrix.identity(QQ, 2)
     assert not Matrix.from_rows(QQ, [[1, 2], [2, 4]]).is_invertible()
+
+
+def test_contains_rejects_wrong_lengths():
+    plane = Subspace.span(QQ, 3, [[1, 0, 0]])
+    for vec in ([0, 0], [1, 0, 0, 5]):
+        with pytest.raises(DimensionMismatchError):
+            plane.contains(vec)
+    with pytest.raises(DimensionMismatchError):
+        plane.contains_subspace(Subspace.full(QQ, 2))
