@@ -7,16 +7,19 @@ and hashable, which lets expensive per-algebra computations be cached.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+
+import numpy as np
 
 from .errors import (
     DimensionMismatchError,
     DocumentError,
     FieldMismatchError,
     FieldReductionError,
+    NiljError,
     NotNilpotentError,
 )
 from .fields import Field, same_field
@@ -134,10 +137,6 @@ class Element:
         return all(not c for c in self.coords)
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
 @dataclass(frozen=True)
 class InvariantVector:
     """Isomorphism-invariant fingerprint used to certify non-isomorphism."""
@@ -154,69 +153,90 @@ class InvariantVector:
 # -- identities ------------------------------------------------------------------
 
 
+def _check_int64(p: int, width: int):
+    """Refuse a modulus whose width-term sums of residue products overflow int64."""
+    if not _fits_int64(p, width):
+        raise NiljError(f"F_{p} is too large for exact int64 sums of {width} products")
+
+
+def _fits_int64(p: int, width: int) -> bool:
+    return width * (p - 1) ** 2 < 2**63
+
+
+def structure_tensor(A: Algebra):
+    """(T, p): T[i, j, k] is the coefficient of e_k in e_i e_j, p the modulus.
+
+    Over F_p the entries are residues, int64 wherever ``_check_int64(p, n)``
+    would pass: every contraction over T sums at most n products of two
+    reduced residues and is reduced mod p at once.  Otherwise the entries are Python
+    ints (object dtype), and over Q (p is None) they are the constants scaled
+    by the lcm of their denominators.
+    """
+    n, p = A.dim, A.field.p
+    if p is None:
+        # Exact: every identity or system read off T is homogeneous in the
+        # product (the Jordan identity of degree 3, associativity and the
+        # cocycle rows of degree 2, the associativity-constraint, annihilator,
+        # derivation and coboundary rows of degree 1), so the scale multiplies
+        # both sides or a whole row by a power of itself and changes no
+        # verdict and no solution space.
+        scale = math.lcm(*(c.denominator for terms in A._sc.values() for c in terms.values()))
+    T = np.zeros((n, n, n), dtype=np.int64 if p is not None and _fits_int64(p, n) else object)
+    for (i, j), terms in A._sc.items():
+        for k, c in terms.items():
+            T[i, j, k] = T[j, i, k] = c if p is not None else c.numerator * (scale // c.denominator)
+    return T, p
+
+
+def _mod(X, p):
+    return X if p is None else X % p
+
+
+def _compose(T, p):
+    """E[x, y, z, m]: the coefficient of e_m in (e_x e_y) e_z."""
+    n = len(T)
+    return _mod(T.reshape(n * n, n) @ T.reshape(n, n * n), p).reshape(n, n, n, n)
+
+
 def is_associative(A: Algebra) -> bool:
-    for i in range(A.dim):
-        for j in range(A.dim):
-            eij = A.vec_mul(_unit(A, i), _unit(A, j))
-            for k in range(A.dim):
-                lhs = A.vec_mul(eij, _unit(A, k))
-                rhs = A.vec_mul(_unit(A, i), A.vec_mul(_unit(A, j), _unit(A, k)))
-                if lhs != rhs:
-                    return False
-    return True
+    T, p = structure_tensor(A)
+    E = _compose(T, p)
+    # e_i (e_j e_k) = (e_j e_k) e_i by commutativity
+    return not _mod(E - E.transpose(2, 0, 1, 3), p).any()
 
 
 def jordan_identity_holds(A: Algebra) -> bool:
-    """Full linearization on basis quadruples plus the defining identity.
+    """Full linearization on all basis quadruples plus the defining identity.
 
     The defining identity x^2 o (x o y) = (x^2 o y) o x is additionally checked
     for x, y ranging over basis vectors and pairwise sums of basis vectors,
     which keeps the test meaningful even where linearization arguments need
     characteristic restrictions.
     """
-    F = A.field
+    T, p = structure_tensor(A)
     n = A.dim
-    units = [_unit(A, i) for i in range(n)]
-    prods = {}
-    for i in range(n):
-        for j in range(i, n):
-            prods[(i, j)] = A.basis_product(i, j)
-
-    def pr(i, j):
-        return prods[(i, j) if i <= j else (j, i)]
-
-    # linearized identity, symmetric in (a, b, c); d free
-    for a, b, c in combinations_with_replacement(range(n), 3):
-        for d in range(n):
-            lhs = [F.zero] * n
-            for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-                t = A.vec_mul(units[d], pr(y, z))
-                t = A.vec_mul(units[x], t)
-                lhs = [F.add(u, v) for u, v in zip(lhs, t)]
-            rhs = [F.zero] * n
-            for (x, y), (z, w) in (((a, b), (c, d)), ((b, c), (a, d)), ((a, c), (b, d))):
-                t = A.vec_mul(pr(x, y), pr(z, w))
-                rhs = [F.add(u, v) for u, v in zip(rhs, t)]
-            if lhs != rhs:
-                return False
+    E = _compose(T, p)
+    # X[x, y, z, d, m]: e_x (e_d (e_y e_z)); Q[x, y, z, w, m]: (e_x e_y)(e_z e_w)
+    X = _mod(E.reshape(n**3, n) @ T.reshape(n, n * n), p).reshape((n,) * 5)
+    X = X.transpose(3, 0, 1, 2, 4)
+    Q = _mod(T.reshape(n * n, n) @ E.transpose(2, 0, 1, 3).reshape(n, n**3), p)
+    Q = Q.reshape((n,) * 5)
+    # linearized identity at (a, b, c, d), symmetric in (a, b, c)
+    lhs = X + X.transpose(1, 0, 2, 3, 4) + X.transpose(1, 2, 0, 3, 4)
+    rhs = Q + Q.transpose(2, 0, 1, 3, 4) + Q.transpose(0, 2, 1, 3, 4)
+    if _mod(lhs - rhs, p).any():
+        return False
 
     # defining identity on basis vectors and pairwise sums
-    samples = list(units)
-    for i in range(n):
-        for j in range(i + 1, n):
-            samples.append(tuple(F.add(u, v) for u, v in zip(units[i], units[j])))
-    for x in samples:
-        xx = A.vec_mul(x, x)
-        for y in samples:
-            lhs = A.vec_mul(xx, A.vec_mul(x, y))
-            rhs = A.vec_mul(A.vec_mul(xx, y), x)
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _unit(A: Algebra, i: int) -> tuple:
-    return tuple(A.field.one if k == i else A.field.zero for k in range(A.dim))
+    eye = np.eye(n, dtype=T.dtype)
+    S = np.concatenate([eye] + [eye[i] + eye[i + 1:] for i in range(n)])
+    U = _mod(S @ T.reshape(n, n * n), p).reshape(-1, n, n)  # U[s]: y -> x_s y
+    XY = _mod(S @ U, p)  # XY[s, t] = x_s x_t
+    diag = np.arange(len(S))
+    W = _mod(XY[diag, diag] @ T.reshape(n, n * n), p).reshape(-1, n, n)  # W[s]: y -> x_s^2 y
+    lhs = _mod(XY @ W, p)  # x^2 (x y)
+    rhs = _mod(_mod(S @ W, p) @ U, p)  # (x^2 y) x
+    return not _mod(lhs - rhs, p).any()
 
 
 # -- filtration, annihilator, derivations ----------------------------------------
@@ -244,18 +264,11 @@ def power_filtration(A: Algebra):
     return powers
 
 
-def nil_index(A: Algebra) -> int:
-    return len(power_filtration(A))
-
-
 def annihilator(A: Algebra) -> Subspace:
     """{x : x o e_j = 0 for all j} (the center, in the sense used throughout)."""
-    F = A.field
-    rows = []
-    for j in range(A.dim):
-        for k in range(A.dim):
-            rows.append([A.sc(i, j).get(k, F.zero) for i in range(A.dim)])
-    return Matrix.from_rows(F, rows).nullspace()
+    T, _ = structure_tensor(A)
+    # row (j, k) reads the coefficient of e_k in x o e_j
+    return Matrix.from_rows(A.field, T.transpose(1, 2, 0).reshape(-1, A.dim).tolist()).nullspace()
 
 
 def derivation_algebra(A: Algebra) -> Subspace:
@@ -264,27 +277,17 @@ def derivation_algebra(A: Algebra) -> Subspace:
     D is flattened row-major: unknown (r, c) = entry r*n + c of the ambient
     coordinates (columns of D are images of basis vectors).
     """
-    F = A.field
+    T, _ = structure_tensor(A)
     n = A.dim
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            cij = A.sc(i, j)
-            for k in range(n):
-                row = [F.zero] * (n * n)
-                # D(e_i o e_j) coordinate k: sum_m c_ij^m D[k][m]
-                for m, c in cij.items():
-                    row[k * n + m] = F.add(row[k * n + m], c)
-                # -(D(e_i) o e_j)_k = -sum_r D[r][i] c(r,j)^k
-                for r in range(n):
-                    c = A.sc(r, j).get(k)
-                    if c:
-                        row[r * n + i] = F.sub(row[r * n + i], c)
-                    c = A.sc(r, i).get(k)
-                    if c:
-                        row[r * n + j] = F.sub(row[r * n + j], c)
-                rows.append(row)
-    return Matrix.from_rows(F, rows).nullspace()
+    i, j = (np.repeat(t, n) for t in np.triu_indices(n))
+    k = np.tile(np.arange(n), len(i) // n)
+    q = np.arange(len(k))
+    # row (i <= j, k): coefficient k of D(e_i o e_j) - D(e_i) o e_j - e_i o D(e_j)
+    rows = np.zeros((len(k), n, n), dtype=T.dtype)
+    rows[q, k] = T[i, j]
+    rows[q, :, i] -= T[j, :, k]
+    rows[q, :, j] -= T[i, :, k]
+    return Matrix.from_rows(A.field, rows.reshape(len(k), n * n).tolist()).nullspace()
 
 
 def invariant_vector(A: Algebra) -> InvariantVector:

@@ -159,8 +159,7 @@ def _cmd_iso(args) -> int:
     B = _parse_ref(args.dst, field)
     if args.search:
         if not field.is_prime_field:
-            print("--search needs --field p:<prime>", file=sys.stderr)
-            return 2
+            raise NiljError("--search needs --field p:<prime>")
         m = search_isomorphism(A, B, field)
         if m is None:
             print(f"no isomorphism over F{field.p}")
@@ -170,8 +169,7 @@ def _cmd_iso(args) -> int:
             print(" ", [field.fmt(x) for x in m.mat.col(i)])
         return 0
     if not args.map:
-        print("iso needs either --map <file> or --search", file=sys.stderr)
-        return 2
+        raise NiljError("iso needs either --map <file> or --search")
     rows = [line.split() for line in _read(args.map).strip().splitlines()]
     mat = Matrix.from_rows(A.field, rows)
     ok = verify_isomorphism(Morphism(A, B, mat))
@@ -195,8 +193,7 @@ def _cmd_lemma_a(args) -> int:
     field = _parse_field(args.field)
     alpha = [field.parse(x) for x in args.alpha.split(",")]
     if len(alpha) != 3:
-        print("--alpha needs three comma-separated scalars", file=sys.stderr)
-        return 2
+        raise NiljError("--alpha needs three comma-separated scalars")
     A = lemma_a_matrix(alpha, field)
     print("matrix rows:")
     for i in range(3):

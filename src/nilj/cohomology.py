@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .algebra import Algebra, _unit, cached_annihilator
+import numpy as np
+
+from .algebra import Algebra, _compose, _mod, cached_annihilator, structure_tensor
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -143,74 +145,54 @@ class CocycleSpaces:
 
 def cocycle_space(A: Algebra) -> Subspace:
     """Solutions of the linearized-identity constraint, instantiated on basis quadruples."""
-    F = A.field
+    T, p = structure_tensor(A)
     n = A.dim
-    pairs = sym_pairs(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    rows = []
-
-    def add_pair(row, i, j, coef):
-        row[index[(i, j) if i <= j else (j, i)]] = F.add(row[index[(i, j) if i <= j else (j, i)]], coef)
-
-    def add_vec_pair(row, u, v, sign):
-        # theta(u, v) for coordinate vectors u, v
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b:
-                    add_pair(row, i, j, F.mul(sign, F.mul(a, b)))
-
-    one, mone = F.one, F.neg(F.one)
-    for a, b, c in combinations_with_replacement(range(n), 3):
-        for d in range(n):
-            row = [F.zero] * len(pairs)
-            for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-                w = A.vec_mul(_unit(A, d), A.basis_product(y, z))
-                for m, cm in enumerate(w):
-                    if cm:
-                        add_pair(row, x, m, cm)
-            for (x, y), (z, w) in (((a, b), (c, d)), ((b, c), (a, d)), ((a, c), (b, d))):
-                add_vec_pair(row, A.basis_product(x, y), A.basis_product(z, w), mone)
-            if any(x for x in row):
-                rows.append(row)
-    if not rows:
-        return Subspace.full(F, len(pairs))
-    return Matrix.from_rows(F, rows).nullspace()
+    E = _compose(T, p)  # E[y, z, d] = e_d (e_y e_z)
+    a, b, c, d = np.array([q + (t,) for q in combinations_with_replacement(range(n), 3)
+                           for t in range(n)]).T
+    r = np.arange(len(a))
+    theta = np.zeros((len(a), n, n), dtype=T.dtype)  # row r, coefficient of theta(e_i, e_j)
+    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+        theta[r, x] += E[y, z, d]
+    for (x, y), (z, w) in (((a, b), (c, d)), ((b, c), (a, d)), ((a, c), (b, d))):
+        theta -= _mod(T[x, y][:, :, None] * T[z, w][:, None, :], p)
+    return _symmetric_solutions(A, theta, p)
 
 
 def coboundary_space(A: Algebra) -> Subspace:
     """Span of df for the n coordinate functionals f, (df)(x,y) = f(x o y)."""
-    F = A.field
-    n = A.dim
-    vecs = []
-    for k in range(n):
-        vecs.append([A.sc(i, j).get(k, F.zero) for (i, j) in sym_pairs(n)])
-    return Subspace.span(F, sym_dim(n), vecs)
+    T, _ = structure_tensor(A)
+    i, j = np.triu_indices(A.dim)
+    return Subspace.span(A.field, len(i), T[i, j].T.tolist())
 
 
 def associativity_constraint_space(A: Algebra) -> Subspace:
     """Symmetric maps with theta(x o y, z) = theta(x, y o z) on all basis triples."""
-    F = A.field
+    T, p = structure_tensor(A)
     n = A.dim
-    pairs = sym_pairs(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    rows = []
-    for i, j, k in product(range(n), repeat=3):
-        row = [F.zero] * len(pairs)
-        for m, cm in enumerate(A.basis_product(i, j)):
-            if cm:
-                p = (m, k) if m <= k else (k, m)
-                row[index[p]] = F.add(row[index[p]], cm)
-        for m, cm in enumerate(A.basis_product(j, k)):
-            if cm:
-                p = (i, m) if i <= m else (m, i)
-                row[index[p]] = F.sub(row[index[p]], cm)
-        if any(x for x in row):
-            rows.append(row)
-    if not rows:
-        return Subspace.full(F, len(pairs))
-    return Matrix.from_rows(F, rows).nullspace()
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    r = np.arange(len(i))
+    theta = np.zeros((len(i), n, n), dtype=T.dtype)
+    theta[r, :, k] = T[i, j]
+    theta[r, i, :] -= T[j, k]
+    return _symmetric_solutions(A, theta, p)
+
+
+def _symmetric_solutions(A: Algebra, theta, p) -> Subspace:
+    """Symmetric maps in upper-triangle coordinates annihilated by every row.
+
+    theta[r, i, j] is row r's coefficient of theta(e_i, e_j); both orders of a
+    pair are folded onto its upper-triangle coordinate, and zero rows dropped.
+    """
+    iu, ju = np.triu_indices(A.dim)
+    off = iu != ju
+    rows = theta[:, iu, ju]
+    rows[:, off] += theta[:, ju[off], iu[off]]
+    rows = _mod(rows, p)
+    rows = rows[(rows != 0).any(axis=1)]
+    if not len(rows):
+        return Subspace.full(A.field, len(iu))
+    return Matrix.from_rows(A.field, rows.tolist()).nullspace()
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import FieldMismatchError, NiljError, RootNotInFieldError
 
-MAX_ROOT_SEARCH_P = 101  # exhaustive root search is only supported this far
+MAX_ROOT_SEARCH_P = 101  # exhaustive search for roots other than square roots stops here
 
 
 def is_prime(n: int) -> bool:
@@ -112,15 +112,21 @@ class Field:
     # -- roots -----------------------------------------------------------------
 
     def sqrt(self, a):
+        """An exact square root, or None; over F_p the least of the two roots."""
+        if self.p is not None:
+            return _sqrt_mod(a % self.p, self.p)
         return self.nth_root(a, 2)
 
     def nth_root(self, a, n: int):
         """An exact n-th root in this field, or None.
 
-        F_p roots are found by exhaustive search (p <= 101); over the
-        rationals only exact rational roots are returned.
+        F_p square roots come from ``sqrt``; other F_p roots are found by
+        exhaustive search (p <= 101).  Over the rationals only exact rational
+        roots are returned.
         """
         if self.p is not None:
+            if n == 2:
+                return self.sqrt(a)
             if self.p > MAX_ROOT_SEARCH_P:
                 raise NiljError(f"root search not supported for p > {MAX_ROOT_SEARCH_P}")
             for x in range(self.p):
@@ -143,6 +149,29 @@ class Field:
         if root is None:
             raise RootNotInFieldError(a, 2)
         return root
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """min(r, p - r) for a root r of r^2 = a mod the odd prime p, or None (Tonelli-Shanks)."""
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then s > i
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 def _int_nth_root(m: int, n: int) -> int | None:

@@ -39,10 +39,12 @@ import numpy as np
 
 from .algebra import (
     Algebra,
+    _check_int64,
     cached_annihilator,
     invariant_vector,
     power_filtration,
     reduce_mod,
+    structure_tensor,
 )
 from .cohomology import Cocycle, h2, radical as joint_radical
 from .errors import (
@@ -836,12 +838,6 @@ def enumerate_automorphisms(A: Algebra, field: Field) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _check_int64(p: int, width: int):
-    """Refuse a modulus whose width-term sums of residue products overflow int64."""
-    if width * (p - 1) ** 2 >= 2**63:
-        raise NiljError(f"F_{p} is too large for exact int64 sums of {width} products")
-
-
 def _inv_mod(x, p: int):
     """Elementwise inverse of nonzero residues, by Fermat's little theorem."""
     out = np.ones_like(x)
@@ -880,16 +876,6 @@ def _rref_mod_p(mats, p: int):
         M[b] = (M[b] - f[:, :, None] * pivot[:, None, :]) % p
         rank[b] += 1
     return M, rank
-
-
-def _structure_tensor(A: Algebra):
-    """C[i, j, k]: the coefficient of e_k in e_i e_j, as residues."""
-    n = A.dim
-    C = np.zeros((n, n, n), dtype=np.int64)
-    for (i, j), terms in A.products().items():
-        for k, c in terms.items():
-            C[i, j, k] = C[j, i, k] = c
-    return C
 
 
 def _verify_automorphism_block(C, phis, p: int):
@@ -940,7 +926,7 @@ def _automorphism_array(A: Algebra, field: Field):
     M = _model(Ap)
     to_old = np.array(M.to_old.row_list(), dtype=np.int64)
     to_new = np.array(M.to_new.row_list(), dtype=np.int64)
-    C = _structure_tensor(Ap)
+    C, _ = structure_tensor(Ap)
     dtype = np.int16 if p <= 2**15 else np.int64
 
     def convert(engine):

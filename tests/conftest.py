@@ -1,0 +1,46 @@
+"""Fixtures shared by the property tests that compare tensor code with loops."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import strategies as st
+
+from nilj.algebra import Algebra
+from nilj.fields import QQ, Field
+
+# above the int64 guard at every width, so the structure tensor holds Python ints
+BIG_P = 3037000507
+
+
+def _scalars(field):
+    if field.p is None:
+        # numerators up to 10^12 over denominators up to 10^6: triple products
+        # of the scaled constants overflow int64
+        big = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+        return st.sampled_from([Fraction(1), Fraction(-1)]) | big
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def _nilpotent_algebras(draw, field):
+    """Strictly upper-triangular constants: e_i e_j lies in span(e_k : k > j >= i)."""
+    n = draw(st.integers(1, 6))
+    products = {}
+    for i in range(n):
+        for j in range(i, n - 1):
+            products[(i, j)] = draw(
+                st.dictionaries(st.integers(j + 1, n - 1), _scalars(field), max_size=2)
+            )
+    return Algebra(field, [f"e{k}" for k in range(n)], products)
+
+
+@pytest.fixture(scope="session", params=(QQ, Field(5), Field(7), Field(BIG_P)), ids=repr)
+def any_field(request):
+    """Q, F_5, F_7 and a prime whose structure tensor is not int64."""
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def nilpotent_algebras():
+    """Strategy factory: random nilpotent algebras of dimension 1-6 over a field."""
+    return _nilpotent_algebras

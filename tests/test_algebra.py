@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilj import catalog
 from nilj.algebra import (
@@ -24,6 +26,99 @@ from nilj.linalg import Matrix
 F5 = Field(5)
 
 
+def _unit(A, i):
+    return tuple(A.field.one if k == i else A.field.zero for k in range(A.dim))
+
+
+def reference_is_associative(A):
+    """The basis-triple loop over ``vec_mul`` that the tensor check replaced."""
+    for i in range(A.dim):
+        for j in range(A.dim):
+            eij = A.vec_mul(_unit(A, i), _unit(A, j))
+            for k in range(A.dim):
+                lhs = A.vec_mul(eij, _unit(A, k))
+                rhs = A.vec_mul(_unit(A, i), A.vec_mul(_unit(A, j), _unit(A, k)))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def reference_annihilator(A):
+    """The per-entry loop over ``sc`` that the tensor read replaced."""
+    F = A.field
+    rows = []
+    for j in range(A.dim):
+        for k in range(A.dim):
+            rows.append([A.sc(i, j).get(k, F.zero) for i in range(A.dim)])
+    return Matrix.from_rows(F, rows).nullspace()
+
+
+def reference_derivation_algebra(A):
+    """The per-entry loop over ``sc`` that the tensor read replaced."""
+    F = A.field
+    n = A.dim
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            cij = A.sc(i, j)
+            for k in range(n):
+                row = [F.zero] * (n * n)
+                for m, c in cij.items():
+                    row[k * n + m] = F.add(row[k * n + m], c)
+                for r in range(n):
+                    c = A.sc(r, j).get(k)
+                    if c:
+                        row[r * n + i] = F.sub(row[r * n + i], c)
+                    c = A.sc(r, i).get(k)
+                    if c:
+                        row[r * n + j] = F.sub(row[r * n + j], c)
+                rows.append(row)
+    return Matrix.from_rows(F, rows).nullspace()
+
+
+def reference_jordan_identity_holds(A):
+    """The quadruple loop over ``vec_mul`` that the tensor check replaced."""
+    F = A.field
+    n = A.dim
+    units = [_unit(A, i) for i in range(n)]
+    prods = {}
+    for i in range(n):
+        for j in range(i, n):
+            prods[(i, j)] = A.basis_product(i, j)
+
+    def pr(i, j):
+        return prods[(i, j) if i <= j else (j, i)]
+
+    # linearized identity, symmetric in (a, b, c); d free
+    for a, b, c in combinations_with_replacement(range(n), 3):
+        for d in range(n):
+            lhs = [F.zero] * n
+            for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+                t = A.vec_mul(units[d], pr(y, z))
+                t = A.vec_mul(units[x], t)
+                lhs = [F.add(u, v) for u, v in zip(lhs, t)]
+            rhs = [F.zero] * n
+            for (x, y), (z, w) in (((a, b), (c, d)), ((b, c), (a, d)), ((a, c), (b, d))):
+                t = A.vec_mul(pr(x, y), pr(z, w))
+                rhs = [F.add(u, v) for u, v in zip(rhs, t)]
+            if lhs != rhs:
+                return False
+
+    # defining identity on basis vectors and pairwise sums
+    samples = list(units)
+    for i in range(n):
+        for j in range(i + 1, n):
+            samples.append(tuple(F.add(u, v) for u, v in zip(units[i], units[j])))
+    for x in samples:
+        xx = A.vec_mul(x, x)
+        for y in samples:
+            lhs = A.vec_mul(xx, A.vec_mul(x, y))
+            rhs = A.vec_mul(A.vec_mul(xx, y), x)
+            if lhs != rhs:
+                return False
+    return True
+
+
 def test_multiply_examples():
     A = catalog.instantiate("J4,6")
     a, d = A.basis_element(0), A.basis_element(3)
@@ -43,6 +138,24 @@ def test_jordan_identity_examples():
     # with a unit adjoined implicitly the identity always holds: a acts as 1
     unital = Algebra(QQ, ("a", "b"), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: 1}})
     assert jordan_identity_holds(unital)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tensor_reads_match_the_reference_loops(any_field, nilpotent_algebras, data):
+    A = data.draw(nilpotent_algebras(any_field))
+    assert jordan_identity_holds(A) == reference_jordan_identity_holds(A)
+    assert is_associative(A) == reference_is_associative(A)
+    assert annihilator(A) == reference_annihilator(A)
+    assert derivation_algebra(A) == reference_derivation_algebra(A)
+
+
+@pytest.mark.parametrize("field", (QQ, Field(7)), ids=repr)
+def test_named_non_jordan_entries_match_the_reference(field):
+    for name in ("J5,2", "J5,3"):
+        A = reduce_mod(catalog.instantiate(name), 7) if field.p else catalog.instantiate(name)
+        assert not jordan_identity_holds(A) and not reference_jordan_identity_holds(A)
+        assert is_associative(A) == reference_is_associative(A)
 
 
 def test_associativity_examples():

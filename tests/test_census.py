@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from nilj import catalog
-from nilj.algebra import cached_annihilator, change_basis, reduce_mod
+from nilj.algebra import (
+    _check_int64,
+    cached_annihilator,
+    change_basis,
+    reduce_mod,
+    structure_tensor,
+)
 from nilj.cohomology import Cocycle, h2, is_automorphism, radical as joint_radical
 from nilj.errors import NiljError
 from nilj.fields import Field
@@ -15,9 +21,7 @@ from nilj.isomorphism import (
     _automorphism_array,
     _canonical_subspaces,
     _canonicalize,
-    _check_int64,
     _rref_mod_p,
-    _structure_tensor,
     _verify_automorphism_block,
     enumerate_automorphisms,
     orbit_census,
@@ -118,7 +122,7 @@ def test_automorphism_array_is_sorted_and_verified():
 
 def test_block_check_rejects_a_corrupted_automorphism():
     A5 = reduce_mod(catalog.instantiate("J3,2"), 5)
-    C = _structure_tensor(A5)
+    C, _ = structure_tensor(A5)
     block = _automorphism_array(A5, F5)[:16].astype(np.int64)
     _verify_automorphism_block(C, block, 5)
     bad = block.copy()

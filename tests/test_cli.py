@@ -108,6 +108,9 @@ def test_non_nilpotent_document_is_a_usage_error(tmp_path, capsys):
         ["invariants", "@{tmp}/missing.json"],
         ["invariants", "@{tmp}/bad.json"],
         ["iso", "J2,1", "J2,1", "--map", "{tmp}/missing"],
+        ["lemma-a", "--alpha", "1,2"],
+        ["iso", "J2,1", "J2,1", "--search"],
+        ["iso", "J2,1", "J2,1"],
     ],
 )
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):

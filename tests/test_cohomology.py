@@ -1,6 +1,8 @@
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilj import catalog
 from nilj.algebra import reduce_mod, zero_algebra
@@ -16,6 +18,7 @@ from nilj.cohomology import (
     parse_cocycle,
     radical,
     sym_dim,
+    sym_pairs,
 )
 from nilj.errors import NiljError, SingularMatrixError
 from nilj.fields import QQ, Field
@@ -23,6 +26,99 @@ from nilj.isomorphism import enumerate_automorphisms
 from nilj.linalg import Matrix, Subspace
 
 F5 = Field(5)
+
+
+def _unit(A, i):
+    return tuple(A.field.one if k == i else A.field.zero for k in range(A.dim))
+
+
+def reference_cocycle_space(A):
+    """The quadruple loop over ``vec_mul`` that the tensor contraction replaced."""
+    F = A.field
+    n = A.dim
+    pairs = sym_pairs(n)
+    index = {p: k for k, p in enumerate(pairs)}
+    rows = []
+
+    def add_pair(row, i, j, coef):
+        row[index[(i, j) if i <= j else (j, i)]] = F.add(row[index[(i, j) if i <= j else (j, i)]], coef)
+
+    def add_vec_pair(row, u, v, sign):
+        # theta(u, v) for coordinate vectors u, v
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            for j, b in enumerate(v):
+                if b:
+                    add_pair(row, i, j, F.mul(sign, F.mul(a, b)))
+
+    one, mone = F.one, F.neg(F.one)
+    for a, b, c in combinations_with_replacement(range(n), 3):
+        for d in range(n):
+            row = [F.zero] * len(pairs)
+            for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+                w = A.vec_mul(_unit(A, d), A.basis_product(y, z))
+                for m, cm in enumerate(w):
+                    if cm:
+                        add_pair(row, x, m, cm)
+            for (x, y), (z, w) in (((a, b), (c, d)), ((b, c), (a, d)), ((a, c), (b, d))):
+                add_vec_pair(row, A.basis_product(x, y), A.basis_product(z, w), mone)
+            if any(x for x in row):
+                rows.append(row)
+    if not rows:
+        return Subspace.full(F, len(pairs))
+    return Matrix.from_rows(F, rows).nullspace()
+
+
+def reference_coboundary_space(A):
+    """The per-entry loop over ``sc`` that the tensor read replaced."""
+    F = A.field
+    n = A.dim
+    vecs = []
+    for k in range(n):
+        vecs.append([A.sc(i, j).get(k, F.zero) for (i, j) in sym_pairs(n)])
+    return Subspace.span(F, sym_dim(n), vecs)
+
+
+def reference_associativity_constraint_space(A):
+    """The basis-triple loop that the tensor contraction replaced."""
+    F = A.field
+    n = A.dim
+    pairs = sym_pairs(n)
+    index = {p: k for k, p in enumerate(pairs)}
+    rows = []
+    for i, j, k in product(range(n), repeat=3):
+        row = [F.zero] * len(pairs)
+        for m, cm in enumerate(A.basis_product(i, j)):
+            if cm:
+                p = (m, k) if m <= k else (k, m)
+                row[index[p]] = F.add(row[index[p]], cm)
+        for m, cm in enumerate(A.basis_product(j, k)):
+            if cm:
+                p = (i, m) if i <= m else (m, i)
+                row[index[p]] = F.sub(row[index[p]], cm)
+        if any(x for x in row):
+            rows.append(row)
+    if not rows:
+        return Subspace.full(F, len(pairs))
+    return Matrix.from_rows(F, rows).nullspace()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_constraint_spaces_match_the_reference_loops(any_field, nilpotent_algebras, data):
+    A = data.draw(nilpotent_algebras(any_field))
+    assert cocycle_space(A) == reference_cocycle_space(A)
+    assert associativity_constraint_space(A) == reference_associativity_constraint_space(A)
+    assert coboundary_space(A) == reference_coboundary_space(A)
+
+
+@pytest.mark.parametrize("field", (QQ, Field(7)), ids=repr)
+def test_named_non_jordan_entries_match_the_reference(field):
+    for name in ("J5,2", "J5,3"):
+        A = reduce_mod(catalog.instantiate(name), 7) if field.p else catalog.instantiate(name)
+        assert cocycle_space(A) == reference_cocycle_space(A)
+        assert associativity_constraint_space(A) == reference_associativity_constraint_space(A)
 
 
 def test_cocycle_space_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nilj.errors import FieldMismatchError, NiljError, RootNotInFieldError
-from nilj.fields import QQ, Field
+from nilj.fields import QQ, Field, is_prime
 
 
 def test_rational_parse_and_format():
@@ -68,3 +68,30 @@ def test_sqrt_or_raise_names_the_radicand():
     with pytest.raises(RootNotInFieldError) as err:
         Field(5).sqrt_or_raise(2)
     assert err.value.radicand == 2
+
+
+def test_prime_field_square_roots_match_the_exhaustive_search():
+    # the least root, as the search over 0..p-1 found it before Tonelli-Shanks
+    for p in range(5, 102):
+        if not is_prime(p):
+            continue
+        F = Field(p)
+        for a in range(p):
+            expected = next((x for x in range(p) if x * x % p == a), None)
+            assert F.sqrt(a) == expected, (p, a)
+            assert F.nth_root(a, 2) == expected, (p, a)
+
+
+@pytest.mark.parametrize("p", [10007, 2**31 - 1])
+def test_square_roots_modulo_large_primes(p):
+    F = Field(p)
+    for a in (2, 3, 5, 7, 10, p - 1, 123456 % p):
+        root = F.sqrt(a)
+        if root is None:
+            assert pow(a, (p - 1) // 2, p) == p - 1  # Euler: a is a non-residue
+        else:
+            assert root * root % p == a and root <= p - root
+    for x in (2, 1234, p - 5):
+        assert F.sqrt(x * x % p) == min(x, p - x)
+    with pytest.raises(NiljError):
+        F.nth_root(2, 3)  # other roots still need the exhaustive search
