@@ -290,7 +290,9 @@ def derivation_algebra(A: Algebra) -> Subspace:
     return Matrix.from_rows(A.field, rows.reshape(len(k), n * n).tolist()).nullspace()
 
 
+@lru_cache(maxsize=None)
 def invariant_vector(A: Algebra) -> InvariantVector:
+    """The fingerprint of A, computed once per algebra."""
     powers = power_filtration(A)
     ann = annihilator(A)
     sq = powers[1] if len(powers) > 1 else Subspace.zero(A.field, A.dim)

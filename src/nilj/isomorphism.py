@@ -17,6 +17,22 @@ provably vanish (they land below the last nonzero power).  Digits too deep to
 influence any product are factored out of the search and re-attached
 combinatorially, so automorphism counts are exact.
 
+``search_isomorphism`` first compares the invariant fingerprints of the two
+algebras reduced mod p and returns None when they differ.  An isomorphism
+over F_p preserves every fingerprint component, so this prune is a
+certificate of non-isomorphism over F_p only; it says nothing over Q, and a
+report row it decides keeps the grade of a search that found nothing.
+
+The forced closure is compiled once per source algebra and generator count
+(``_closure``): a straight-line program of products that expresses every
+basis vector over words in the generators.  It runs on blocks of candidate
+generator images as int64 contractions over the target's structure tensor,
+and the candidates are accepted or rejected in batch (multiplicativity on all
+basis pairs, full rank mod p).  The graded leaves, the lift levels and the
+linear stage's interpolation and solutions are batched the same way, and
+candidates keep their enumeration order, so the first hit is the one a
+candidate-by-candidate search finds.
+
 The engine works in filtration coordinates and emits arrays of matrices.
 ``search_isomorphism`` maps its single hit back to the original bases and
 re-verifies it with ``verify_isomorphism``.  ``_automorphism_array`` maps the
@@ -33,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 import numpy as np
 
@@ -55,7 +71,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fields import Field, same_field
-from .linalg import Echelon, Matrix, _dot, _kernel
+from .linalg import Echelon, Matrix, _dot
 
 AUT_CANDIDATE_BUDGET = 10**8
 GRADED_TABLE_LIMIT = 2500  # max p^(level-1 dim); the pairing table is quadratic in this
@@ -209,130 +225,103 @@ def _model(A: Algebra) -> _FilteredModel:
 
 
 # ---------------------------------------------------------------------------
-# fast modular product engine and forced closure
+# the forced closure, compiled
 # ---------------------------------------------------------------------------
 
 
-class _FastAlgebra:
-    """Raw residue arithmetic for one F_p algebra (hot search loops only)."""
+@dataclass(frozen=True)
+class _Closure:
+    """The forced closure of s generator images, compiled for one source algebra.
 
-    __slots__ = ("field", "p", "n", "items", "rows")
+    The generators are the first s basis vectors.  Words are tried in a fixed
+    order: the generators, then round by round every product of a known
+    independent word with one found in the previous round, until the
+    independent words span.  Which words are independent depends on the source
+    alone, so the trial runs once; an evaluation only multiplies images.
+    ``rounds[r]`` holds the factor indices (into the independent words, in the
+    order found) of the words round r adds, and row i of ``basis`` expresses
+    e_i over the independent words.
 
-    def __init__(self, A: Algebra):
-        self.field = A.field
-        self.p = A.field.p
-        self.n = A.dim
-        items = []
-        rows = {}
-        for (i, j), terms in A.products().items():
-            row = tuple(sorted(terms.items()))
-            items.append((i, j, row))
-            rows[(i, j)] = row
-        self.items = tuple(items)
-        self.rows = rows
+    Dependent words are not evaluated: once the map is multiplicative, a
+    dependent word's image equals the map applied to its vector, so its defect
+    vanishes by itself and checking multiplicativity on basis pairs suffices.
+    """
 
-    def mul(self, x, y):
-        p = self.p
-        out = [0] * self.n
-        for i, j, terms in self.items:
-            c = x[i] * y[j]
-            if i != j:
-                c += x[j] * y[i]
-            c %= p
-            if c:
-                for k, v in terms:
-                    out[k] = (out[k] + c * v) % p
-        return out
+    rounds: tuple  # ((left, right) index arrays) per round
+    basis: np.ndarray  # (n, n) residues
 
 
 @lru_cache(maxsize=None)
-def _fast(A: Algebra) -> _FastAlgebra:
-    return _FastAlgebra(A)
+def _closure(A: Algebra, s: int) -> _Closure:
+    """The compiled closure of A's first s basis vectors, which must generate A."""
+    F, n = A.field, A.dim
+    ech = Echelon(F, 2 * n, key=n)  # rows (vector | unit tag of the independent word)
+    vecs = []
+
+    def add(vec) -> bool:
+        tag = tuple(int(t == len(vecs)) for t in range(n))
+        if ech.add(tuple(vec) + tag):
+            vecs.append(vec)
+            return True
+        return False
+
+    for g in range(s):
+        add(tuple(int(t == g) for t in range(n)))
+    rounds, frontier, pool = [], list(range(s)), s
+    while frontier and len(vecs) < n:
+        pairs, new = [], []
+        for a in range(pool):
+            for b in frontier:
+                if add(A.vec_mul(vecs[a], vecs[b])):
+                    pairs.append((a, b))
+                    new.append(len(vecs) - 1)
+        if pairs:
+            rounds.append(tuple(np.array(side, dtype=np.int64) for side in zip(*pairs)))
+        frontier, pool = new, len(vecs)
+    if len(vecs) < n:
+        raise NiljError("filtration generators do not generate the algebra")
+    return _Closure(tuple(rounds), np.array([row[n:] for row in ech.rows], dtype=np.int64))
 
 
-def _closure_fast(fa: _FastAlgebra, fb: _FastAlgebra, gen_images, collect_defects=False):
-    """Forced multiplicative extension of generator images, in residues.
+@lru_cache(maxsize=None)
+def _tensor(A: Algebra):
+    return structure_tensor(A)[0]
 
-    Source vectors multiply in fa, images in fb.  Returns (columns, defects)
-    where columns[i] is the forced image of unit coordinate i; columns is None
-    when the generators fail to generate.  The vector-side trajectory depends
-    only on fa, so with ``collect_defects`` the defect layout is identical
-    across calls that differ only in the images.
+
+def _products(X, Y, C, p: int):
+    """Row-wise products x * y of two (..., n) residue arrays through the tensor C."""
+    n = C.shape[0]
+    half = (X @ C.reshape(n, n * n) % p).reshape(X.shape + (n,))  # [..., c, t]
+    return (Y[..., None, :] @ half)[..., 0, :] % p
+
+
+def _forced_maps(A: Algebra, B: Algebra, gens):
+    """Forced multiplicative extensions of generator images, with their defects.
+
+    ``gens`` is a (k, s, n) array: candidate images of A's first s basis
+    vectors in B's coordinates.  Returns (phis, defects): phis[b] has the
+    forced images of A's basis as columns and defects[b] is
+    ``_product_defects`` of it.
     """
-    n = fa.n
-    # rows (vector | image); once the rank is n, row i is (e_i | image of e_i)
-    ech = Echelon(fa.field, 2 * n, key=n)
-    defects = []
-
-    def defect():
-        """Record the image part of a dependent pair's residual; True if it rules out."""
-        w = ech.residual[n:]
-        defects.extend(w)
-        return any(w) and not collect_defects
-
-    frontier = []
-    for g, img in enumerate(gen_images):
-        vec = tuple(1 if i == g else 0 for i in range(n))
-        if not ech.add(vec + tuple(img)) and defect():
-            return None, defects
-        frontier.append((vec, tuple(img)))
-    pool = list(frontier)
-    while frontier and ech.rank < n:
-        new = []
-        for v1, w1 in pool:
-            for v2, w2 in frontier:
-                pv = tuple(fa.mul(v1, v2))
-                pw = tuple(fb.mul(w1, w2))
-                if ech.add(pv + pw):
-                    new.append((pv, pw))
-                elif defect():
-                    return None, defects
-        if not new:
-            break
-        pool.extend(new)
-        frontier = new
-    if ech.rank < n:
-        return None, defects
-    return [tuple(row[n:]) for row in ech.rows], defects
+    k, s, n = gens.shape
+    prog = _closure(A, s)
+    p, CB = A.field.p, _tensor(B)
+    imgs = np.empty((k, n, n), dtype=np.int64)  # images of the independent words
+    imgs[:, :s] = gens
+    found = s
+    for left, right in prog.rounds:
+        imgs[:, found:found + len(left)] = _products(imgs[:, left], imgs[:, right], CB, p)
+        found += len(left)
+    phis = imgs.transpose(0, 2, 1) @ prog.basis.T % p
+    return phis, _product_defects(_tensor(A), CB, phis, p)
 
 
-def _pair_defects_fast(fa: _FastAlgebra, fb: _FastAlgebra, cols):
-    p = fa.p
-    n = fa.n
-    out = []
-    for i in range(n):
-        ci = cols[i]
-        for j in range(i, n):
-            rhs = fb.mul(ci, cols[j])
-            terms = fa.rows.get((i, j))
-            if terms:
-                lhs = [0] * n
-                for k, v in terms:
-                    col = cols[k]
-                    for t in range(n):
-                        if col[t]:
-                            lhs[t] = (lhs[t] + v * col[t]) % p
-                out.extend((a - b) % p for a, b in zip(lhs, rhs))
-            else:
-                out.extend((-b) % p for b in rhs)
-    return out
-
-
-def _int_invertible(cols, field: Field) -> bool:
-    ech = Echelon(field, len(cols))
-    return all(ech.add(col) for col in cols)
-
-
-def _forced_candidate_fast(fa: _FastAlgebra, fb: _FastAlgebra, gen_images):
-    """Forced-extension columns when they form an isomorphism, else None."""
-    cols, defects = _closure_fast(fa, fb, gen_images)
-    if cols is None or any(defects):
-        return None
-    if not _int_invertible(cols, fa.field):
-        return None
-    if any(_pair_defects_fast(fa, fb, cols)):
-        return None
-    return cols
+def _forced_isomorphisms(A: Algebra, B: Algebra, gens):
+    """The forced maps of ``gens`` and the mask of those that are isomorphisms A -> B."""
+    phis, defects = _forced_maps(A, B, gens)
+    ok = ~defects.reshape(len(phis), -1).any(axis=1)
+    ok[ok] = _rref_mod_p(phis[ok], A.field.p)[1] == A.dim
+    return phis, ok
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +394,11 @@ def _tables(A: Algebra) -> _GradedTables:
 
 
 def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
-    """Yield all graded-compatible level-1 assignments as lists of image vectors.
+    """Yield candidate level-1 assignments as lists of image vectors.
 
     Vectorized necessary-condition filters (zero/nonzero products at graded
-    levels 2 and 3) prune candidate arrays; _finish_graded remains the full
-    per-leaf check, so the filters cannot cost completeness.
+    levels 2 and 3) prune candidate arrays; ``_graded_ok`` is the full check
+    of the leaves, so the filters cannot cost completeness.
     """
     p, s = MA.p, MA.n1
     TB = _tables(MB.A)
@@ -438,34 +427,28 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
         ]
     all_codes = np.arange(p**s, dtype=np.int64)
 
-    def compute_l2(assign):
-        """Encoded images of A's block-2 coordinates, or None when singular."""
-        cols = []
-        for coord in range(lo2, hi2):
-            acc = np.zeros(n2, dtype=np.int64)
+    def with_l2(assign, g, cand):
+        """The codes of gen g that make A's block-2 images independent and pass
+        the level-(1,2) statuses, with those images encoded."""
+        codes = {x: np.full(len(cand), c) for x, c in assign.items()}
+        codes[g] = cand
+        cols = np.zeros((len(cand), n2, n2), dtype=np.int64)
+        for r, coord in enumerate(range(lo2, hi2)):
             for c, a, b in MA._exprs[coord]:
-                acc += c * TB.digits2[TB.p2code[assign[a], assign[b]]]
-            cols.append([int(x) for x in acc % p])
-        if not _int_invertible(cols, MA.A.field):
-            return None
-        weights = [p**t for t in range(n2)]
-        return [sum(w * x for w, x in zip(weights, col)) for col in cols]
-
-    def scalar12_ok(g, code, l2enc):
-        for v in range(n2):
-            val = int(TB.p12code[code, l2enc[v]])
-            if status12[g][v]:
-                if val == 0:
-                    return False
-            elif val != 0:
-                return False
-        return True
+                cols[:, r] += c * TB.digits2[TB.p2code[codes[a], codes[b]]]
+        cols %= p
+        ok = _rref_mod_p(cols, p)[1] == n2
+        enc = cols @ p ** np.arange(n2, dtype=np.int64)
+        if status12 is not None:
+            for g2, c2 in codes.items():
+                for v in range(n2):
+                    val = TB.p12code[c2, enc[:, v]]
+                    ok &= (val != 0) if status12[g2][v] else (val == 0)
+        return cand[ok], enc[ok].tolist()
 
     def rec(depth, assign, l2enc):
         if depth == s:
-            imgs = [tuple(int(x) for x in TB.digits1[assign[g]]) for g in range(s)]
-            if _finish_graded(MA, MB, imgs) is not None:
-                yield imgs
+            yield [tuple(int(x) for x in TB.digits1[assign[g]]) for g in range(s)]
             return
         g = order[depth]
         cand = all_codes
@@ -479,160 +462,66 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
             for v in range(n2):
                 col = TB.p12code[cand, l2enc[v]]
                 cand = cand[col != 0] if status12[g][v] else cand[col == 0]
-        for code in cand.tolist():
+        l2s = [l2enc] * len(cand)
+        if l2enc is None and feed2 and feed2 <= set(assign) | {g}:
+            cand, l2s = with_l2(assign, g, cand)
+        for code, l2e in zip(cand.tolist(), l2s):
             assign[g] = code
-            l2e = l2enc
-            ok = True
-            if l2e is None and feed2 and feed2 <= set(assign):
-                l2e = compute_l2(assign)
-                if l2e is None:
-                    ok = False
-                elif status12 is not None:
-                    for g2 in assign:
-                        if not scalar12_ok(g2, assign[g2], l2e):
-                            ok = False
-                            break
-            if ok:
-                yield from rec(depth + 1, assign, l2e)
+            yield from rec(depth + 1, assign, l2e)
             del assign[g]
 
     yield from rec(0, {}, None)
 
 
-def _finish_graded(MA: _FilteredModel, MB: _FilteredModel, imgs1):
-    """Complete a level-1 assignment to graded block maps; None when inconsistent."""
-    F = MA.A.field
-    p = MA.p
-    s = MA.n1
-    L = {1: [list(v) for v in imgs1]}
-    if not _int_invertible(imgs1, F):
-        return None
-
-    def img_of(coord):
-        lev = MA.levels[coord]
-        lo, _ = MA.block[lev]
-        return L[lev][coord - lo]
-
-    def graded_mul_B(u, lu, v, lv):
-        k = lu + lv
-        if k >= MB.m:
-            return []
-        blo, bhi = MB.block[k]
-        out = [0] * (bhi - blo)
-        if blo == bhi:
-            return out
-        ulo, _ = MB.block[lu]
-        vlo, _ = MB.block[lv]
-        for a, ca in enumerate(u):
-            if not ca:
-                continue
-            for b, cb in enumerate(v):
-                if not cb:
-                    continue
-                comp = MB.sc[ulo + a][vlo + b]
-                for t in range(bhi - blo):
-                    if comp[blo + t]:
-                        out[t] = (out[t] + ca * cb * comp[blo + t]) % p
-        return out
-
-    for k in range(2, MA.m):
+def _graded_ok(MA: _FilteredModel, MB: _FilteredModel, imgs1):
+    """Mask of the level-1 assignments (a (k, s, s) array) that complete to
+    graded block maps and pass the off-graded necessary conditions."""
+    p, n, s, m = MA.p, MA.A.dim, MA.n1, MA.m
+    CB = _tensor(MB.full)
+    levels = np.array(MA.levels)
+    # G[b, i]: the graded image of coordinate i, inside its level's block
+    G = np.zeros((len(imgs1), n, n), dtype=np.int64)
+    G[:, :s, :s] = imgs1
+    ok = _rref_mod_p(imgs1, p)[1] == s
+    for k in range(2, m):
         lo, hi = MA.block[k]
-        if lo == hi:
-            L[k] = []
-            continue
-        cols = []
         for coord in range(lo, hi):
-            acc = [0] * (MB.block[k][1] - MB.block[k][0])
             for c, a, b in MA._exprs[coord]:
-                term = graded_mul_B(img_of(a), MA.levels[a], img_of(b), MA.levels[b])
-                acc = [(x + c * y) % p for x, y in zip(acc, term)]
-            cols.append(acc)
-        L[k] = cols
-        if not _int_invertible(cols, F):
-            return None
-    for i in range(MA.A.dim):
-        li = MA.levels[i]
-        for j in range(i, MA.A.dim):
-            lj = MA.levels[j]
-            k = li + lj
-            if k >= MA.m:
-                continue
-            blo, bhi = MA.block[k]
-            if blo == bhi:
-                continue
-            expected = MA.graded_component(i, j)
-            target = [0] * (bhi - blo)
-            for t, c in enumerate(expected):
-                if c:
-                    col = L[k][t]
-                    target = [(x + c * y) % p for x, y in zip(target, col)]
-            if graded_mul_B(img_of(i), li, img_of(j), lj) != target:
-                return None
-
-    # off-graded necessary conditions: the deeper component of each pair
-    # product can only be adjusted by corrections, which span a computable
-    # subspace; an actual isomorphism's deviation must lie inside it.
-    n = MA.A.dim
-    fbB = _fast(MB.full)
-
-    def lift_of(coord):
-        lev = MA.levels[coord]
-        blo, bhi = MB.block[lev]
-        vec = [0] * n
-        img = img_of(coord)
-        for t in range(bhi - blo):
-            vec[blo + t] = img[t]
-        return vec
-
-    lifts = [lift_of(i) for i in range(n)]
+                G[:, coord, lo:hi] += c * _products(G[:, a], G[:, b], CB, p)[:, lo:hi]
+        G[:, lo:hi] %= p
+        ok &= _rref_mod_p(G[:, lo:hi, lo:hi], p)[1] == hi - lo
+    prods = _products(G[:, :, None], G[:, None], CB, p)  # [b, i, j]: G_i G_j
+    by_unit = _products(G[:, :, None], np.eye(n, dtype=np.int64), CB, p)  # [b, i, t]: G_i e_t
     for i in range(n):
         li = MA.levels[i]
         for j in range(i, n):
             lj = MA.levels[j]
-            if li + lj >= MA.m:
-                continue
-            prod = fbB.mul(lifts[i], lifts[j])
-            for kp in range(li + lj + 1, MA.m):
-                blo, bhi = MB.block[kp]
-                if blo == bhi:
+            # the graded component (level li + lj) must match exactly; a deeper
+            # one can only be adjusted by corrections, which span a computable
+            # subspace that an actual isomorphism's deviation must lie inside
+            for kp in range(li + lj, m):
+                lo, hi = MB.block[kp]
+                if lo == hi:
                     continue
                 # a nonzero product coordinate strictly below the tested level
                 # carries free deeper digits into this block: span is full
-                if any(
-                    MA.sc[i][j][t] and MA.levels[t] < kp
-                    for t in range(n)
-                ):
+                if kp > li + lj and any(MA.sc[i][j][t] and MA.levels[t] < kp for t in range(n)):
                     continue
-                expected = tuple(MA.sc[i][j][blo:bhi])
-                target = [0] * (bhi - blo)
-                for t, c in enumerate(expected):
-                    if c:
-                        col = L[kp][t]
-                        target = [(x + c * y) % p for x, y in zip(target, col)]
-                delta = [(t - prod[blo + r]) % p for r, t in enumerate(target)]
-                if not any(delta):
-                    continue
-                span = Echelon(F, bhi - blo)
-                for t in range(n):
-                    if MA.levels[t] >= li + 1:
-                        w = fbB.mul([1 if r == t else 0 for r in range(n)], lifts[j])
-                        span.add(w[blo:bhi])
-                    if MA.levels[t] >= lj + 1:
-                        w = fbB.mul(lifts[i], [1 if r == t else 0 for r in range(n)])
-                        span.add(w[blo:bhi])
-                for t in range(n):
-                    if MA.levels[t] < li + 1:
-                        continue
-                    for u in range(n):
-                        if MA.levels[u] >= lj + 1:
-                            w = fbB.mul(
-                                [1 if r == t else 0 for r in range(n)],
-                                [1 if r == u else 0 for r in range(n)],
-                            )
-                            span.add(w[blo:bhi])
-                if any(span.reduce(delta)):
-                    return None
-    return L
+                target = np.array(MA.sc[i][j][lo:hi]) @ G[:, lo:hi, lo:hi] % p
+                delta = (target - prods[:, i, j, lo:hi]) % p
+                bad = ok & delta.any(axis=1)
+                if kp == li + lj:
+                    ok &= ~bad
+                elif bad.any():
+                    deep_i, deep_j = levels >= li + 1, levels >= lj + 1
+                    span = np.concatenate([
+                        by_unit[bad][:, j, deep_i, lo:hi],
+                        by_unit[bad][:, i, deep_j, lo:hi],
+                        np.broadcast_to(CB[np.ix_(deep_i, deep_j)][..., lo:hi].reshape(-1, hi - lo),
+                                        (bad.sum(), deep_i.sum() * deep_j.sum(), hi - lo)),
+                    ], axis=1)
+                    ok[bad] = _in_span(span, delta[bad], p)
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -640,42 +529,54 @@ def _finish_graded(MA: _FilteredModel, MB: _FilteredModel, imgs1):
 # ---------------------------------------------------------------------------
 
 
-def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, imgs1, find_all):
-    """Complete level-1 images to full verified maps in filtration coordinates."""
-    p = MA.p
-    n = MA.A.dim
-    s = MA.n1
-    m = MA.m
-    faA = _fast(MA.full)
-    fbB = _fast(MB.full)
-    base = [list(v) + [0] * (n - s) for v in imgs1]
+def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
+    """Complete level-1 images to verified maps in filtration coordinates.
+
+    ``leaves`` is a (k, s, s) array of graded level-1 solutions.  Yields
+    (n, n) matrices whose columns are the images of A's basis, leaf by leaf
+    and within a leaf in ``iproduct`` order of its digits.  Every stage checks
+    its candidates as batches.
+    """
+    p, n, s, m = MA.p, MA.A.dim, MA.n1, MA.m
     relevant = [k for k in range(2, m - 1) if MB.block[k][0] != MB.block[k][1]]
 
     def stage(k_idx, gens):
         if k_idx >= len(relevant):
-            cols = _forced_candidate_fast(faA, fbB, [tuple(v) for v in gens])
-            if cols is not None:
-                yield cols
+            phis, ok = _forced_isomorphisms(MA.full, MB.full, gens)
+            yield from phis[ok]
             return
         K = relevant[k_idx]
         if 2 * K >= m:
             yield from _linear_stage(MA, MB, gens, relevant[k_idx:], find_all)
             return
-        lo, hi = MB.block[K]
-        slots = [(g, c) for g in range(s) for c in range(lo, hi)]
-        fqA = _fast(MA.quotient(K + 2))
-        fqB = _fast(MB.quotient(K + 2))
-        keep = [i for i, l in enumerate(MB.levels) if l < K + 2]
-        for combo in iproduct(range(p), repeat=len(slots)):
-            gens2 = [list(v) for v in gens]
-            for (g, c), val in zip(slots, combo):
-                gens2[g][c] = val
-            trunc = [tuple(v[i] for i in keep) for v in gens2]
-            if _forced_candidate_fast(fqA, fqB, trunc) is None:
-                continue
-            yield from stage(k_idx + 1, gens2)
+        gs, cs = _slots(MB, s, [K])
+        qA, qB = MA.quotient(K + 2), MB.quotient(K + 2)
+        for g in gens:
+            for combos in _combos(p, len(gs)):
+                cand = np.repeat(g[None], len(combos), axis=0)
+                cand[:, gs, cs] = combos
+                _, ok = _forced_isomorphisms(qA, qB, cand[:, :, :qB.dim])
+                if ok.any():
+                    yield from stage(k_idx + 1, cand[ok])
 
-    yield from stage(0, base)
+    gens = np.zeros((len(leaves), s, n), dtype=np.int64)
+    gens[:, :, :s] = leaves
+    if len(gens):
+        yield from stage(0, gens)
+
+
+def _slots(MB: _FilteredModel, s: int, levels):
+    """(generator, coordinate) index arrays of the digits of the given levels, generator-major."""
+    coords = [c for k in levels for c in range(*MB.block[k])]
+    return np.repeat(np.arange(s), len(coords)), np.tile(np.array(coords, dtype=np.int64), s)
+
+
+def _combos(p: int, width: int):
+    """All of F_p^width in ``iproduct`` order, AUT_BLOCK rows at a time."""
+    total = p**width
+    for start in range(0, total, AUT_BLOCK):
+        codes = np.arange(start, min(start + AUT_BLOCK, total), dtype=np.int64)
+        yield _digits(codes, p, width)[:, ::-1]
 
 
 def _linear_stage(MA, MB, gens, levels_left, find_all):
@@ -683,96 +584,67 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
 
     Valid exactly when every cross-product of two corrections lands in a
     vanishing power (2K >= m), making the multiplicativity defect an affine
-    function of the digits; the defect is interpolated from T+1 evaluations
-    and the linear system is solved over F_p.
+    function of the digits.  For each candidate in ``gens`` the defect is
+    interpolated from T+1 evaluations and the linear system is solved over
+    F_p; the evaluations, the systems and the solutions run as batches.
     """
-    p = MA.p
-    s = MA.n1
-    faA = _fast(MA.full)
-    fbB = _fast(MB.full)
-    slots = []
-    for g in range(s):
-        for k in levels_left:
-            lo, hi = MB.block[k]
-            for c in range(lo, hi):
-                slots.append((g, c))
-    T = len(slots)
+    p, full_A, full_B = MA.p, MA.full, MB.full
+    gs, cs = _slots(MB, MA.n1, levels_left)
+    T = len(gs)
 
-    def build(tvals):
-        gens2 = [list(v) for v in gens]
-        for (g, c), val in zip(slots, tvals):
-            gens2[g][c] = (gens2[g][c] + val) % p
-        return [tuple(v) for v in gens2]
+    def build(owners, tvals):
+        cand = gens[owners]
+        cand[:, gs, cs] = (cand[:, gs, cs] + tvals) % p
+        return cand
 
-    def full_defect(tvals):
-        cols, defects = _closure_fast(faA, fbB, build(tvals), collect_defects=True)
-        if cols is None:
-            return None, None
-        return defects + _pair_defects_fast(faA, fbB, cols), cols
-
-    d0, cols0 = full_defect((0,) * T)
-    if d0 is None:
-        return
-    if T == 0:
-        cols = _forced_candidate_fast(faA, fbB, build(()))
-        if cols is not None:
-            yield cols
-        return
-    cols = []
-    for t in range(T):
-        unit = tuple(1 if i == t else 0 for i in range(T))
-        dt, _ = full_defect(unit)
-        if dt is None or len(dt) != len(d0):
-            raise NiljError("defect layout changed across linear-stage evaluations")
-        cols.append([(a - b) % p for a, b in zip(dt, d0)])
-    system = Echelon(MA.A.field, T + 1, key=T)  # rows (defect slopes | -d0)
-    for r in range(len(d0)):
-        row = [cols[t][r] for t in range(T)] + [(-d0[r]) % p]
-        if not system.add(row) and system.residual[T]:
-            return  # inconsistent
-    part, nullbasis = system.solution(), _kernel(MA.A.field, T, system.pivots, system.rows)
-    solutions = [tuple(part)]
-    if find_all and nullbasis:
-        combos = set()
-        for coeffs in iproduct(range(p), repeat=len(nullbasis)):
-            vec = list(part)
-            for c, bv in zip(coeffs, nullbasis):
-                if c:
-                    vec = [(a + c * b) % p for a, b in zip(vec, bv)]
-            combos.add(tuple(vec))
-        solutions = sorted(combos)
-    for t in solutions:
-        found = _forced_candidate_fast(faA, fbB, build(t))
-        if found is not None:
-            yield found
+    owners, solutions = np.arange(len(gens)), np.zeros((len(gens), T), dtype=np.int64)
+    if T:
+        probes = np.eye(T + 1, T, -1, dtype=np.int64)  # no digit, then each unit digit
+        step = max(1, AUT_BLOCK // (T + 1))
+        d = []
+        for start in range(0, len(gens), step):
+            idx = owners[start:start + step]
+            cand = build(np.repeat(idx, T + 1), np.tile(probes, (len(idx), 1)))
+            d.append(_forced_maps(full_A, full_B, cand)[1].reshape(len(idx), T + 1, -1))
+        d = np.concatenate(d)
+        # rows (defect slopes | -d0); a pivot in the last column is inconsistent
+        system = np.concatenate([(d[:, 1:] - d[:, :1]) % p, -d[:, :1] % p], axis=1)
+        reduced, ranks = _rref_mod_p(system.transpose(0, 2, 1), p)
+        kept, found = [], []
+        for b, (red, rank) in enumerate(zip(reduced, ranks)):
+            red = red[:rank]
+            pivots = (red != 0).argmax(axis=1)
+            if rank and pivots[-1] == T:
+                continue
+            sols = np.zeros((1, T), dtype=np.int64)
+            sols[0, pivots] = red[:, T]
+            free = np.setdiff1d(np.arange(T), pivots)
+            if find_all and len(free):
+                null = np.zeros((len(free), T), dtype=np.int64)
+                null[np.arange(len(free)), free] = 1
+                null[:, pivots] = -red[:, free].T % p
+                sols = _unique_rows((sols + np.concatenate(list(_combos(p, len(free)))) @ null) % p)
+            kept.append(np.full(len(sols), b))
+            found.append(sols)
+        if not kept:
+            return
+        owners, solutions = np.concatenate(kept), np.concatenate(found)
+    for start in range(0, len(owners), AUT_BLOCK):
+        cand = build(owners[start:start + AUT_BLOCK], solutions[start:start + AUT_BLOCK])
+        phis, ok = _forced_isomorphisms(full_A, full_B, cand)
+        yield from phis[ok]
 
 
-def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, cols, find_all):
+def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, core, find_all):
     """Re-attach digits that cannot influence any product (levels k with J^{k+1} = 0).
 
     Yields (k, n, n) arrays of engine-coordinate matrices, at most AUT_BLOCK at
     a time: the core alone, or with ``find_all`` every setting of the free digits.
     """
-    core = np.array(cols, dtype=np.int64).T  # columns are the images
-    slots = []
-    if find_all:
-        for k in range(max(2, MA.m - 1), MA.m):
-            lo, hi = MB.block[k]
-            for g in range(MA.n1):
-                for c in range(lo, hi):
-                    slots.append((g, c))
-    if not slots:
-        yield core[None]
-        return
-    p = MA.p
-    rows = [c for _g, c in slots]
-    gens = [g for g, _c in slots]
-    total = p ** len(slots)
-    for start in range(0, total, AUT_BLOCK):
-        codes = np.arange(start, min(start + AUT_BLOCK, total), dtype=np.int64)
-        digits = _digits(codes, p, len(slots))
+    gs, cs = _slots(MB, MA.n1, range(max(2, MA.m - 1), MA.m) if find_all else [])
+    for digits in _combos(MA.p, len(gs)):
         out = np.repeat(core[None], len(digits), axis=0)
-        out[:, rows, gens] = (out[:, rows, gens] + digits) % p
+        out[:, cs, gs] = (out[:, cs, gs] + digits) % MA.p
         yield out
 
 
@@ -790,11 +662,17 @@ def _search(A: Algebra, B: Algebra, find_all):
         raise SearchBudgetExceededError(
             f"{MA.p}^({MA.n1}^2) graded candidates exceed the search budget"
         )
-    for imgs1 in _graded_level1_solutions(MA, MB):
-        for cols in _lift_candidates(MA, MB, imgs1, find_all):
-            yield from _free_digit_expansion(MA, MB, cols, find_all)
+    _check_int64(MA.p, MA.A.dim)  # every contraction below sums at most n products
+    # leaves are lifted in blocks that double up to AUT_BLOCK, so a search
+    # that hits early completes few graded leaves it does not need
+    leaves, size = _graded_level1_solutions(MA, MB), 1
+    while block := list(islice(leaves, size)):
+        block = np.array(block, dtype=np.int64)
+        for core in _lift_candidates(MA, MB, block[_graded_ok(MA, MB, block)], find_all):
+            yield from _free_digit_expansion(MA, MB, core, find_all)
             if not find_all:
                 return
+        size = min(2 * size, AUT_BLOCK)
 
 
 def _prepare_pair(A: Algebra, B: Algebra, field: Field):
@@ -814,7 +692,7 @@ def search_isomorphism(A: Algebra, B: Algebra, field: Field) -> Morphism | None:
     no isomorphism exists over that field.
     """
     Ap, Bp = _prepare_pair(A, B, field)
-    if Ap.dim != Bp.dim:
+    if Ap.dim != Bp.dim or invariant_vector(Ap) != invariant_vector(Bp):
         return None
     for engine in _search(Ap, Bp, find_all=False):
         full = Matrix.from_rows(field, engine[0].tolist())
@@ -878,19 +756,34 @@ def _rref_mod_p(mats, p: int):
     return M, rank
 
 
+def _product_defects(CA, CB, phis, p: int):
+    """phi(e_i e_j) - phi(e_i) phi(e_j) mod p for every phis[b] and basis pair, as [b, t, i, j].
+
+    phis[b] maps the algebra of CA into that of CB; its columns are the images
+    of the basis.
+    """
+    b, n, _ = phis.shape
+    # phi(e_i e_j)[t] = sum_k phi[t, k] CA[i, j, k]
+    lhs = (phis @ CA.reshape(n * n, n).T % p).reshape(b, n, n, n)
+    # phi(e_i) phi(e_j)[t] = sum_{a,c} phi[a, i] phi[c, j] CB[a, c, t]
+    half = (phis.transpose(0, 2, 1) @ CB.reshape(n, n * n) % p).reshape(b, n, n, n)  # [b, i, c, t]
+    rhs = half.transpose(0, 1, 3, 2) @ phis[:, None] % p  # [b, i, t, j]
+    return (lhs - rhs.transpose(0, 2, 1, 3)) % p
+
+
+def _in_span(rows, vecs, p: int):
+    """Mask of the b with vecs[b] in the span of the residue vectors rows[b] mod p."""
+    return _rref_mod_p(np.concatenate([rows, vecs[:, None]], axis=1), p)[1] == _rref_mod_p(rows, p)[1]
+
+
 def _verify_automorphism_block(C, phis, p: int):
     """Raise unless every phis[b] (columns are basis images) is an automorphism.
 
     Multiplicativity phi(e_i e_j) = phi(e_i) phi(e_j) is compared for all
     basis pairs at once; invertibility is a full rank mod p.
     """
-    b, n, _ = phis.shape
-    # phi(e_i e_j)[t] = sum_k phi[t, k] C[i, j, k], laid out [b, t, i, j]
-    lhs = (phis @ C.reshape(n * n, n).T % p).reshape(b, n, n, n)
-    # phi(e_i) phi(e_j)[t] = sum_{a,c} phi[a, i] phi[c, j] C[a, c, t]
-    half = (phis.transpose(0, 2, 1) @ C.reshape(n, n * n) % p).reshape(b, n, n, n)  # [b, i, c, t]
-    rhs = half.transpose(0, 1, 3, 2) @ phis[:, None] % p  # [b, i, t, j]
-    if not np.array_equal(lhs, rhs.transpose(0, 2, 1, 3)):
+    n = phis.shape[1]
+    if _product_defects(C, C, phis, p).any():
         raise NiljError("enumerated automorphism is not multiplicative")
     _, rank = _rref_mod_p(phis, p)
     if (rank < n).any():

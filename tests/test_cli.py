@@ -130,3 +130,70 @@ def test_report_document_is_deterministic():
     doc2 = reports.ReportDocument((reports.center_table(), reports.assoc_table()))
     assert doc1.render_text() == doc2.render_text()
     assert doc1.to_json() == doc2.to_json()
+
+
+# a rational form of J5,41 that splits off over F_5 but not over F_11
+TWISTED_J541 = {
+    "name": "twisted J5,41", "dim": 5, "field": "Q", "basis": ["a", "b", "c", "d", "e"],
+    "products": [
+        {"i": 0, "j": 0, "terms": [{"k": 3, "c": "1"}]},
+        {"i": 0, "j": 1, "terms": [{"k": 2, "c": "1"}]},
+        {"i": 1, "j": 1, "terms": [{"k": 4, "c": "1"}]},
+        {"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}, {"k": 4, "c": "2"}]},
+    ],
+}
+
+PINNED_SEARCHES = [
+    (["p:5", "R_J2", "J4,10"], 0, [
+        "isomorphism found over F5; columns are basis images:",
+        "  ['1', '1', '0', '0']",
+        "  ['3', '2', '0', '0']",
+        "  ['0', '0', '2', '0']",
+        "  ['0', '0', '0', '4']",
+    ]),
+    (["p:7", "J5,30[alpha=1,beta=2]", "J5,30[alpha=2,beta=1]"], 0, [
+        "isomorphism found over F7; columns are basis images:",
+        "  ['0', '1', '0', '0', '0']",
+        "  ['1', '0', '0', '0', '0']",
+        "  ['0', '0', '0', '1', '0']",
+        "  ['0', '0', '1', '0', '0']",
+        "  ['0', '0', '0', '0', '1']",
+    ]),
+    (["p:7", "J5,41", "V8_J33"], 0, [
+        "isomorphism found over F7; columns are basis images:",
+        "  ['1', '0', '4', '0', '0']",
+        "  ['0', '1', '0', '0', '0']",
+        "  ['0', '0', '1', '0', '0']",
+        "  ['0', '0', '0', '1', '0']",
+        "  ['0', '0', '0', '1', '1']",
+    ]),
+    (["p:11", "@twisted", "J5,41"], 0, [
+        "isomorphism found over F11; columns are basis images:",
+        "  ['0', '3', '0', '0', '0']",
+        "  ['1', '0', '9', '0', '0']",
+        "  ['0', '0', '3', '0', '0']",
+        "  ['0', '0', '0', '0', '9']",
+        "  ['0', '0', '0', '7', '1']",
+    ]),
+    (["p:5", "@twisted", "J5,41"], 1, ["no isomorphism over F5"]),
+    # the F_5 fingerprints differ, so the search is pruned before it starts
+    (["p:5", "J5,2", "J5,3"], 1, ["no isomorphism over F5"]),
+]
+
+
+@pytest.mark.parametrize("args, code, lines", PINNED_SEARCHES,
+                         ids=[" ".join(args) for args, _, _ in PINNED_SEARCHES])
+def test_iso_search_output_is_pinned(tmp_path, capsys, args, code, lines):
+    """The exact map the search prints is part of its contract: the engine
+    must keep its candidate order, so the first hit does not move."""
+    doc = tmp_path / "twisted.json"
+    doc.write_text(json.dumps(TWISTED_J541), encoding="utf-8")
+    field, src, dst = (f"@{doc}" if a == "@twisted" else a for a in args)
+    assert main(["iso", "--search", "--field", field, src, dst]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_unprovable_prime_is_a_usage_error(capsys):
+    # 2^89 - 1 is prime, but above the range where the primality test is a proof
+    assert main(["invariants", "J2,2", "--field", f"p:{2**89 - 1}"]) == 2
+    assert "not proven" in capsys.readouterr().err

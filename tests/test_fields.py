@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from nilj.errors import FieldMismatchError, NiljError, RootNotInFieldError
-from nilj.fields import QQ, Field, is_prime
+from nilj.fields import MR_PROVEN_BELOW, QQ, Field, is_prime
 
 
 def test_rational_parse_and_format():
@@ -95,3 +96,36 @@ def test_square_roots_modulo_large_primes(p):
         assert F.sqrt(x * x % p) == min(x, p - x)
     with pytest.raises(NiljError):
         F.nth_root(2, 3)  # other roots still need the exhaustive search
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                               3474749660383, 341550071728321, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # each is a strong pseudoprime to every base of some prefix of 2, 3, 5, ..., 23
+    assert not is_prime(n)
+
+
+def test_is_prime_is_fast_on_large_moduli():
+    start = time.perf_counter()
+    F = Field(10**16 + 61)
+    assert time.perf_counter() - start < 0.1
+    assert F.mul(F.inv(3), 3) == 1
+    assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) * (2**19 - 1))
+
+
+def test_is_prime_refuses_beyond_its_proven_range():
+    assert not is_prime(2 * MR_PROVEN_BELOW)  # a small factor needs no further proof
+    with pytest.raises(NiljError):
+        is_prime(MR_PROVEN_BELOW)  # the least strong pseudoprime to all 13 bases
+    with pytest.raises(NiljError):
+        is_prime(2**89 - 1)  # a Mersenne prime above the bound
+    with pytest.raises(NiljError):
+        Field(2**89 - 1)

@@ -1,12 +1,25 @@
+import random
+
+import numpy as np
 import pytest
 
 from nilj import catalog
-from nilj.algebra import invariant_vector, reduce_mod, zero_algebra
+from nilj.algebra import Algebra, change_basis, invariant_vector, reduce_mod, zero_algebra
 from nilj.cohomology import act, is_automorphism, parse_cocycle
-from nilj.errors import CaseNotCoveredError, NiljError, RootNotInFieldError, SearchBudgetExceededError
+from nilj.errors import (
+    CaseNotCoveredError,
+    NiljError,
+    NotNilpotentError,
+    RootNotInFieldError,
+    SearchBudgetExceededError,
+)
 from nilj.fields import QQ, Field
 from nilj.isomorphism import (
     Morphism,
+    _forced_isomorphisms,
+    _forced_maps,
+    _model,
+    _search,
     enumerate_automorphisms,
     invariant_separation,
     is_homomorphism,
@@ -222,3 +235,107 @@ def test_search_rediscovers_every_bundled_map():
             for p in (5, 7):
                 m = search_isomorphism(reduce_mod(src, p), reduce_mod(dst, p), Field(p))
                 assert m is not None, (spec.key, p)
+
+
+# same-parent pairs whose fingerprints differ over F_p: search_isomorphism
+# prunes them, so the engine itself must find nothing there
+PRUNED_PAIRS = [
+    ("J5,2", "J5,3", 5), ("J5,7", "J5,8", 5), ("J5,9", "J5,10", 5), ("J5,9", "J5,12", 7),
+    ("J5,10", "J5,11", 7), ("J5,11", "J5,16", 5), ("J5,13", "J5,14", 5), ("J5,14", "J5,16", 5),
+    ("J5,18", "J5,19", 7), ("J5,19", "J5,20", 5), ("J5,21", "J5,22", 7), ("J5,31", "J5,32", 7),
+]
+
+
+@pytest.mark.parametrize("src, dst, p", PRUNED_PAIRS)
+def test_pruned_pairs_have_no_isomorphism_over_the_field(src, dst, p):
+    A, B = catalog.instantiate(src), catalog.instantiate(dst)
+    assert catalog.get(src).parent == catalog.get(dst).parent
+    Ap, Bp = reduce_mod(A, p), reduce_mod(B, p)
+    assert invariant_vector(Ap) != invariant_vector(Bp)
+    assert list(_search(Ap, Bp, find_all=False)) == []
+    assert search_isomorphism(A, B, Field(p)) is None
+
+
+def _twisted_j541():
+    return Algebra(QQ, ("a", "b", "c", "d", "e"),
+                   {(0, 0): {3: 1}, (0, 1): {2: 1}, (1, 1): {4: 1}, (1, 2): {3: 1, 4: 2}})
+
+
+PINNED_HITS = [
+    (lambda: catalog.adhoc("R_J2"), lambda: catalog.instantiate("J4,10"), 5),
+    (lambda: catalog.instantiate("J5,30", {"alpha": "1", "beta": "2"}),
+     lambda: catalog.instantiate("J5,30", {"alpha": "2", "beta": "1"}), 7),
+    (lambda: catalog.instantiate("J5,41"), lambda: catalog.adhoc("V8_J33"), 7),
+    (_twisted_j541, lambda: catalog.instantiate("J5,41"), 11),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_HITS)))
+def test_search_hits_survive_a_random_change_of_basis(case):
+    """Metamorphic: rewriting the target on a random basis keeps the hit, and
+    the map found is a verified isomorphism onto the rewritten target."""
+    make_src, make_dst, p = PINNED_HITS[case]
+    F = Field(p)
+    A, B = reduce_mod(make_src(), p), reduce_mod(make_dst(), p)
+    rng = random.Random(f"search-basis:{case}")
+    for _ in range(3):
+        while True:
+            P = Matrix.from_rows(F, [[rng.randrange(p) for _ in range(B.dim)] for _ in range(B.dim)])
+            if P.is_invertible():
+                break
+        B2 = change_basis(B, P)
+        m = search_isomorphism(A, B2, F)
+        assert m is not None and m.dst == B2 and verify_isomorphism(m)
+
+
+def test_non_nilpotent_input_raises_the_same_error():
+    """The prune computes fingerprints first, and they start from the power
+    filtration as the engine does, so the error class is unchanged."""
+    idem = Algebra(F5, ("a",), {(0, 0): {0: 1}})
+    nil = zero_algebra(F5, 1)
+    for A, B in ((idem, idem), (nil, idem), (idem, nil)):
+        with pytest.raises(NotNilpotentError):
+            search_isomorphism(A, B, F5)
+
+
+@pytest.mark.parametrize("name", ["J2,2", "J3,2", "J4,6", "J4,10"])
+def test_compiled_closure_rebuilds_every_automorphism(name):
+    """The closure program, fed the generator images of an automorphism,
+    forces that automorphism back with zero defects; fed random images it
+    keeps them as the generators' columns."""
+    M = _model(reduce_mod(catalog.instantiate(name), 5))
+    s = M.n1
+    phis = np.concatenate(list(_search(M.A, M.A, find_all=True)))
+    forced, defects = _forced_maps(M.full, M.full, phis[:, :, :s].transpose(0, 2, 1).copy())
+    assert np.array_equal(forced, phis) and not defects.any()
+    gens = np.random.default_rng(5).integers(0, 5, (64, s, M.A.dim))
+    forced, defects = _forced_maps(M.full, M.full, gens)
+    assert np.array_equal(forced[:, :, :s].transpose(0, 2, 1), gens)
+    _, ok = _forced_isomorphisms(M.full, M.full, gens)
+    expected = [is_automorphism(M.full, Matrix.from_rows(F5, f.tolist())) for f in forced]
+    assert np.array_equal(ok, expected)
+
+
+def test_pruned_search_builds_no_filtration_model():
+    A, B = catalog.instantiate("J5,7"), catalog.instantiate("J5,8")
+    _model.cache_clear()
+    assert search_isomorphism(A, B, F5) is None
+    assert _model.cache_info().currsize == 0
+
+
+# (algebra, basis change P, first map found) over F_5 for nilpotency index
+# >= 5, where the search runs a batched digit level before the linear stage
+PINNED_DEEP_HITS = [
+    ("J5,2", (0, 2, 3, 4, 3, 3, 3, 4, 3, 1, 2, 0, 0, 1, 3, 1, 2, 3, 2, 3, 4, 3, 4, 2, 4),
+     (0, 2, 0, 3, 4, 1, 1, 0, 0, 3, 4, 3, 0, 2, 2, 1, 1, 1, 0, 2, 3, 0, 2, 3, 0)),
+    ("J5,24", (0, 1, 3, 2, 4, 2, 1, 0, 2, 2, 2, 1, 3, 3, 3, 4, 3, 4, 4, 0, 4, 4, 2, 3, 1),
+     (2, 3, 0, 0, 4, 1, 3, 0, 1, 1, 0, 1, 3, 1, 4, 0, 0, 2, 1, 0, 0, 1, 3, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("name, basis, first", PINNED_DEEP_HITS, ids=[c[0] for c in PINNED_DEEP_HITS])
+def test_first_hit_through_a_digit_level_is_pinned(name, basis, first):
+    A = reduce_mod(catalog.instantiate(name), 5)
+    B = change_basis(A, Matrix(5, 5, basis, F5))
+    m = search_isomorphism(A, B, F5)
+    assert m.mat.data == first and verify_isomorphism(m)
