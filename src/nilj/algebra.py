@@ -119,6 +119,16 @@ class Algebra:
             raise DocumentError(f"no basis vector named {name!r}") from None
 
 
+def is_multiplicative(A: Algebra, B: Algebra, phi: Matrix) -> bool:
+    """phi(e_i e_j) = phi(e_i) phi(e_j) for every basis pair of A, in exact
+    arithmetic; the columns of phi are the images of A's basis in B."""
+    return all(
+        phi.apply(A.basis_product(i, j)) == B.vec_mul(phi.col(i), phi.col(j))
+        for i in range(A.dim)
+        for j in range(i, A.dim)
+    )
+
+
 @dataclass(frozen=True)
 class Element:
     algebra: Algebra

@@ -697,6 +697,10 @@ def parse_algebra(doc) -> Algebra:
         raise DocumentError(f"bad field spec {field_spec!r}")
     if not isinstance(basis, list) or len(basis) != dim:
         raise DocumentError("basis must list exactly dim names")
+    if not all(isinstance(name, str) for name in basis):
+        raise DocumentError("basis names must be strings")
+    if not isinstance(products_doc, list):
+        raise DocumentError("products must be a list")
     products = {}
     for item in products_doc:
         try:
@@ -711,6 +715,8 @@ def parse_algebra(doc) -> Algebra:
             raise DocumentError(f"product pair ({i},{j}) out of range")
         if (i, j) in products:
             raise DocumentError(f"duplicate product pair ({i},{j})")
+        if not isinstance(terms, list):
+            raise DocumentError(f"terms of product ({i},{j}) must be a list")
         row = {}
         for term in terms:
             try:

@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("orbits", help="automorphism orbits on admissible cocycle subspaces")
     p.add_argument("algebra")
     p.add_argument("--field", required=True)
-    p.add_argument("--grassmann", type=int, choices=(1, 2), default=1)
+    p.add_argument("--grassmann", type=int, default=1)
     p.set_defaults(fn=_cmd_orbits)
 
     p = sub.add_parser("lemma-a", help="3x3 normalization matrix for a covector")

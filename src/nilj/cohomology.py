@@ -13,7 +13,14 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .algebra import Algebra, _compose, _mod, cached_annihilator, structure_tensor
+from .algebra import (
+    Algebra,
+    _compose,
+    _mod,
+    cached_annihilator,
+    is_multiplicative,
+    structure_tensor,
+)
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -242,15 +249,7 @@ def is_automorphism(A: Algebra, phi: Matrix) -> bool:
         raise DimensionMismatchError("automorphism matrix shape mismatch")
     if phi.field != A.field:
         raise FieldMismatchError("automorphism field mismatch")
-    if not phi.is_invertible():
-        return False
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            lhs = phi.apply(A.basis_product(i, j))
-            rhs = A.vec_mul(phi.col(i), phi.col(j))
-            if tuple(lhs) != tuple(rhs):
-                return False
-    return True
+    return phi.is_invertible() and is_multiplicative(A, A, phi)
 
 
 def has_nontrivial_1dim_extension(A: Algebra) -> bool:

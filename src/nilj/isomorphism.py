@@ -23,10 +23,17 @@ over F_p preserves every fingerprint component, so this prune is a
 certificate of non-isomorphism over F_p only; it says nothing over Q, and a
 report row it decides keeps the grade of a search that found nothing.
 
-The forced closure is compiled once per source algebra and generator count
+Each algebra is modelled by one F_p array (``_FilteredModel.C``): its
+structure tensor in a basis adapted to the power filtration and sorted by
+level, computed by one contraction of ``structure_tensor`` over the basis
+change.  The quotient by the coordinates of level >= L is the prefix
+C[:d, :d, :d], so the closure, the graded tables and every lift stage read
+slices of C, and no stage rebuilds an algebra.
+
+The forced closure is compiled once per source quotient and generator count
 (``_closure``): a straight-line program of products that expresses every
 basis vector over words in the generators.  It runs on blocks of candidate
-generator images as int64 contractions over the target's structure tensor,
+generator images as int64 contractions over the target's tensor,
 and the candidates are accepted or rejected in batch (multiplicativity on all
 basis pairs, full rank mod p).  The graded leaves, the lift levels and the
 linear stage's interpolation and solutions are batched the same way, and
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product as iproduct
+from itertools import combinations, islice, product as iproduct
 
 import numpy as np
 
@@ -58,6 +65,7 @@ from .algebra import (
     _check_int64,
     cached_annihilator,
     invariant_vector,
+    is_multiplicative,
     power_filtration,
     reduce_mod,
     structure_tensor,
@@ -99,14 +107,7 @@ def verify_isomorphism(m: Morphism) -> bool:
 
 def is_homomorphism(m: Morphism) -> bool:
     """Multiplicativity alone (no invertibility requirement)."""
-    A, B = m.src, m.dst
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            if tuple(m.mat.apply(A.basis_product(i, j))) != tuple(
-                B.vec_mul(m.mat.col(i), m.mat.col(j))
-            ):
-                return False
-    return True
+    return is_multiplicative(m.src, m.dst, m.mat)
 
 
 def invariant_separation(A: Algebra, B: Algebra) -> str:
@@ -121,13 +122,17 @@ def invariant_separation(A: Algebra, B: Algebra) -> str:
 
 
 class _FilteredModel:
-    """Filtration-adapted coordinates of one nilpotent algebra over F_p."""
+    """Filtration-adapted coordinates of one nilpotent algebra over F_p.
+
+    ``C`` is the structure tensor in these coordinates.  They are sorted by
+    level, so the quotient by the levels >= L has the tensor C[:d, :d, :d],
+    where d counts the coordinates of level < L.
+    """
 
     def __init__(self, A: Algebra):
         if not A.field.is_prime_field:
             raise FieldMismatchError("search engine needs a prime field")
         self.A = A
-        self.p = A.field.p
         F = A.field
         n = A.dim
         powers = power_filtration(A)
@@ -142,39 +147,24 @@ class _FilteredModel:
                     levels.append(k)
         order = sorted(range(n), key=lambda i: levels[i])
         self.levels = tuple(levels[i] for i in order)
-        self.basis_rows = Matrix.from_rows(F, [rows[i] for i in order])
-        self.to_old = self.basis_rows.transpose()  # columns are the new basis vectors
+        # columns are the new basis vectors
+        self.to_old = Matrix.from_rows(F, [rows[i] for i in order]).transpose()
         self.to_new = self.to_old.inverse()
         self.block = {}
         for k in range(1, self.m):
             idx = [i for i, l in enumerate(self.levels) if l == k]
             self.block[k] = (idx[0], idx[-1] + 1) if idx else (0, 0)
         self.n1 = self.block[1][1]
-        # structure constants in filtration coordinates (residue tuples)
-        self.sc = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                w = A.vec_mul(self.to_old.col(i), self.to_old.col(j))
-                v = tuple(self.to_new.apply(w))
-                self.sc[i][j] = v
-                self.sc[j][i] = v
-        self._quotients = {}
+        # C[i, j] = to_new (f_i f_j) for the columns f of to_old, in the
+        # tensor's dtype, so object dtype above the int64 guard
+        T, self.p = structure_tensor(A)
+        old = np.array(self.to_old.row_list(), dtype=T.dtype).T
+        new = np.array(self.to_new.row_list(), dtype=T.dtype)
+        self.C = _products(old[:, None], old[None], T, self.p) @ new.T % self.p
         self._exprs = self._defining_expressions()
-        self.full = self.quotient(self.m)  # the same algebra in filtration coordinates
 
     def block_dims(self) -> tuple:
         return tuple(self.block[k][1] - self.block[k][0] for k in range(1, self.m))
-
-    def slice_of(self, vec, k) -> tuple:
-        lo, hi = self.block[k]
-        return tuple(vec[lo:hi])
-
-    def graded_component(self, i, j) -> tuple:
-        """Level-(li+lj) block of the product of filtration basis i and j."""
-        k = self.levels[i] + self.levels[j]
-        if k >= self.m:
-            return ()
-        return self.slice_of(self.sc[i][j], k)
 
     def _defining_expressions(self):
         """Graded expression of each level>=2 coordinate via lower-level products."""
@@ -190,9 +180,9 @@ class _FilteredModel:
                 for b in range(a, self.A.dim)
                 if self.levels[a] + self.levels[b] == k
             ]
-            cols = [self.graded_component(a, b) for (a, b) in pairs]
+            left, right = zip(*pairs)
+            mat = Matrix.from_rows(F, self.C[left, right, lo:hi].T.tolist())
             width = hi - lo
-            mat = Matrix.from_rows(F, [[col[r] for col in cols] for r in range(width)])
             for t in range(width):
                 rhs = [F.one if r == t else F.zero for r in range(width)]
                 sol = mat.solve(rhs)
@@ -200,23 +190,6 @@ class _FilteredModel:
                     raise NiljError("filtration block is not generated by products")
                 exprs[lo + t] = [(c, a, b) for c, (a, b) in zip(sol, pairs) if c]
         return exprs
-
-    def quotient(self, L: int) -> Algebra:
-        """The algebra on coordinates of level < L with truncated products."""
-        L = min(L, self.m)
-        if L in self._quotients:
-            return self._quotients[L]
-        keep = [i for i, l in enumerate(self.levels) if l < L]
-        products = {}
-        for ai, i in enumerate(keep):
-            for aj in range(ai, len(keep)):
-                j = keep[aj]
-                terms = {bk: self.sc[i][j][k] for bk, k in enumerate(keep) if self.sc[i][j][k]}
-                if terms:
-                    products[(ai, aj)] = terms
-        q = Algebra(self.A.field, tuple(f"u{i}" for i in keep), products)
-        self._quotients[L] = q
-        return q
 
 
 @lru_cache(maxsize=None)
@@ -252,40 +225,38 @@ class _Closure:
 
 
 @lru_cache(maxsize=None)
-def _closure(A: Algebra, s: int) -> _Closure:
-    """The compiled closure of A's first s basis vectors, which must generate A."""
-    F, n = A.field, A.dim
-    ech = Echelon(F, 2 * n, key=n)  # rows (vector | unit tag of the independent word)
+def _closure(M: _FilteredModel, d: int, s: int) -> _Closure:
+    """The compiled closure of the first s coordinates of the quotient
+    C[:d, :d, :d] of M, which they must generate."""
+    C, p = M.C[:d, :d, :d], M.p
+    ech = Echelon(M.A.field, 2 * d, key=d)  # rows (vector | unit tag of the independent word)
     vecs = []
 
     def add(vec) -> bool:
-        tag = tuple(int(t == len(vecs)) for t in range(n))
-        if ech.add(tuple(vec) + tag):
+        tag = [int(t == len(vecs)) for t in range(d)]
+        if ech.add(tuple(vec + tag)):
             vecs.append(vec)
             return True
         return False
 
     for g in range(s):
-        add(tuple(int(t == g) for t in range(n)))
+        add([int(t == g) for t in range(d)])
     rounds, frontier, pool = [], list(range(s)), s
-    while frontier and len(vecs) < n:
+    while frontier and len(vecs) < d:
+        V = np.array(vecs, dtype=C.dtype)
+        prods = _products(V[:pool, None], V[None, frontier], C, p).tolist()
         pairs, new = [], []
         for a in range(pool):
-            for b in frontier:
-                if add(A.vec_mul(vecs[a], vecs[b])):
+            for b, prod in zip(frontier, prods[a]):
+                if add(prod):
                     pairs.append((a, b))
                     new.append(len(vecs) - 1)
         if pairs:
             rounds.append(tuple(np.array(side, dtype=np.int64) for side in zip(*pairs)))
         frontier, pool = new, len(vecs)
-    if len(vecs) < n:
+    if len(vecs) < d:
         raise NiljError("filtration generators do not generate the algebra")
-    return _Closure(tuple(rounds), np.array([row[n:] for row in ech.rows], dtype=np.int64))
-
-
-@lru_cache(maxsize=None)
-def _tensor(A: Algebra):
-    return structure_tensor(A)[0]
+    return _Closure(tuple(rounds), np.array([row[d:] for row in ech.rows], dtype=np.int64))
 
 
 def _products(X, Y, C, p: int):
@@ -295,32 +266,33 @@ def _products(X, Y, C, p: int):
     return (Y[..., None, :] @ half)[..., 0, :] % p
 
 
-def _forced_maps(A: Algebra, B: Algebra, gens):
+def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens):
     """Forced multiplicative extensions of generator images, with their defects.
 
-    ``gens`` is a (k, s, n) array: candidate images of A's first s basis
-    vectors in B's coordinates.  Returns (phis, defects): phis[b] has the
-    forced images of A's basis as columns and defects[b] is
-    ``_product_defects`` of it.
+    ``gens`` is a (k, s, d) array: candidate images of the first s coordinates
+    in the quotients C[:d, :d, :d] of both models.  Returns (phis, defects):
+    phis[b] has the forced images of the quotient's basis as columns and
+    defects[b] is ``_product_defects`` of it.
     """
-    k, s, n = gens.shape
-    prog = _closure(A, s)
-    p, CB = A.field.p, _tensor(B)
-    imgs = np.empty((k, n, n), dtype=np.int64)  # images of the independent words
+    k, s, d = gens.shape
+    prog = _closure(MA, d, s)
+    p, CB = MA.p, MB.C[:d, :d, :d]
+    imgs = np.empty((k, d, d), dtype=np.int64)  # images of the independent words
     imgs[:, :s] = gens
     found = s
     for left, right in prog.rounds:
         imgs[:, found:found + len(left)] = _products(imgs[:, left], imgs[:, right], CB, p)
         found += len(left)
     phis = imgs.transpose(0, 2, 1) @ prog.basis.T % p
-    return phis, _product_defects(_tensor(A), CB, phis, p)
+    return phis, _product_defects(MA.C[:d, :d, :d], CB, phis, p)
 
 
-def _forced_isomorphisms(A: Algebra, B: Algebra, gens):
-    """The forced maps of ``gens`` and the mask of those that are isomorphisms A -> B."""
-    phis, defects = _forced_maps(A, B, gens)
+def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
+    """The forced maps of ``gens`` and the mask of those that are isomorphisms
+    between the quotients C[:d, :d, :d], d = gens.shape[2]."""
+    phis, defects = _forced_maps(MA, MB, gens)
     ok = ~defects.reshape(len(phis), -1).any(axis=1)
-    ok[ok] = _rref_mod_p(phis[ok], A.field.p)[1] == A.dim
+    ok[ok] = _rref_mod_p(phis[ok], MA.p)[1] == gens.shape[2]
     return phis, ok
 
 
@@ -338,38 +310,20 @@ class _GradedTables:
             raise SearchBudgetExceededError(
                 f"graded table of size {p}^{s} exceeds the supported budget"
             )
-        self.p, self.s = p, s
         self.digits1 = _digit_table(p, s)
         lo2, hi2 = M.block.get(2, (0, 0))
-        n2 = hi2 - lo2
-        self.n2 = n2
         lo3, hi3 = M.block.get(3, (0, 0))
-        n3 = hi3 - lo3
-        self.n3 = n3
+        n2, n3 = hi2 - lo2, hi3 - lo3
         if n2:
-            G = np.zeros((s, s, n2), dtype=np.int64)
-            for a in range(s):
-                for b in range(s):
-                    comp = M.graded_component(a, b)
-                    for t in range(n2):
-                        G[a, b, t] = comp[t]
-            prod = np.einsum("ua,vb,abt->uvt", self.digits1, self.digits1, G) % p
+            prod = np.einsum("ua,vb,abt->uvt", self.digits1, self.digits1, M.C[:s, :s, lo2:hi2]) % p
             self.digits2 = _digit_table(p, n2)
-            w2 = p ** np.arange(n2, dtype=np.int64)
-            self.p2code = prod @ w2
+            self.p2code = prod @ p ** np.arange(n2, dtype=np.int64)
         else:
             self.digits2 = None
             self.p2code = np.zeros((p**s, p**s), dtype=np.int64)
         if n2 and n3:
-            B12 = np.zeros((s, n2, n3), dtype=np.int64)
-            for a in range(s):
-                for b in range(n2):
-                    vec = M.sc[a][lo2 + b]
-                    for t in range(n3):
-                        B12[a, b, t] = vec[lo3 + t]
-            prod = np.einsum("ua,vb,abt->uvt", self.digits1, self.digits2, B12) % p
-            w3 = p ** np.arange(n3, dtype=np.int64)
-            self.p12code = prod @ w3
+            prod = np.einsum("ua,vb,abt->uvt", self.digits1, self.digits2, M.C[:s, lo2:hi2, lo3:hi3]) % p
+            self.p12code = prod @ p ** np.arange(n3, dtype=np.int64)
         else:
             self.p12code = None
 
@@ -409,22 +363,14 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
         for _c, a, b in MA._exprs[coord]:
             feed2.add(a)
             feed2.add(b)
-    density = [0] * s
-    for i in range(s):
-        for j in range(MA.A.dim):
-            if any(MA.sc[i][j]):
-                density[i] += 1
+    density = MA.C[:s].any(axis=2).sum(axis=1)  # nonzero products of each generator
     order = sorted(range(s), key=lambda i: (i not in feed2, -density[i], i))
-    pair_nonzero = {}
-    for a in range(s):
-        for b in range(s):
-            pair_nonzero[(a, b)] = any(MA.graded_component(a, b))
+    pair_nonzero = MA.C[:s, :s, lo2:hi2].any(axis=2)  # graded level-(1,1) statuses
     # level-(1,2) graded statuses: gen g against each block-2 coordinate
     status12 = None
     if n2 and TB.p12code is not None:
-        status12 = [
-            [any(MA.graded_component(g, lo2 + v)) for v in range(n2)] for g in range(s)
-        ]
+        lo3, hi3 = MA.block[3]
+        status12 = MA.C[:s, lo2:hi2, lo3:hi3].any(axis=2)
     all_codes = np.arange(p**s, dtype=np.int64)
 
     def with_l2(assign, g, cand):
@@ -443,7 +389,7 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
             for g2, c2 in codes.items():
                 for v in range(n2):
                     val = TB.p12code[c2, enc[:, v]]
-                    ok &= (val != 0) if status12[g2][v] else (val == 0)
+                    ok &= (val != 0) if status12[g2, v] else (val == 0)
         return cand[ok], enc[ok].tolist()
 
     def rec(depth, assign, l2enc):
@@ -454,14 +400,14 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
         cand = all_codes
         if n2:
             sq = TB.p2code[cand, cand]
-            cand = cand[sq != 0] if pair_nonzero[(g, g)] else cand[sq == 0]
+            cand = cand[sq != 0] if pair_nonzero[g, g] else cand[sq == 0]
             for prev in order[:depth]:
                 row = TB.p2code[assign[prev], cand]
-                cand = cand[row != 0] if pair_nonzero[(prev, g)] else cand[row == 0]
+                cand = cand[row != 0] if pair_nonzero[prev, g] else cand[row == 0]
         if l2enc is not None and status12 is not None:
             for v in range(n2):
                 col = TB.p12code[cand, l2enc[v]]
-                cand = cand[col != 0] if status12[g][v] else cand[col == 0]
+                cand = cand[col != 0] if status12[g, v] else cand[col == 0]
         l2s = [l2enc] * len(cand)
         if l2enc is None and feed2 and feed2 <= set(assign) | {g}:
             cand, l2s = with_l2(assign, g, cand)
@@ -477,7 +423,7 @@ def _graded_ok(MA: _FilteredModel, MB: _FilteredModel, imgs1):
     """Mask of the level-1 assignments (a (k, s, s) array) that complete to
     graded block maps and pass the off-graded necessary conditions."""
     p, n, s, m = MA.p, MA.A.dim, MA.n1, MA.m
-    CB = _tensor(MB.full)
+    CA, CB = MA.C, MB.C
     levels = np.array(MA.levels)
     # G[b, i]: the graded image of coordinate i, inside its level's block
     G = np.zeros((len(imgs1), n, n), dtype=np.int64)
@@ -505,9 +451,9 @@ def _graded_ok(MA: _FilteredModel, MB: _FilteredModel, imgs1):
                     continue
                 # a nonzero product coordinate strictly below the tested level
                 # carries free deeper digits into this block: span is full
-                if kp > li + lj and any(MA.sc[i][j][t] and MA.levels[t] < kp for t in range(n)):
+                if kp > li + lj and CA[i, j, levels < kp].any():
                     continue
-                target = np.array(MA.sc[i][j][lo:hi]) @ G[:, lo:hi, lo:hi] % p
+                target = CA[i, j, lo:hi] @ G[:, lo:hi, lo:hi] % p
                 delta = (target - prods[:, i, j, lo:hi]) % p
                 bad = ok & delta.any(axis=1)
                 if kp == li + lj:
@@ -542,7 +488,7 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
 
     def stage(k_idx, gens):
         if k_idx >= len(relevant):
-            phis, ok = _forced_isomorphisms(MA.full, MB.full, gens)
+            phis, ok = _forced_isomorphisms(MA, MB, gens)
             yield from phis[ok]
             return
         K = relevant[k_idx]
@@ -550,12 +496,12 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
             yield from _linear_stage(MA, MB, gens, relevant[k_idx:], find_all)
             return
         gs, cs = _slots(MB, s, [K])
-        qA, qB = MA.quotient(K + 2), MB.quotient(K + 2)
+        d = MB.block[K + 1][1]  # the quotient by the levels >= K + 2
         for g in gens:
             for combos in _combos(p, len(gs)):
                 cand = np.repeat(g[None], len(combos), axis=0)
                 cand[:, gs, cs] = combos
-                _, ok = _forced_isomorphisms(qA, qB, cand[:, :, :qB.dim])
+                _, ok = _forced_isomorphisms(MA, MB, cand[:, :, :d])
                 if ok.any():
                     yield from stage(k_idx + 1, cand[ok])
 
@@ -588,7 +534,7 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
     interpolated from T+1 evaluations and the linear system is solved over
     F_p; the evaluations, the systems and the solutions run as batches.
     """
-    p, full_A, full_B = MA.p, MA.full, MB.full
+    p = MA.p
     gs, cs = _slots(MB, MA.n1, levels_left)
     T = len(gs)
 
@@ -605,7 +551,7 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
         for start in range(0, len(gens), step):
             idx = owners[start:start + step]
             cand = build(np.repeat(idx, T + 1), np.tile(probes, (len(idx), 1)))
-            d.append(_forced_maps(full_A, full_B, cand)[1].reshape(len(idx), T + 1, -1))
+            d.append(_forced_maps(MA, MB, cand)[1].reshape(len(idx), T + 1, -1))
         d = np.concatenate(d)
         # rows (defect slopes | -d0); a pivot in the last column is inconsistent
         system = np.concatenate([(d[:, 1:] - d[:, :1]) % p, -d[:, :1] % p], axis=1)
@@ -631,7 +577,7 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
         owners, solutions = np.concatenate(kept), np.concatenate(found)
     for start in range(0, len(owners), AUT_BLOCK):
         cand = build(owners[start:start + AUT_BLOCK], solutions[start:start + AUT_BLOCK])
-        phis, ok = _forced_isomorphisms(full_A, full_B, cand)
+        phis, ok = _forced_isomorphisms(MA, MB, cand)
         yield from phis[ok]
 
 
@@ -864,31 +810,18 @@ class OrbitReport:
 
 
 def _canonical_subspaces(field: Field, h: int, r: int):
-    """Canonical RREF bases of all r-dimensional subspaces of F_p^h."""
-    p = field.p
-    if r == 1:
-        for lead in range(h):
-            for tail in iproduct(range(p), repeat=h - lead - 1):
-                yield ((0,) * lead + (1,) + tail,)
-        return
-    if r == 2:
-        for p1 in range(h):
-            for p2 in range(p1 + 1, h):
-                free1 = [c for c in range(p1 + 1, h) if c != p2]
-                free2 = [c for c in range(p2 + 1, h)]
-                for vals1 in iproduct(range(p), repeat=len(free1)):
-                    for vals2 in iproduct(range(p), repeat=len(free2)):
-                        row1 = [0] * h
-                        row2 = [0] * h
-                        row1[p1] = 1
-                        row2[p2] = 1
-                        for c, v in zip(free1, vals1):
-                            row1[c] = v
-                        for c, v in zip(free2, vals2):
-                            row2[c] = v
-                        yield (tuple(row1), tuple(row2))
-        return
-    raise NiljError("only r in {1, 2} is supported")
+    """Canonical RREF bases of all r-dimensional subspaces of F_p^h.
+
+    Pivot sets come in ``combinations`` order; within one, the free entries
+    (row by row, left to right) take their values in ``iproduct`` order.
+    """
+    for pivots in combinations(range(h), r):
+        free = [(row, c) for row, lead in enumerate(pivots) for c in range(lead + 1, h) if c not in pivots]
+        for vals in iproduct(range(field.p), repeat=len(free)):
+            rows = [[int(c == lead) for c in range(h)] for lead in pivots]
+            for (row, c), v in zip(free, vals):
+                rows[row][c] = v
+            yield tuple(map(tuple, rows))
 
 
 def _canonicalize(field: Field, rows):
@@ -902,8 +835,8 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     Admissibility is the joint condition: the common radical of the
     subspace's cocycles meets the annihilator trivially.
     """
-    if r not in (1, 2):
-        raise NiljError("census supports r in {1, 2}")
+    if r < 1:
+        raise NiljError(f"census needs r >= 1, got {r}")
     Ap, _ = _prepare_pair(A, A, field)
     spaces = h2(Ap)
     hdim = len(spaces.h2_reps)
@@ -914,7 +847,7 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
         for rows in _canonical_subspaces(field, hdim, r):
             thetas = [spaces.cocycle_from_class(row) for row in rows]
             if joint_radical(thetas).intersect(ann).is_zero():
-                admissible.append(_canonicalize(field, rows))
+                admissible.append(rows)
     admissible_set = set(admissible)
     actions = _induced_actions(spaces, autos) if admissible else None
     unseen = set(admissible_set)

@@ -2,6 +2,7 @@
 invariance under changes of basis, and the exact F_p array kernels under it."""
 
 import random
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -152,3 +153,59 @@ def test_int64_guard_refuses_large_moduli():
     _check_int64(5, 15)
     with pytest.raises(NiljError):
         _check_int64(2**31 + 11, 5)
+
+
+def _special_case_subspaces(p, h, r):
+    """The r = 1 and r = 2 enumerations the generic loop replaced."""
+    if r == 1:
+        for lead in range(h):
+            for tail in iproduct(range(p), repeat=h - lead - 1):
+                yield ((0,) * lead + (1,) + tail,)
+        return
+    for p1 in range(h):
+        for p2 in range(p1 + 1, h):
+            free1 = [c for c in range(p1 + 1, h) if c != p2]
+            free2 = list(range(p2 + 1, h))
+            for vals1 in iproduct(range(p), repeat=len(free1)):
+                for vals2 in iproduct(range(p), repeat=len(free2)):
+                    row1, row2 = [0] * h, [0] * h
+                    row1[p1] = row2[p2] = 1
+                    for c, v in zip(free1, vals1):
+                        row1[c] = v
+                    for c, v in zip(free2, vals2):
+                        row2[c] = v
+                    yield (tuple(row1), tuple(row2))
+
+
+def _gaussian_binomial(h, r, p):
+    num = den = 1
+    for i in range(r):
+        num *= p ** (h - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_subspace_order_is_kept_for_lines_and_planes(r):
+    for h in range(r, 6):
+        assert list(_canonical_subspaces(F5, h, r)) == list(_special_case_subspaces(5, h, r))
+
+
+@pytest.mark.parametrize("field, h", [(F5, 4), (F7, 3), (Field(11), 2)])
+def test_subspaces_of_every_dimension_are_distinct_rref_bases(field, h):
+    for r in range(1, h + 1):
+        bases = list(_canonical_subspaces(field, h, r))
+        assert len(bases) == len(set(bases)) == _gaussian_binomial(h, r, field.p)
+        assert all(_canonicalize(field, rows) == rows for rows in bases)
+
+
+def test_census_runs_above_planes_and_refuses_r_below_one():
+    A = catalog.instantiate("J3,2")
+    h = len(h2(reduce_mod(A, 5)).h2_reps)
+    rep = orbit_census(A, F5, 3)
+    assert rep.grassmann_r == 3 and rep.total_admissible <= _gaussian_binomial(h, 3, 5)
+    assert sum(rep.orbit_sizes) == rep.total_admissible
+    got = (rep.orbit_representatives, rep.orbit_sizes, rep.orbit_members, rep.aut_group_order)
+    assert got == reference_census(A, F5, 3)
+    with pytest.raises(NiljError, match="r >= 1"):
+        orbit_census(A, F5, 0)

@@ -97,6 +97,15 @@ def test_non_nilpotent_document_is_a_usage_error(tmp_path, capsys):
     _assert_usage_error(["invariants", f"@{path}"], capsys)
 
 
+_DOC = {"dim": 2, "field": "Q", "basis": ["a", "b"]}
+BAD_DOCUMENTS = {
+    "products_not_a_list.json": dict(_DOC, products=5),
+    "terms_not_a_list.json": dict(_DOC, products=[{"i": 0, "j": 0, "terms": 5}]),
+    "list_names.json": dict(_DOC, basis=[["a"], ["b"]], products=[]),
+    "int_names.json": dict(_DOC, basis=[1, 2], products=[]),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -111,10 +120,19 @@ def test_non_nilpotent_document_is_a_usage_error(tmp_path, capsys):
         ["lemma-a", "--alpha", "1,2"],
         ["iso", "J2,1", "J2,1", "--search"],
         ["iso", "J2,1", "J2,1"],
+        ["invariants", "@{tmp}/products_not_a_list.json"],
+        ["invariants", "@{tmp}/terms_not_a_list.json"],
+        ["invariants", "@{tmp}/list_names.json"],
+        ["invariants", "@{tmp}/int_names.json"],
+        ["orbits", "J3,2", "--field", "p:5", "--grassmann", "0"],
+        # the first prime above 2^63: refused by the search budget, not by an int64 overflow
+        ["iso", "--search", "--field", "p:9223372036854775837", "J4,6", "J4,6"],
     ],
 )
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"dim": 2,', encoding="utf-8")
+    for name, doc in BAD_DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     _assert_usage_error([arg.format(tmp=tmp_path) for arg in argv], capsys)
 
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from nilj import catalog
-from nilj.algebra import Algebra, change_basis, invariant_vector, reduce_mod, zero_algebra
+from nilj.algebra import (
+    Algebra,
+    change_basis,
+    invariant_vector,
+    reduce_mod,
+    structure_tensor,
+    zero_algebra,
+)
 from nilj.cohomology import act, is_automorphism, parse_cocycle
 from nilj.errors import (
     CaseNotCoveredError,
@@ -306,14 +313,37 @@ def test_compiled_closure_rebuilds_every_automorphism(name):
     M = _model(reduce_mod(catalog.instantiate(name), 5))
     s = M.n1
     phis = np.concatenate(list(_search(M.A, M.A, find_all=True)))
-    forced, defects = _forced_maps(M.full, M.full, phis[:, :, :s].transpose(0, 2, 1).copy())
+    forced, defects = _forced_maps(M, M, phis[:, :, :s].transpose(0, 2, 1).copy())
     assert np.array_equal(forced, phis) and not defects.any()
     gens = np.random.default_rng(5).integers(0, 5, (64, s, M.A.dim))
-    forced, defects = _forced_maps(M.full, M.full, gens)
+    forced, defects = _forced_maps(M, M, gens)
     assert np.array_equal(forced[:, :, :s].transpose(0, 2, 1), gens)
-    _, ok = _forced_isomorphisms(M.full, M.full, gens)
-    expected = [is_automorphism(M.full, Matrix.from_rows(F5, f.tolist())) for f in forced]
+    _, ok = _forced_isomorphisms(M, M, gens)
+    full = change_basis(M.A, M.to_old)  # the algebra in filtration coordinates
+    expected = [is_automorphism(full, Matrix.from_rows(F5, f.tolist())) for f in forced]
     assert np.array_equal(ok, expected)
+
+
+@pytest.mark.parametrize("p", [5, 7, 9223372036854775837])
+@pytest.mark.parametrize("name", ["J4,6", "J4,12", "J5,2", "J5,24", "J5,41"])
+def test_filtration_tensor_is_the_algebra_in_filtration_coordinates(name, p):
+    """C is the structure tensor of the algebra written on the filtration
+    basis (object dtype above the int64 guard), and no product of two
+    coordinates below a level has a component below their level sum."""
+    M = _model(reduce_mod(catalog.instantiate(name), p))
+    T, _ = structure_tensor(change_basis(M.A, M.to_old))
+    assert M.C.dtype == T.dtype and np.array_equal(M.C, T)
+    levels = np.array(M.levels)
+    below = levels[None, None, :] < levels[:, None, None] + levels[None, :, None]
+    assert not M.C[below].any()
+
+
+def test_prime_above_int64_keeps_the_budget_error():
+    """The filtration model is built in the structure tensor's dtype, object
+    above the int64 guard, so the search reaches its budget check."""
+    J46 = catalog.instantiate("J4,6")
+    with pytest.raises(SearchBudgetExceededError):
+        search_isomorphism(J46, J46, Field(9223372036854775837))  # the first prime above 2^63
 
 
 def test_pruned_search_builds_no_filtration_model():
