@@ -303,7 +303,7 @@ def parse_cocycle(A: Algebra, text: str) -> Cocycle:
 
     Terms are separated by "+" or ","; each term is an optional scalar
     coefficient (with "*") applied to d(x,y) where x, y are basis names or
-    1-based indices.
+    1-based indices in ASCII digits.
     """
     F = A.field
     out = Cocycle.zero(A)
@@ -342,7 +342,7 @@ def parse_cocycle(A: Algebra, text: str) -> Cocycle:
             raise NiljError(f"bad cocycle term {term!r}")
         idx = []
         for s in xs:
-            if s.isdigit():
+            if s.isascii() and s.isdigit():  # isdigit alone accepts '²', which int() refuses
                 k = int(s) - 1
                 if not 0 <= k < A.dim:
                     raise NiljError(f"index out of range in {term!r}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import FieldMismatchError, NiljError, RootNotInFieldError
 
-MAX_ROOT_SEARCH_P = 101  # exhaustive search for roots other than square roots stops here
+MAX_ROOT_SEARCH_P = 101  # exhaustive search for roots not found in closed form stops here
 
 # Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
 # below this bound (Sorenson and Webster 2015), so the test is a proof there.
@@ -137,13 +137,16 @@ class Field:
     def nth_root(self, a, n: int):
         """An exact n-th root in this field, or None.
 
-        F_p square roots come from ``sqrt``; other F_p roots are found by
-        exhaustive search (p <= 101).  Over the rationals only exact rational
-        roots are returned.
+        F_p square roots come from ``sqrt``.  When gcd(n, p - 1) = 1, x -> x^n
+        permutes F_p and the root is the unique a^(1/n mod p-1); the other F_p
+        roots are found by exhaustive search (p <= 101).  Over the rationals
+        only exact rational roots are returned.
         """
         if self.p is not None:
             if n == 2:
                 return self.sqrt(a)
+            if math.gcd(n, self.p - 1) == 1:
+                return pow(a % self.p, pow(n, -1, self.p - 1), self.p)
             if self.p > MAX_ROOT_SEARCH_P:
                 raise NiljError(f"root search not supported for p > {MAX_ROOT_SEARCH_P}")
             for x in range(self.p):

@@ -46,9 +46,10 @@ re-verifies it with ``verify_isomorphism``.  ``_automorphism_array`` maps the
 find-all output back in blocks of AUT_BLOCK and re-verifies every block
 (multiplicativity on all basis pairs, full rank mod p) before keeping it.
 
-``orbit_census`` works on that verified array directly: the induced action on
-H2 class coordinates and the orbit images are batched numpy contractions over
-int64 residues, reduced mod p after every contraction (no floating point),
+``orbit_census`` works on that verified array directly: the admissibility
+rank test over all candidate subspaces, the induced action on H2 class
+coordinates and the orbit images are batched numpy contractions over int64
+residues, reduced mod p after every contraction (no floating point),
 and ``_check_int64`` refuses moduli whose sums could overflow.
 """
 
@@ -70,7 +71,7 @@ from .algebra import (
     reduce_mod,
     structure_tensor,
 )
-from .cohomology import Cocycle, h2, radical as joint_radical
+from .cohomology import Cocycle, h2
 from .errors import (
     CaseNotCoveredError,
     DimensionMismatchError,
@@ -83,7 +84,7 @@ from .linalg import Echelon, Matrix, _dot
 
 AUT_CANDIDATE_BUDGET = 10**8
 GRADED_TABLE_LIMIT = 2500  # max p^(level-1 dim); the pairing table is quadratic in this
-AUT_BLOCK = 1024  # automorphisms per numpy block; bounds the census's working memory
+AUT_BLOCK = 1024  # automorphisms or candidate subspaces per numpy block; bounds the census's working memory
 
 
 @dataclass(frozen=True)
@@ -809,19 +810,47 @@ class OrbitReport:
         raise NiljError("subspace is not in the admissible census")
 
 
-def _canonical_subspaces(field: Field, h: int, r: int):
-    """Canonical RREF bases of all r-dimensional subspaces of F_p^h.
+def _subspace_blocks(p: int, h: int, r: int):
+    """Canonical RREF bases of all r-dimensional subspaces of F_p^h, as int64 (K, r, h) blocks.
 
     Pivot sets come in ``combinations`` order; within one, the free entries
-    (row by row, left to right) take their values in ``iproduct`` order.
+    (row by row, left to right) take their values in ``iproduct`` order.  The
+    leading free entries are looped over in Python and the trailing ones are
+    filled from ``np.indices``, so the blocks are streamed: none holds more
+    than AUT_BLOCK bases, however large the Grassmannian.
     """
+    inner = 0
+    while p ** (inner + 1) <= AUT_BLOCK:
+        inner += 1
     for pivots in combinations(range(h), r):
         free = [(row, c) for row, lead in enumerate(pivots) for c in range(lead + 1, h) if c not in pivots]
-        for vals in iproduct(range(field.p), repeat=len(free)):
-            rows = [[int(c == lead) for c in range(h)] for lead in pivots]
-            for (row, c), v in zip(free, vals):
-                rows[row][c] = v
-            yield tuple(map(tuple, rows))
+        fr, fc = np.array(free, dtype=np.int64).reshape(-1, 2).T
+        k = min(inner, len(free))
+        split = len(free) - k
+        tail = np.indices((p,) * k, dtype=np.int64).reshape(k, p**k).T
+        base = np.zeros((len(tail), r, h), dtype=np.int64)
+        base[:, np.arange(r), pivots] = 1
+        base[:, fr[split:], fc[split:]] = tail
+        for head in iproduct(range(p), repeat=split):
+            block = base.copy()
+            block[:, fr[:split], fc[:split]] = head
+            yield block
+
+
+def _tuples(block) -> list:
+    """The (K, r, h) residue block as a list of bases, each a tuple of row tuples."""
+    return [tuple(map(tuple, rows)) for rows in block.tolist()]
+
+
+def _canonical_subspaces(field: Field, h: int, r: int):
+    """Canonical RREF bases of all r-dimensional subspaces of F_p^h, as tuples.
+
+    The tuple form of ``_subspace_blocks``, in its order: the enumeration is
+    streamed as int64 blocks of at most AUT_BLOCK bases, and each block is
+    turned into tuples only when it is reached.
+    """
+    for block in _subspace_blocks(field.p, h, r):
+        yield from _tuples(block)
 
 
 def _canonicalize(field: Field, rows):
@@ -829,25 +858,51 @@ def _canonicalize(field: Field, rows):
     return tuple(red.row(i) for i in range(rank))
 
 
+def _admissible_subspaces(spaces, ann, r: int) -> list:
+    """Canonical bases of the admissible r-subspaces of H2, in enumeration order.
+
+    The candidate with class-coordinate rows c^1..c^r has the cocycles
+    theta_i = sum_h c^i_h R_h, and it is admissible when
+    rank [N theta_1 | ... | N theta_r] = dim Ann (see ``orbit_census``).
+    N R_h is contracted once; each block of candidates costs one matmul and
+    one batched rank.
+    """
+    A = spaces.algebra
+    p, n, h = A.field.p, A.dim, len(spaces.h2_reps)
+    if h < r:
+        return []
+    _check_int64(p, max(n, h))
+    N = np.array(ann.vectors(), dtype=np.int64).reshape(-1, n)
+    a = len(N)
+    reps = np.array([c.mat.row_list() for c in spaces.h2_reps], dtype=np.int64)
+    NR = (N @ reps % p).reshape(h, a * n)  # NR[t] is N R_t, flattened
+    admissible = []
+    for block in _subspace_blocks(p, h, r):
+        k = len(block)
+        # the transpose [N theta_i]^T, stacked over i: a columns to eliminate
+        M = (block @ NR % p).reshape(k, r, a, n).transpose(0, 1, 3, 2).reshape(k, r * n, a)
+        admissible += _tuples(block[_rref_mod_p(M, p)[1] == a])
+    return admissible
+
+
 def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     """Admissible r-subspaces of H2 partitioned into automorphism orbits.
 
     Admissibility is the joint condition: the common radical of the
-    subspace's cocycles meets the annihilator trivially.
+    subspace's cocycles theta_1..theta_r meets the annihilator trivially.
+    All candidates are tested by one exact rank criterion over F_p
+    (``_admissible_subspaces``).  With N a basis of the annihilator, as rows,
+    the subspace is admissible exactly when [N theta_1 | ... | N theta_r]
+    has rank dim Ann: every theta_i is symmetric, so the annihilator vector
+    N^T y lies in the common radical exactly when y is in the left kernel of
+    that matrix, and N^T y = 0 only when y = 0.
     """
     if r < 1:
         raise NiljError(f"census needs r >= 1, got {r}")
     Ap, _ = _prepare_pair(A, A, field)
     spaces = h2(Ap)
-    hdim = len(spaces.h2_reps)
-    ann = cached_annihilator(Ap)
     autos = _automorphism_array(Ap, field)
-    admissible = []
-    if hdim >= r:
-        for rows in _canonical_subspaces(field, hdim, r):
-            thetas = [spaces.cocycle_from_class(row) for row in rows]
-            if joint_radical(thetas).intersect(ann).is_zero():
-                admissible.append(rows)
+    admissible = _admissible_subspaces(spaces, cached_annihilator(Ap), r)
     admissible_set = set(admissible)
     actions = _induced_actions(spaces, autos) if admissible else None
     unseen = set(admissible_set)

@@ -2,6 +2,7 @@
 invariance under changes of basis, and the exact F_p array kernels under it."""
 
 import random
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -19,6 +20,7 @@ from nilj.cohomology import Cocycle, h2, is_automorphism, radical as joint_radic
 from nilj.errors import NiljError
 from nilj.fields import Field
 from nilj.isomorphism import (
+    _admissible_subspaces,
     _automorphism_array,
     _canonical_subspaces,
     _canonicalize,
@@ -209,3 +211,55 @@ def test_census_runs_above_planes_and_refuses_r_below_one():
     assert got == reference_census(A, F5, 3)
     with pytest.raises(NiljError, match="r >= 1"):
         orbit_census(A, F5, 0)
+
+
+# the parents of the benchmark's census workload (its r=2 parents are among them)
+BENCH_PARENTS = ("J1,1", "J2,1", "J2,2", "J3,2", "J3,3", "J3,4", "J4,4", "J4,6", "J4,7",
+                 "J4,8", "J4,9", "J4,10", "J4,11", "J4,12")
+REFERENCE_CANDIDATES = 3000  # larger Grassmannians are checked on a seeded sample this size
+
+
+def reference_admissible(spaces, ann, candidates):
+    """The per-candidate filter the batched rank test replaced (cocycles memoised per row)."""
+    cocycle = lru_cache(maxsize=None)(spaces.cocycle_from_class)
+    out = []
+    for rows in candidates:
+        thetas = [cocycle(row) for row in rows]
+        if joint_radical(thetas).intersect(ann).is_zero():
+            out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_batched_admissibility_matches_the_per_candidate_filter(p, r):
+    field = Field(p)
+    rng = random.Random(f"admissible:{p}:{r}")
+    for name in BENCH_PARENTS:
+        A = reduce_mod(catalog.instantiate(name), p)
+        B = change_basis(A, _random_invertible(field, A.dim, rng))
+        spaces, ann = h2(B), cached_annihilator(B)
+        h = len(spaces.h2_reps)
+        if h < r:
+            continue
+        got = _admissible_subspaces(spaces, ann, r)
+        candidates = list(_canonical_subspaces(field, h, r))
+        if len(candidates) <= REFERENCE_CANDIDATES:
+            assert got == reference_admissible(spaces, ann, candidates), name
+            continue
+        # in enumeration order, then element for element on the sample
+        position = {rows: k for k, rows in enumerate(candidates)}
+        order = [position[rows] for rows in got]
+        assert order == sorted(set(order)), name
+        picked = [candidates[k] for k in sorted(rng.sample(range(len(candidates)), REFERENCE_CANDIDATES))]
+        chosen = set(picked)
+        assert [rows for rows in got if rows in chosen] == reference_admissible(spaces, ann, picked), name
+
+
+def test_admissibility_filter_refuses_primes_above_the_int64_guard():
+    p = 2**61 - 1
+    A = reduce_mod(catalog.instantiate("J2,1"), p)
+    with pytest.raises(NiljError, match="int64"):
+        _admissible_subspaces(h2(A), cached_annihilator(A), 1)
+    with pytest.raises(NiljError):
+        orbit_census(A, Field(p), 1)

@@ -125,6 +125,8 @@ BAD_DOCUMENTS = {
         ["invariants", "@{tmp}/list_names.json"],
         ["invariants", "@{tmp}/int_names.json"],
         ["orbits", "J3,2", "--field", "p:5", "--grassmann", "0"],
+        # '²' passes str.isdigit but not int()
+        ["extend", "J4,6", "--cocycle", "d(²,1)"],
         # the first prime above 2^63: refused by the search budget, not by an int64 overflow
         ["iso", "--search", "--field", "p:9223372036854775837", "J4,6", "J4,6"],
     ],

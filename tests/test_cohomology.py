@@ -271,6 +271,29 @@ def test_parse_cocycle():
         parse_cocycle(A, "d(a,z)")
 
 
+# basis names, 1-based indices in and out of range, and digits int() refuses
+_INDICES = st.sampled_from(["a", "d", "1", "4", "0", "5", "²", "¹", "٣", " b "]) | st.text(max_size=3)
+# short coefficients: a long exponent such as 1e10000000 makes Fraction slow
+_TERMS = (
+    st.builds("{}*d({},{})".format, st.text("0123456789/-.e ", max_size=5), _INDICES, _INDICES)
+    | st.builds("d({},{})".format, _INDICES, _INDICES)
+    | st.text(max_size=12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(_TERMS, max_size=3).map("+".join), p=st.sampled_from([None, 5]))
+def test_parse_cocycle_returns_a_cocycle_or_refuses(text, p):
+    A = catalog.instantiate("J4,6")
+    if p is not None:
+        A = reduce_mod(A, p)
+    try:
+        theta = parse_cocycle(A, text)
+    except NiljError:
+        return
+    assert isinstance(theta, Cocycle) and theta.algebra == A
+
+
 def test_cocycle_value_and_delta():
     A = catalog.instantiate("J2,2")
     theta = Cocycle.delta(A, 0, 1)

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -95,7 +96,32 @@ def test_square_roots_modulo_large_primes(p):
     for x in (2, 1234, p - 5):
         assert F.sqrt(x * x % p) == min(x, p - x)
     with pytest.raises(NiljError):
-        F.nth_root(2, 3)  # other roots still need the exhaustive search
+        F.nth_root(2, 4)  # gcd(4, p - 1) = 2: this root still needs the exhaustive search
+
+
+def test_coprime_prime_field_roots_match_the_exhaustive_search():
+    # with gcd(n, p - 1) = 1 the n-th root is unique, so the closed form is the search's root
+    for p in range(5, 102):
+        if not is_prime(p):
+            continue
+        F = Field(p)
+        for n in range(1, 7):
+            if math.gcd(n, p - 1) != 1:
+                continue
+            for a in range(p):
+                expected = next(x for x in range(p) if pow(x, n, p) == a)
+                assert F.nth_root(a, n) == expected, (p, n, a)
+
+
+@pytest.mark.parametrize("p", [10007, 2**31 - 1])
+def test_coprime_roots_modulo_large_primes(p):
+    F = Field(p)
+    ns = [n for n in range(3, 40) if math.gcd(n, p - 1) == 1][:4]
+    assert ns
+    for n in ns:
+        for a in (0, 1, 2, 5, p - 1, 123456 % p):
+            root = F.nth_root(a, n)
+            assert 0 <= root < p and pow(root, n, p) == a, (n, a)
 
 
 def _trial_division(n):
