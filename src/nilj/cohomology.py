@@ -255,9 +255,11 @@ def is_automorphism(A: Algebra, phi: Matrix) -> bool:
 def has_nontrivial_1dim_extension(A: Algebra) -> bool:
     """Whether some cocycle has radical meeting the annihilator trivially.
 
-    Decided exactly: if a nonzero central element pairs trivially with every
-    basis cocycle, no cocycle works.  Otherwise a witness combination is
-    located by deterministic small-coefficient search.
+    A False is exact: some nonzero central element pairs trivially with every
+    basis cocycle, so no cocycle works.  Otherwise a witness combination is
+    looked for by a deterministic small-coefficient search, which is not
+    exhaustive: when it runs out, ``NiljError("witness search exhausted...")``
+    is raised rather than an answer given.
     """
     F = A.field
     ann = cached_annihilator(A)

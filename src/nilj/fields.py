@@ -8,6 +8,7 @@ the arithmetic; it is immutable and shareable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,10 +92,18 @@ class Field:
         return frac.numerator * pow(den, -1, self.p) % self.p
 
     def parse(self, text: str):
-        """Parse "3/4" or "-2" (rationals also accepted over F_p, reduced)."""
+        """Parse "3/4", "-2" or "0.25" (rationals also accepted over F_p, reduced).
+
+        Only an optional sign, digits and an optional "/digits" or ".digits"
+        part are read, at most 100 digits each, so no literal builds a number
+        that is slow to make or too long to print.
+        """
+        literal = text.strip()
+        if not re.fullmatch(r"[+-]?[0-9]{1,100}(?:[/.][0-9]{1,100})?", literal):
+            raise NiljError(f"bad scalar literal {text[:40]!r}")
         try:
-            frac = Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            frac = Fraction(literal)
+        except ZeroDivisionError as exc:
             raise NiljError(f"bad scalar literal {text!r}") from exc
         return self.of(frac)
 

@@ -33,11 +33,19 @@ slices of C, and no stage rebuilds an algebra.
 The forced closure is compiled once per source quotient and generator count
 (``_closure``): a straight-line program of products that expresses every
 basis vector over words in the generators.  It runs on blocks of candidate
-generator images as int64 contractions over the target's tensor,
-and the candidates are accepted or rejected in batch (multiplicativity on all
-basis pairs, full rank mod p).  The graded leaves, the lift levels and the
-linear stage's interpolation and solutions are batched the same way, and
-candidates keep their enumeration order, so the first hit is the one a
+generator images as int64 contractions over the target's tensor, and the
+candidates are accepted or rejected in batch (multiplicativity on all basis
+pairs, full rank mod p).  The graded leaves get their images from the closure
+of the associated graded algebra (``_graded``: C keeps the components of
+level(k) = level(i) + level(j)); they are block-diagonal, so one rank test
+checks every level.
+
+Every enumeration is one parent-major stream of (parent, child) pairs from
+``_blocks``, at most AUT_BLOCK at a time: the graded stage extends partial
+level-1 codes by one generator and filters each block with array masks; a
+digit level extends the survivors of the level before by all their digit
+settings; free digits and candidate subspaces have one parent.  Candidates
+keep their enumeration order, so the first hit is the one a
 candidate-by-candidate search finds.
 
 The engine works in filtration coordinates and emits arrays of matrices.
@@ -55,9 +63,10 @@ and ``_check_int64`` refuses moduli whose sums could overflow.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product as iproduct
+from itertools import combinations
 
 import numpy as np
 
@@ -84,7 +93,7 @@ from .linalg import Echelon, Matrix, _dot
 
 AUT_CANDIDATE_BUDGET = 10**8
 GRADED_TABLE_LIMIT = 2500  # max p^(level-1 dim); the pairing table is quadratic in this
-AUT_BLOCK = 1024  # automorphisms or candidate subspaces per numpy block; bounds the census's working memory
+AUT_BLOCK = 1024  # pairs, candidates, automorphisms or subspaces per numpy block in every stage; bounds working memory
 
 
 @dataclass(frozen=True)
@@ -162,40 +171,25 @@ class _FilteredModel:
         old = np.array(self.to_old.row_list(), dtype=T.dtype).T
         new = np.array(self.to_new.row_list(), dtype=T.dtype)
         self.C = _products(old[:, None], old[None], T, self.p) @ new.T % self.p
-        self._exprs = self._defining_expressions()
 
     def block_dims(self) -> tuple:
         return tuple(self.block[k][1] - self.block[k][0] for k in range(1, self.m))
-
-    def _defining_expressions(self):
-        """Graded expression of each level>=2 coordinate via lower-level products."""
-        F = self.A.field
-        exprs = {}
-        for k in range(2, self.m):
-            lo, hi = self.block[k]
-            if lo == hi:
-                continue
-            pairs = [
-                (a, b)
-                for a in range(self.A.dim)
-                for b in range(a, self.A.dim)
-                if self.levels[a] + self.levels[b] == k
-            ]
-            left, right = zip(*pairs)
-            mat = Matrix.from_rows(F, self.C[left, right, lo:hi].T.tolist())
-            width = hi - lo
-            for t in range(width):
-                rhs = [F.one if r == t else F.zero for r in range(width)]
-                sol = mat.solve(rhs)
-                if sol is None:
-                    raise NiljError("filtration block is not generated by products")
-                exprs[lo + t] = [(c, a, b) for c, (a, b) in zip(sol, pairs) if c]
-        return exprs
 
 
 @lru_cache(maxsize=None)
 def _model(A: Algebra) -> _FilteredModel:
     return _FilteredModel(A)
+
+
+@lru_cache(maxsize=None)
+def _graded(M: _FilteredModel) -> _FilteredModel:
+    """M's associated graded algebra: a view whose C keeps only the components
+    of level(k) = level(i) + level(j).  Its level-1 coordinates generate it,
+    and words in them are homogeneous, so its closure forces block maps."""
+    G = copy(M)
+    levels = np.array(M.levels)
+    G.C = M.C * (levels[:, None, None] + levels[None, :, None] == levels)
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +261,13 @@ def _products(X, Y, C, p: int):
     return (Y[..., None, :] @ half)[..., 0, :] % p
 
 
-def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens):
-    """Forced multiplicative extensions of generator images, with their defects.
+def _forced_images(MA: _FilteredModel, MB: _FilteredModel, gens):
+    """The images forced by multiplicativity from generator images.
 
     ``gens`` is a (k, s, d) array: candidate images of the first s coordinates
-    in the quotients C[:d, :d, :d] of both models.  Returns (phis, defects):
-    phis[b] has the forced images of the quotient's basis as columns and
-    defects[b] is ``_product_defects`` of it.
+    in the quotients C[:d, :d, :d] of both models.  Runs MA's compiled closure
+    through MB's tensor; phis[b] has the forced images of the quotient's
+    basis as columns.
     """
     k, s, d = gens.shape
     prog = _closure(MA, d, s)
@@ -284,8 +278,14 @@ def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens):
     for left, right in prog.rounds:
         imgs[:, found:found + len(left)] = _products(imgs[:, left], imgs[:, right], CB, p)
         found += len(left)
-    phis = imgs.transpose(0, 2, 1) @ prog.basis.T % p
-    return phis, _product_defects(MA.C[:d, :d, :d], CB, phis, p)
+    return imgs.transpose(0, 2, 1) @ prog.basis.T % p
+
+
+def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens):
+    """The ``_forced_images`` of ``gens`` and their ``_product_defects``."""
+    d = gens.shape[2]
+    phis = _forced_images(MA, MB, gens)
+    return phis, _product_defects(MA.C[:d, :d, :d], MB.C[:d, :d, :d], phis, MA.p)
 
 
 def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
@@ -311,13 +311,13 @@ class _GradedTables:
             raise SearchBudgetExceededError(
                 f"graded table of size {p}^{s} exceeds the supported budget"
             )
-        self.digits1 = _digit_table(p, s)
+        self.digits1 = _digits(np.arange(p**s, dtype=np.int64), p, s)
         lo2, hi2 = M.block.get(2, (0, 0))
         lo3, hi3 = M.block.get(3, (0, 0))
         n2, n3 = hi2 - lo2, hi3 - lo3
         if n2:
             prod = np.einsum("ua,vb,abt->uvt", self.digits1, self.digits1, M.C[:s, :s, lo2:hi2]) % p
-            self.digits2 = _digit_table(p, n2)
+            self.digits2 = _digits(np.arange(p**n2, dtype=np.int64), p, n2)
             self.p2code = prod @ p ** np.arange(n2, dtype=np.int64)
         else:
             self.digits2 = None
@@ -327,10 +327,6 @@ class _GradedTables:
             self.p12code = prod @ p ** np.arange(n3, dtype=np.int64)
         else:
             self.p12code = None
-
-
-def _digit_table(p: int, width: int):
-    return _digits(np.arange(p**width, dtype=np.int64), p, width)
 
 
 def _digits(codes, p: int, width: int):
@@ -343,81 +339,100 @@ def _digits(codes, p: int, width: int):
     return digits
 
 
+def _blocks(k: int, c: int):
+    """(parent, child) index arrays of all k * c extensions of k parents by c
+    children each, parent-major, at most AUT_BLOCK pairs at a time."""
+    for start in range(0, k * c, AUT_BLOCK):
+        flat = np.arange(start, min(start + AUT_BLOCK, k * c), dtype=np.int64)
+        yield flat // c, flat % c
+
+
+def _regroup(arrays, size: int):
+    """The rows of a stream of arrays in arrays of ``size`` rows, the size
+    doubling after each up to AUT_BLOCK; the last one may be shorter."""
+    pending, count = [], 0
+    for rows in arrays:
+        pending.append(rows)
+        count += len(rows)
+        while count >= size:
+            stack = np.concatenate(pending)
+            yield stack[:size]
+            pending, count = [stack[size:]], count - size
+            size = min(2 * size, AUT_BLOCK)
+    if count:
+        yield np.concatenate(pending)
+
+
 @lru_cache(maxsize=None)
 def _tables(A: Algebra) -> _GradedTables:
     return _GradedTables(_model(A))
 
 
 def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
-    """Yield candidate level-1 assignments as lists of image vectors.
+    """Yield blocks of candidate level-1 assignments as (k, s, s) arrays of image vectors.
 
-    Vectorized necessary-condition filters (zero/nonzero products at graded
-    levels 2 and 3) prune candidate arrays; ``_graded_ok`` is the full check
-    of the leaves, so the filters cannot cost completeness.
+    A partial assignment gives codes (into the target's graded tables) to the
+    generators along ``order``; each block of (partial, code) extensions from
+    ``_blocks`` is filtered by array masks on necessary conditions (graded
+    products at levels 2 and 3 zero or nonzero as in A, independent block-2
+    images), so the leaves come out lexicographically along ``order``.
+    ``_graded_ok`` is the full check of the leaves, so the filters cannot
+    cost completeness.
     """
     p, s = MA.p, MA.n1
     TB = _tables(MB.A)
     lo2, hi2 = MA.block.get(2, (0, 0))
     n2 = hi2 - lo2
-    feed2 = set()
-    for coord in range(lo2, hi2):
-        for _c, a, b in MA._exprs[coord]:
-            feed2.add(a)
-            feed2.add(b)
+    feed2 = ()
+    if n2:
+        # block-2 coordinates over the independent products of two generators
+        prog = _closure(MA, hi2, s)
+        coef = prog.basis[lo2:hi2, s:]
+        used = coef.any(axis=0)
+        left, right = (side[used] for side in prog.rounds[0])
+        coef = coef[:, used]
+        feed2 = set(left.tolist()) | set(right.tolist())
     density = MA.C[:s].any(axis=2).sum(axis=1)  # nonzero products of each generator
     order = sorted(range(s), key=lambda i: (i not in feed2, -density[i], i))
+    at = np.argsort(order)  # the position of each generator along order
     pair_nonzero = MA.C[:s, :s, lo2:hi2].any(axis=2)  # graded level-(1,1) statuses
     # level-(1,2) graded statuses: gen g against each block-2 coordinate
     status12 = None
     if n2 and TB.p12code is not None:
         lo3, hi3 = MA.block[3]
         status12 = MA.C[:s, lo2:hi2, lo3:hi3].any(axis=2)
-    all_codes = np.arange(p**s, dtype=np.int64)
 
-    def with_l2(assign, g, cand):
-        """The codes of gen g that make A's block-2 images independent and pass
-        the level-(1,2) statuses, with those images encoded."""
-        codes = {x: np.full(len(cand), c) for x, c in assign.items()}
-        codes[g] = cand
-        cols = np.zeros((len(cand), n2, n2), dtype=np.int64)
-        for r, coord in enumerate(range(lo2, hi2)):
-            for c, a, b in MA._exprs[coord]:
-                cols[:, r] += c * TB.digits2[TB.p2code[codes[a], codes[b]]]
-        cols %= p
-        ok = _rref_mod_p(cols, p)[1] == n2
-        enc = cols @ p ** np.arange(n2, dtype=np.int64)
+    def block2_ok(cand):
+        """Mask of the partials, with every block-2 feeder assigned, whose
+        block-2 images are independent (tested once, when the last feeder is
+        assigned) and whose products with them pass the level-(1,2) statuses."""
+        imgs = coef @ TB.digits2[TB.p2code[cand[:, at[left]], cand[:, at[right]]]] % p
+        ok = np.ones(len(cand), dtype=bool)
+        if cand.shape[1] == len(feed2):
+            ok = _rref_mod_p(imgs, p)[1] == n2
         if status12 is not None:
-            for g2, c2 in codes.items():
-                for v in range(n2):
-                    val = TB.p12code[c2, enc[:, v]]
-                    ok &= (val != 0) if status12[g2, v] else (val == 0)
-        return cand[ok], enc[ok].tolist()
+            enc = imgs @ p ** np.arange(n2, dtype=np.int64)
+            vals = TB.p12code[cand[:, :, None], enc[:, None, :]] != 0
+            ok &= (vals == status12[order[:cand.shape[1]]]).all(axis=(1, 2))
+        return ok
 
-    def rec(depth, assign, l2enc):
+    def extend(parts):
+        depth = parts.shape[1]
         if depth == s:
-            yield [tuple(int(x) for x in TB.digits1[assign[g]]) for g in range(s)]
+            yield TB.digits1[parts[:, at]]
             return
         g = order[depth]
-        cand = all_codes
-        if n2:
-            sq = TB.p2code[cand, cand]
-            cand = cand[sq != 0] if pair_nonzero[g, g] else cand[sq == 0]
-            for prev in order[:depth]:
-                row = TB.p2code[assign[prev], cand]
-                cand = cand[row != 0] if pair_nonzero[prev, g] else cand[row == 0]
-        if l2enc is not None and status12 is not None:
-            for v in range(n2):
-                col = TB.p12code[cand, l2enc[v]]
-                cand = cand[col != 0] if status12[g, v] else cand[col == 0]
-        l2s = [l2enc] * len(cand)
-        if l2enc is None and feed2 and feed2 <= set(assign) | {g}:
-            cand, l2s = with_l2(assign, g, cand)
-        for code, l2e in zip(cand.tolist(), l2s):
-            assign[g] = code
-            yield from rec(depth + 1, assign, l2e)
-            del assign[g]
+        for parent, code in _blocks(len(parts), p**s):
+            cand = np.concatenate([parts[parent], code[:, None]], axis=1)
+            # g's level-(1,1) statuses with the generators before it and itself
+            prods = TB.p2code[cand, code[:, None]] != 0
+            cand = cand[(prods == pair_nonzero[order[:depth + 1], g]).all(axis=1)]
+            if n2 and depth + 1 >= len(feed2):
+                cand = cand[block2_ok(cand)]
+            if len(cand):
+                yield from extend(cand)
 
-    yield from rec(0, {}, None)
+    yield from extend(np.zeros((1, 0), dtype=np.int64))
 
 
 def _graded_ok(MA: _FilteredModel, MB: _FilteredModel, imgs1):
@@ -426,17 +441,12 @@ def _graded_ok(MA: _FilteredModel, MB: _FilteredModel, imgs1):
     p, n, s, m = MA.p, MA.A.dim, MA.n1, MA.m
     CA, CB = MA.C, MB.C
     levels = np.array(MA.levels)
-    # G[b, i]: the graded image of coordinate i, inside its level's block
-    G = np.zeros((len(imgs1), n, n), dtype=np.int64)
-    G[:, :s, :s] = imgs1
-    ok = _rref_mod_p(imgs1, p)[1] == s
-    for k in range(2, m):
-        lo, hi = MA.block[k]
-        for coord in range(lo, hi):
-            for c, a, b in MA._exprs[coord]:
-                G[:, coord, lo:hi] += c * _products(G[:, a], G[:, b], CB, p)[:, lo:hi]
-        G[:, lo:hi] %= p
-        ok &= _rref_mod_p(G[:, lo:hi, lo:hi], p)[1] == hi - lo
+    gens = np.zeros((len(imgs1), s, n), dtype=np.int64)
+    gens[:, :, :s] = imgs1
+    # G[b, i]: the graded image of coordinate i, inside its level's block, so
+    # G is block-diagonal and has full rank exactly when every block has
+    G = _forced_images(_graded(MA), _graded(MB), gens).transpose(0, 2, 1)
+    ok = _rref_mod_p(G, p)[1] == n
     prods = _products(G[:, :, None], G[:, None], CB, p)  # [b, i, j]: G_i G_j
     by_unit = _products(G[:, :, None], np.eye(n, dtype=np.int64), CB, p)  # [b, i, t]: G_i e_t
     for i in range(n):
@@ -481,8 +491,9 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
 
     ``leaves`` is a (k, s, s) array of graded level-1 solutions.  Yields
     (n, n) matrices whose columns are the images of A's basis, leaf by leaf
-    and within a leaf in ``iproduct`` order of its digits.  Every stage checks
-    its candidates as batches.
+    and within a leaf in ``iproduct`` order of its digits.  A digit level
+    extends its parents by all their digit settings in one ``_blocks`` stream
+    and checks each block as a batch.
     """
     p, n, s, m = MA.p, MA.A.dim, MA.n1, MA.m
     relevant = [k for k in range(2, m - 1) if MB.block[k][0] != MB.block[k][1]]
@@ -498,13 +509,12 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
             return
         gs, cs = _slots(MB, s, [K])
         d = MB.block[K + 1][1]  # the quotient by the levels >= K + 2
-        for g in gens:
-            for combos in _combos(p, len(gs)):
-                cand = np.repeat(g[None], len(combos), axis=0)
-                cand[:, gs, cs] = combos
-                _, ok = _forced_isomorphisms(MA, MB, cand[:, :, :d])
-                if ok.any():
-                    yield from stage(k_idx + 1, cand[ok])
+        for parent, code in _blocks(len(gens), p ** len(gs)):
+            cand = gens[parent]
+            cand[:, gs, cs] = _digits(code, p, len(gs))[:, ::-1]
+            _, ok = _forced_isomorphisms(MA, MB, cand[:, :, :d])
+            if ok.any():
+                yield from stage(k_idx + 1, cand[ok])
 
     gens = np.zeros((len(leaves), s, n), dtype=np.int64)
     gens[:, :, :s] = leaves
@@ -520,9 +530,7 @@ def _slots(MB: _FilteredModel, s: int, levels):
 
 def _combos(p: int, width: int):
     """All of F_p^width in ``iproduct`` order, AUT_BLOCK rows at a time."""
-    total = p**width
-    for start in range(0, total, AUT_BLOCK):
-        codes = np.arange(start, min(start + AUT_BLOCK, total), dtype=np.int64)
+    for _, codes in _blocks(1, p**width):
         yield _digits(codes, p, width)[:, ::-1]
 
 
@@ -612,14 +620,11 @@ def _search(A: Algebra, B: Algebra, find_all):
     _check_int64(MA.p, MA.A.dim)  # every contraction below sums at most n products
     # leaves are lifted in blocks that double up to AUT_BLOCK, so a search
     # that hits early completes few graded leaves it does not need
-    leaves, size = _graded_level1_solutions(MA, MB), 1
-    while block := list(islice(leaves, size)):
-        block = np.array(block, dtype=np.int64)
-        for core in _lift_candidates(MA, MB, block[_graded_ok(MA, MB, block)], find_all):
+    for leaves in _regroup(_graded_level1_solutions(MA, MB), 1):
+        for core in _lift_candidates(MA, MB, leaves[_graded_ok(MA, MB, leaves)], find_all):
             yield from _free_digit_expansion(MA, MB, core, find_all)
             if not find_all:
                 return
-        size = min(2 * size, AUT_BLOCK)
 
 
 def _prepare_pair(A: Algebra, B: Algebra, field: Field):
@@ -774,16 +779,7 @@ def _automorphism_array(A: Algebra, field: Field):
         _verify_automorphism_block(C, phis, p)
         return phis.astype(dtype)
 
-    kept, pending, count = [], [], 0
-    for engine in _search(Ap, Ap, find_all=True):
-        pending.append(engine)
-        count += len(engine)
-        while count >= AUT_BLOCK:
-            stack = np.concatenate(pending)
-            kept.append(convert(stack[:AUT_BLOCK]))
-            pending, count = [stack[AUT_BLOCK:]], count - AUT_BLOCK
-    if count:
-        kept.append(convert(np.concatenate(pending)))
+    kept = [convert(block) for block in _regroup(_search(Ap, Ap, find_all=True), AUT_BLOCK)]
     return _unique_rows(np.concatenate(kept).reshape(-1, n * n)).reshape(-1, n, n)
 
 
@@ -814,26 +810,17 @@ def _subspace_blocks(p: int, h: int, r: int):
     """Canonical RREF bases of all r-dimensional subspaces of F_p^h, as int64 (K, r, h) blocks.
 
     Pivot sets come in ``combinations`` order; within one, the free entries
-    (row by row, left to right) take their values in ``iproduct`` order.  The
-    leading free entries are looped over in Python and the trailing ones are
-    filled from ``np.indices``, so the blocks are streamed: none holds more
-    than AUT_BLOCK bases, however large the Grassmannian.
+    (row by row, left to right) take their values in ``iproduct`` order from
+    ``_combos``, so the blocks are streamed: none holds more than AUT_BLOCK
+    bases, however large the Grassmannian.
     """
-    inner = 0
-    while p ** (inner + 1) <= AUT_BLOCK:
-        inner += 1
     for pivots in combinations(range(h), r):
         free = [(row, c) for row, lead in enumerate(pivots) for c in range(lead + 1, h) if c not in pivots]
         fr, fc = np.array(free, dtype=np.int64).reshape(-1, 2).T
-        k = min(inner, len(free))
-        split = len(free) - k
-        tail = np.indices((p,) * k, dtype=np.int64).reshape(k, p**k).T
-        base = np.zeros((len(tail), r, h), dtype=np.int64)
-        base[:, np.arange(r), pivots] = 1
-        base[:, fr[split:], fc[split:]] = tail
-        for head in iproduct(range(p), repeat=split):
-            block = base.copy()
-            block[:, fr[:split], fc[:split]] = head
+        for combos in _combos(p, len(free)):
+            block = np.zeros((len(combos), r, h), dtype=np.int64)
+            block[:, np.arange(r), pivots] = 1
+            block[:, fr, fc] = combos
             yield block
 
 

@@ -1,10 +1,13 @@
-"""Fixtures shared by the property tests that compare tensor code with loops."""
+"""Fixtures shared by the tests: the report built once, and the property
+tests that compare tensor code with loops."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+from nilj import reports
 from nilj.algebra import Algebra
 from nilj.fields import QQ, Field
 
@@ -44,3 +47,11 @@ def any_field(request):
 def nilpotent_algebras():
     """Strategy factory: random nilpotent algebras of dimension 1-6 over a field."""
     return _nilpotent_algebras
+
+
+@pytest.fixture(scope="session")
+def report_5_7():
+    """``reports.build_report((5, 7))``, built once per session, and its build time in seconds."""
+    t0 = time.time()
+    doc = reports.build_report((5, 7))
+    return doc, time.time() - t0

@@ -119,14 +119,14 @@ def test_criterion_06_isomorphism_maps():
     assert elapsed < 1
 
 
-def test_criterion_07_separation():
-    t0 = time.time()
-    section = reports.separation_report((5, 7))
+def test_criterion_07_separation(report_5_7):
+    # the budget holds for the whole report, which includes this section
+    doc, elapsed = report_5_7
+    section = doc.section("separation")
     bad = [r for r in section.rows if not r["ok"]]
     counts = {}
     for r in section.rows:
         counts[r["grade"]] = counts.get(r["grade"], 0) + 1
-    elapsed = time.time() - t0
     detail = f"{len(section.rows)} pairs graded {counts}; unexpected: {[r['pair'] for r in bad]}"
     _report(7, not bad, detail, elapsed, 600)
     assert elapsed < 600

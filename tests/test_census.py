@@ -8,7 +8,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from nilj import catalog
+from nilj import catalog, isomorphism
 from nilj.algebra import (
     _check_int64,
     cached_annihilator,
@@ -263,3 +263,19 @@ def test_admissibility_filter_refuses_primes_above_the_int64_guard():
         _admissible_subspaces(h2(A), cached_annihilator(A), 1)
     with pytest.raises(NiljError):
         orbit_census(A, Field(p), 1)
+
+
+def test_block_boundaries_move_nothing(monkeypatch):
+    """Every stage streams its work AUT_BLOCK items at a time; the block size
+    must change no automorphism array and no census."""
+    J46, J412, J32 = (reduce_mod(catalog.instantiate(n), 5) for n in ("J4,6", "J4,12", "J3,2"))
+
+    def results():
+        return [_automorphism_array(A, F5) for A in (J46, J412)], orbit_census(J32, F5, 2)
+
+    autos, census = results()
+    for block in (3, 7):
+        monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
+        got_autos, got_census = results()
+        assert all(np.array_equal(a, b) for a, b in zip(autos, got_autos))
+        assert got_census == census

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from nilj import catalog, reports
+from nilj import catalog, isomorphism, reports
 from nilj.cli import main
 
 
@@ -79,6 +80,13 @@ def _assert_usage_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coef", ["1e5000", "1e10000000", "7" * 5000], ids=["1e5000", "1e10000000", "5000 digits"])
+def test_long_scalar_literal_is_refused_at_once(capsys, coef):
+    t0 = time.time()
+    _assert_usage_error(["extend", "J4,6", "--cocycle", f"{coef}*d(a,b)"], capsys)
+    assert time.time() - t0 < 1
 
 
 def test_product_term_without_target_is_a_usage_error(tmp_path, capsys):
@@ -211,6 +219,20 @@ def test_iso_search_output_is_pinned(tmp_path, capsys, args, code, lines):
     field, src, dst = (f"@{doc}" if a == "@twisted" else a for a in args)
     assert main(["iso", "--search", "--field", field, src, dst]) == code
     assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("block", [3, 7])
+def test_block_size_moves_no_pinned_search(tmp_path, capsys, monkeypatch, block):
+    """Every search stage streams its candidates AUT_BLOCK at a time; the
+    block boundaries must not move the first hit of the F_5 and F_7 searches."""
+    doc = tmp_path / "twisted.json"
+    doc.write_text(json.dumps(TWISTED_J541), encoding="utf-8")
+    monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
+    for args, code, lines in PINNED_SEARCHES:
+        if args[0] in ("p:5", "p:7"):
+            field, src, dst = (f"@{doc}" if a == "@twisted" else a for a in args)
+            assert main(["iso", "--search", "--field", field, src, dst]) == code
+            assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_unprovable_prime_is_a_usage_error(capsys):

@@ -273,9 +273,15 @@ def test_parse_cocycle():
 
 # basis names, 1-based indices in and out of range, and digits int() refuses
 _INDICES = st.sampled_from(["a", "d", "1", "4", "0", "5", "²", "¹", "٣", " b "]) | st.text(max_size=3)
-# short coefficients: a long exponent such as 1e10000000 makes Fraction slow
+# coefficients of any length, long exponents and digit strings past the
+# parser's 100-digit bound among them: each is read or refused at once
+_COEFFICIENTS = (
+    st.text("0123456789/-+.e_ ", max_size=40)
+    | st.builds("{}e{}".format, st.integers(-9, 9), st.integers(0, 10**8))
+    | st.text("0123456789", min_size=90, max_size=5000)
+)
 _TERMS = (
-    st.builds("{}*d({},{})".format, st.text("0123456789/-.e ", max_size=5), _INDICES, _INDICES)
+    st.builds("{}*d({},{})".format, _COEFFICIENTS, _INDICES, _INDICES)
     | st.builds("d({},{})".format, _INDICES, _INDICES)
     | st.text(max_size=12)
 )

@@ -15,6 +15,14 @@ def test_rational_parse_and_format():
     assert QQ.fmt(Fraction(-2)) == "-2"
 
 
+def test_scalar_literals_are_sign_digits_and_one_fraction_part():
+    assert QQ.parse(" +3 ") == 3 and QQ.parse("0.25") == Fraction(1, 4)
+    assert QQ.parse("9" * 100) == 10**100 - 1 and Field(5).parse("-1/" + "1" * 100) == 4
+    for text in ("1e3", "1_000", "inf", "nan", ".5", "1/", "1/2/3", "x", "", "1" * 101, "1/0"):
+        with pytest.raises(NiljError):
+            QQ.parse(text)
+
+
 def test_rational_arithmetic_is_exact():
     a = Fraction(355, 113)
     assert QQ.mul(a, QQ.inv(a)) == 1

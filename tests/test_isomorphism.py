@@ -23,8 +23,10 @@ from nilj.errors import (
 from nilj.fields import QQ, Field
 from nilj.isomorphism import (
     Morphism,
+    _forced_images,
     _forced_isomorphisms,
     _forced_maps,
+    _graded,
     _model,
     _search,
     enumerate_automorphisms,
@@ -322,6 +324,27 @@ def test_compiled_closure_rebuilds_every_automorphism(name):
     full = change_basis(M.A, M.to_old)  # the algebra in filtration coordinates
     expected = [is_automorphism(full, Matrix.from_rows(F5, f.tolist())) for f in forced]
     assert np.array_equal(ok, expected)
+
+
+@pytest.mark.parametrize("name", ["J4,6", "J4,11", "J5,2", "J5,3"])
+def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name):
+    """In filtration coordinates the block-diagonal part of an automorphism is
+    an automorphism of the associated graded algebra; the graded closure
+    forces it back from its level-1 images.  A random basis makes the
+    filtration coordinates' products reach below their level sums."""
+    A = reduce_mod(catalog.instantiate(name), 5)
+    rng = random.Random(f"graded:{name}")
+    while True:
+        P = Matrix.from_rows(F5, [[rng.randrange(5) for _ in range(A.dim)] for _ in range(A.dim)])
+        if P.is_invertible():
+            break
+    M = _model(change_basis(A, P))
+    assert (M.C != _graded(M).C).any()
+    levels = np.array(M.levels)
+    phis = np.concatenate(list(_search(M.A, M.A, find_all=True)))
+    graded = phis * (levels[:, None] == levels)
+    gens = graded[:, :, :M.n1].transpose(0, 2, 1).copy()
+    assert np.array_equal(_forced_images(_graded(M), _graded(M), gens), graded)
 
 
 @pytest.mark.parametrize("p", [5, 7, 9223372036854775837])
