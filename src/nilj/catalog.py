@@ -674,7 +674,10 @@ def serialize_algebra(A: Algebra, name: str = "") -> dict:
 
 def parse_algebra(doc) -> Algebra:
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:  # also Python's limit on integer digits
+            raise DocumentError(f"algebra document is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("algebra document must be a JSON object")
     try:

@@ -66,7 +66,7 @@ def _parse_ref(ref: str, field: Field = QQ):
         text = _read(ref[1:])
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also Python's limit on integer digits
             raise DocumentError(f"{ref[1:]} is not valid JSON: {exc}") from None
         A = catalog.parse_algebra(doc)
         if field.is_prime_field and not A.field.is_prime_field:

@@ -35,10 +35,9 @@ The forced closure is compiled once per source quotient and generator count
 basis vector over words in the generators.  It runs on blocks of candidate
 generator images as int64 contractions over the target's tensor, and the
 candidates are accepted or rejected in batch (multiplicativity on all basis
-pairs, full rank mod p).  The graded leaves get their images from the closure
-of the associated graded algebra (``_graded``: C keeps the components of
-level(k) = level(i) + level(j)); they are block-diagonal, so one rank test
-checks every level.
+pairs, full rank mod p) by ``_forced_isomorphisms``, the engine's one
+acceptance test.  The graded leaves take it on the associated graded tensors
+(``_graded``: C keeps the components of level(k) = level(i) + level(j)).
 
 Every enumeration is one parent-major stream of (parent, child) pairs from
 ``_blocks``, at most AUT_BLOCK at a time: the graded stage extends partial
@@ -261,8 +260,9 @@ def _products(X, Y, C, p: int):
     return (Y[..., None, :] @ half)[..., 0, :] % p
 
 
-def _forced_images(MA: _FilteredModel, MB: _FilteredModel, gens):
-    """The images forced by multiplicativity from generator images.
+def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens):
+    """The maps forced by multiplicativity from generator images, and their
+    ``_product_defects``.
 
     ``gens`` is a (k, s, d) array: candidate images of the first s coordinates
     in the quotients C[:d, :d, :d] of both models.  Runs MA's compiled closure
@@ -271,21 +271,15 @@ def _forced_images(MA: _FilteredModel, MB: _FilteredModel, gens):
     """
     k, s, d = gens.shape
     prog = _closure(MA, d, s)
-    p, CB = MA.p, MB.C[:d, :d, :d]
+    p, CA, CB = MA.p, MA.C[:d, :d, :d], MB.C[:d, :d, :d]
     imgs = np.empty((k, d, d), dtype=np.int64)  # images of the independent words
     imgs[:, :s] = gens
     found = s
     for left, right in prog.rounds:
         imgs[:, found:found + len(left)] = _products(imgs[:, left], imgs[:, right], CB, p)
         found += len(left)
-    return imgs.transpose(0, 2, 1) @ prog.basis.T % p
-
-
-def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens):
-    """The ``_forced_images`` of ``gens`` and their ``_product_defects``."""
-    d = gens.shape[2]
-    phis = _forced_images(MA, MB, gens)
-    return phis, _product_defects(MA.C[:d, :d, :d], MB.C[:d, :d, :d], phis, MA.p)
+    phis = imgs.transpose(0, 2, 1) @ prog.basis.T % p
+    return phis, _product_defects(CA, CB, phis, p)
 
 
 def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
@@ -376,8 +370,9 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
     ``_blocks`` is filtered by array masks on necessary conditions (graded
     products at levels 2 and 3 zero or nonzero as in A, independent block-2
     images), so the leaves come out lexicographically along ``order``.
-    ``_graded_ok`` is the full check of the leaves, so the filters cannot
-    cost completeness.
+    The leaves pass ``_forced_isomorphisms`` on the graded tensors in
+    ``_lift_candidates``, a full check, so the filters cannot cost
+    completeness.
     """
     p, s = MA.p, MA.n1
     TB = _tables(MB.A)
@@ -435,52 +430,6 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
     yield from extend(np.zeros((1, 0), dtype=np.int64))
 
 
-def _graded_ok(MA: _FilteredModel, MB: _FilteredModel, imgs1):
-    """Mask of the level-1 assignments (a (k, s, s) array) that complete to
-    graded block maps and pass the off-graded necessary conditions."""
-    p, n, s, m = MA.p, MA.A.dim, MA.n1, MA.m
-    CA, CB = MA.C, MB.C
-    levels = np.array(MA.levels)
-    gens = np.zeros((len(imgs1), s, n), dtype=np.int64)
-    gens[:, :, :s] = imgs1
-    # G[b, i]: the graded image of coordinate i, inside its level's block, so
-    # G is block-diagonal and has full rank exactly when every block has
-    G = _forced_images(_graded(MA), _graded(MB), gens).transpose(0, 2, 1)
-    ok = _rref_mod_p(G, p)[1] == n
-    prods = _products(G[:, :, None], G[:, None], CB, p)  # [b, i, j]: G_i G_j
-    by_unit = _products(G[:, :, None], np.eye(n, dtype=np.int64), CB, p)  # [b, i, t]: G_i e_t
-    for i in range(n):
-        li = MA.levels[i]
-        for j in range(i, n):
-            lj = MA.levels[j]
-            # the graded component (level li + lj) must match exactly; a deeper
-            # one can only be adjusted by corrections, which span a computable
-            # subspace that an actual isomorphism's deviation must lie inside
-            for kp in range(li + lj, m):
-                lo, hi = MB.block[kp]
-                if lo == hi:
-                    continue
-                # a nonzero product coordinate strictly below the tested level
-                # carries free deeper digits into this block: span is full
-                if kp > li + lj and CA[i, j, levels < kp].any():
-                    continue
-                target = CA[i, j, lo:hi] @ G[:, lo:hi, lo:hi] % p
-                delta = (target - prods[:, i, j, lo:hi]) % p
-                bad = ok & delta.any(axis=1)
-                if kp == li + lj:
-                    ok &= ~bad
-                elif bad.any():
-                    deep_i, deep_j = levels >= li + 1, levels >= lj + 1
-                    span = np.concatenate([
-                        by_unit[bad][:, j, deep_i, lo:hi],
-                        by_unit[bad][:, i, deep_j, lo:hi],
-                        np.broadcast_to(CB[np.ix_(deep_i, deep_j)][..., lo:hi].reshape(-1, hi - lo),
-                                        (bad.sum(), deep_i.sum() * deep_j.sum(), hi - lo)),
-                    ], axis=1)
-                    ok[bad] = _in_span(span, delta[bad], p)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # lifting stages
 # ---------------------------------------------------------------------------
@@ -489,11 +438,14 @@ def _graded_ok(MA: _FilteredModel, MB: _FilteredModel, imgs1):
 def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
     """Complete level-1 images to verified maps in filtration coordinates.
 
-    ``leaves`` is a (k, s, s) array of graded level-1 solutions.  Yields
-    (n, n) matrices whose columns are the images of A's basis, leaf by leaf
-    and within a leaf in ``iproduct`` order of its digits.  A digit level
-    extends its parents by all their digit settings in one ``_blocks`` stream
-    and checks each block as a batch.
+    ``leaves`` is a (k, s, s) array of graded level-1 solutions.  A leaf is
+    kept when it passes ``_forced_isomorphisms`` on the graded tensors
+    (``_graded``): its forced images are block-diagonal, multiplicative at
+    every level sum and of full rank.  Yields (n, n) matrices whose columns
+    are the images of A's basis, leaf by leaf and within a leaf in
+    ``iproduct`` order of its digits.  A digit level extends its parents by
+    all their digit settings in one ``_blocks`` stream and checks each block
+    as a batch.
     """
     p, n, s, m = MA.p, MA.A.dim, MA.n1, MA.m
     relevant = [k for k in range(2, m - 1) if MB.block[k][0] != MB.block[k][1]]
@@ -518,8 +470,9 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
 
     gens = np.zeros((len(leaves), s, n), dtype=np.int64)
     gens[:, :, :s] = leaves
-    if len(gens):
-        yield from stage(0, gens)
+    _, ok = _forced_isomorphisms(_graded(MA), _graded(MB), gens)
+    if ok.any():
+        yield from stage(0, gens[ok])
 
 
 def _slots(MB: _FilteredModel, s: int, levels):
@@ -542,10 +495,13 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
     function of the digits.  For each candidate in ``gens`` the defect is
     interpolated from T+1 evaluations and the linear system is solved over
     F_p; the evaluations, the systems and the solutions run as batches.
+    Both tensors are symmetric, so the defect rows of the pairs i <= j carry
+    the whole system.
     """
     p = MA.p
     gs, cs = _slots(MB, MA.n1, levels_left)
     T = len(gs)
+    upper = np.triu_indices(MA.A.dim)
 
     def build(owners, tvals):
         cand = gens[owners]
@@ -560,7 +516,8 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
         for start in range(0, len(gens), step):
             idx = owners[start:start + step]
             cand = build(np.repeat(idx, T + 1), np.tile(probes, (len(idx), 1)))
-            d.append(_forced_maps(MA, MB, cand)[1].reshape(len(idx), T + 1, -1))
+            defects = _forced_maps(MA, MB, cand)[1][:, :, upper[0], upper[1]]
+            d.append(defects.reshape(len(idx), T + 1, -1))
         d = np.concatenate(d)
         # rows (defect slopes | -d0); a pivot in the last column is inconsistent
         system = np.concatenate([(d[:, 1:] - d[:, :1]) % p, -d[:, :1] % p], axis=1)
@@ -621,7 +578,7 @@ def _search(A: Algebra, B: Algebra, find_all):
     # leaves are lifted in blocks that double up to AUT_BLOCK, so a search
     # that hits early completes few graded leaves it does not need
     for leaves in _regroup(_graded_level1_solutions(MA, MB), 1):
-        for core in _lift_candidates(MA, MB, leaves[_graded_ok(MA, MB, leaves)], find_all):
+        for core in _lift_candidates(MA, MB, leaves, find_all):
             yield from _free_digit_expansion(MA, MB, core, find_all)
             if not find_all:
                 return
@@ -721,11 +678,6 @@ def _product_defects(CA, CB, phis, p: int):
     half = (phis.transpose(0, 2, 1) @ CB.reshape(n, n * n) % p).reshape(b, n, n, n)  # [b, i, c, t]
     rhs = half.transpose(0, 1, 3, 2) @ phis[:, None] % p  # [b, i, t, j]
     return (lhs - rhs.transpose(0, 2, 1, 3)) % p
-
-
-def _in_span(rows, vecs, p: int):
-    """Mask of the b with vecs[b] in the span of the residue vectors rows[b] mod p."""
-    return _rref_mod_p(np.concatenate([rows, vecs[:, None]], axis=1), p)[1] == _rref_mod_p(rows, p)[1]
 
 
 def _verify_automorphism_block(C, phis, p: int):

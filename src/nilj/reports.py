@@ -90,16 +90,19 @@ class ReportDocument:
 # ---------------------------------------------------------------------------
 
 
+def _expected_center(A, entry) -> Subspace:
+    """The span of the basis vectors named in the entry's center column."""
+    return Subspace.span(
+        QQ, A.dim, [[1 if k == A.index_of(nm) else 0 for k in range(A.dim)] for nm in entry.center]
+    )
+
+
 def center_table() -> ReportSection:
     rows = []
     for name in catalog.dim_le4_names():
         entry = catalog.get(name)
         A = catalog.instantiate(name)
         ann = annihilator(A)
-        expected = Subspace.span(
-            QQ, A.dim,
-            [[1 if k == A.index_of(nm) else 0 for k in range(A.dim)] for nm in entry.center],
-        )
         computed = ",".join(
             nm for k, nm in enumerate(A.names)
             if ann.contains([1 if t == k else 0 for t in range(A.dim)])
@@ -109,7 +112,7 @@ def center_table() -> ReportSection:
                 "algebra": name,
                 "computed": computed or "-",
                 "expected": ",".join(entry.center),
-                "ok": ann == expected,
+                "ok": ann == _expected_center(A, entry),
             }
         )
     return ReportSection("center", "annihilator (center) column, dimension <= 4", tuple(rows))
@@ -126,61 +129,36 @@ def assoc_table() -> ReportSection:
     return ReportSection("assoc", "associativity column, dimension <= 4", tuple(rows))
 
 
-def _expected_span(A, spaces, gens):
-    vecs = [list(parse_cocycle(A, g).upper()) for g in gens]
-    vecs += [list(v) for v in spaces.b2.vectors()]
-    return Subspace.span(A.field, spaces.z2.ambient, vecs)
+def _span_mod_b2(spaces, vecs) -> Subspace:
+    """The span of the cocycle vectors and the coboundaries."""
+    return Subspace.span(spaces.algebra.field, spaces.z2.ambient, vecs + [list(v) for v in spaces.b2.vectors()])
 
 
 def h2_table() -> ReportSection:
     """Recompute cocycle data and diff against the bundled generator table.
 
     Generator sets are compared as subspaces modulo coboundaries; printed
-    relations must themselves be coboundaries.
+    relations must themselves be coboundaries.  The Jordan block is always
+    checked, the associative one where the table has it.
     """
     rows = []
     for name in catalog.dim_le4_names():
         A = catalog.instantiate(name)
         spaces = h2(A)
         exp_ass, exp_jor = catalog.H2_EXPECT[name]
-        jor_gens, jor_rels = exp_jor
-        expected_jor_dim = len(jor_gens) - len(jor_rels)
-        problems = []
-        if spaces.h2_dim != expected_jor_dim:
-            problems.append(f"jor dim {spaces.h2_dim} != {expected_jor_dim}")
-        jor_span = _expected_span(A, spaces, jor_gens)
-        computed_span = Subspace.span(
-            A.field,
-            spaces.z2.ambient,
-            [list(c.upper()) for c in spaces.h2_reps] + [list(v) for v in spaces.b2.vectors()],
-        )
-        if jor_span != computed_span:
-            problems.append("jor generators span a different subspace mod coboundaries")
-        for rel in jor_rels:
-            if not spaces.b2.contains(parse_cocycle(A, rel).upper()):
-                problems.append(f"printed relation {rel} is not a coboundary")
-        row = {
-            "algebra": name,
-            "jor_dim": spaces.h2_dim,
-            "jor_expected": expected_jor_dim,
-        }
+        blocks = [("jor", exp_jor, spaces.h2_reps)]
         if exp_ass is not None:
-            ass_gens, ass_rels = exp_ass
-            expected_ass_dim = len(ass_gens) - len(ass_rels)
-            row["ass_dim"] = spaces.h2_assoc_dim
-            row["ass_expected"] = expected_ass_dim
-            if spaces.h2_assoc_dim != expected_ass_dim:
-                problems.append(f"ass dim {spaces.h2_assoc_dim} != {expected_ass_dim}")
-            ass_span = _expected_span(A, spaces, ass_gens)
-            computed_ass = Subspace.span(
-                A.field,
-                spaces.z2.ambient,
-                [list(c.upper()) for c in spaces.h2_assoc_reps]
-                + [list(v) for v in spaces.b2.vectors()],
-            )
-            if ass_span != computed_ass:
-                problems.append("ass generators span a different subspace mod coboundaries")
-            for rel in ass_rels:
+            blocks.append(("ass", exp_ass, spaces.h2_assoc_reps))
+        row, problems = {"algebra": name}, []
+        for kind, (gens, rels), reps in blocks:
+            expected_dim = len(gens) - len(rels)
+            row[f"{kind}_dim"], row[f"{kind}_expected"] = len(reps), expected_dim
+            if len(reps) != expected_dim:
+                problems.append(f"{kind} dim {len(reps)} != {expected_dim}")
+            expected = _span_mod_b2(spaces, [list(parse_cocycle(A, g).upper()) for g in gens])
+            if expected != _span_mod_b2(spaces, [list(c.upper()) for c in reps]):
+                problems.append(f"{kind} generators span a different subspace mod coboundaries")
+            for rel in rels:
                 if not spaces.b2.contains(parse_cocycle(A, rel).upper()):
                     problems.append(f"printed relation {rel} is not a coboundary")
         row["ok"] = not problems
@@ -219,15 +197,7 @@ def verify_catalog(extra_params=None) -> ReportSection:
             if len(powers) > 6 or not powers[-1].is_zero():
                 problems.append("not nilpotent within six powers")
             if entry.dim <= 4:
-                ann = annihilator(A)
-                expected = Subspace.span(
-                    QQ, A.dim,
-                    [
-                        [1 if k == A.index_of(nm) else 0 for k in range(A.dim)]
-                        for nm in entry.center
-                    ],
-                )
-                if ann != expected:
+                if annihilator(A) != _expected_center(A, entry):
                     problems.append("annihilator differs from the center column")
                 if is_associative(A) != entry.assoc:
                     problems.append("associativity flag mismatch")

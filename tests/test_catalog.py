@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilj import catalog
-from nilj.algebra import jordan_identity_holds
+from nilj.algebra import Algebra, jordan_identity_holds
 from nilj.cohomology import h2, parse_cocycle
-from nilj.errors import DocumentError, InadmissibleParameterError, UnknownAlgebraError
+from nilj.errors import DocumentError, InadmissibleParameterError, NiljError, UnknownAlgebraError
 from nilj.fields import QQ, Field
 from nilj.linalg import Subspace
 
@@ -157,3 +158,65 @@ def test_parse_algebra_rejects_incomplete_terms():
         bad = dict(base, products=[{"i": 0, "j": 0, "terms": [term]}])
         with pytest.raises(DocumentError):
             catalog.parse_algebra(bad)
+
+
+# JSON values that a document field may hold in place of the right one
+_JUNK = st.none() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4) | st.just([])
+_SCALAR = (
+    st.sampled_from(["1", "-2", "3/4", "0.25", "1/0", "1/5", "1/7", "1e5", "", "x", " 2 ", "--1"])
+    | st.integers(-10**6, 10**6)
+    | _JUNK
+)
+
+
+def _or_junk(strategy, junk=_JUNK):
+    """Mostly values of the strategy, sometimes junk."""
+    return st.integers(1, 4).flatmap(lambda c: junk if c == 4 else strategy)
+
+
+_FIELD = _or_junk(
+    st.sampled_from(["Q", {"p": 5}, {"p": 7}]),
+    st.sampled_from(["F5", {"p": 5, "q": 1}, {}])
+    | st.fixed_dictionaries({"p": st.integers(-3, 40) | st.integers(2**61, 2**64) | _JUNK})
+    | _JUNK,
+)
+
+
+def _drop_a_key(dicts):
+    """The dicts, each with at most one of its keys dropped."""
+    return dicts.flatmap(lambda d: st.sets(st.sampled_from(sorted(d)), max_size=1).map(
+        lambda dropped: {k: v for k, v in d.items() if k not in dropped}))
+
+
+@st.composite
+def _documents(draw):
+    """Algebra documents near the schema: each field may be missing or junk,
+    indices run one past either end, bools stand in for ints, and the basis
+    names or product pairs may repeat."""
+    n = draw(st.integers(1, 3))
+    index = _or_junk(st.integers(-1, n) | st.booleans())
+    terms = st.lists(_or_junk(_drop_a_key(st.fixed_dictionaries({"k": index, "c": _SCALAR}))), max_size=3)
+    items = st.lists(
+        _or_junk(_drop_a_key(st.fixed_dictionaries({"i": index, "j": index, "terms": _or_junk(terms)}))),
+        max_size=4,
+    )
+    names = _or_junk(st.permutations("abcd").map(lambda order: list(order[:n])),
+                     st.lists(st.sampled_from("abcd"), max_size=4) | _JUNK)
+    return draw(_or_junk(_drop_a_key(st.fixed_dictionaries({
+        "dim": _or_junk(st.just(n), st.booleans() | st.integers(0, 4) | _JUNK),
+        "field": _FIELD,
+        "basis": names,
+        "products": _or_junk(items),
+    }))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents(), as_text=st.booleans())
+def test_parse_algebra_returns_an_algebra_or_refuses(doc, as_text):
+    """Wrong types, bools for ints, out-of-range or duplicate indices, bad
+    field specs and bad scalars end in a NiljError, never in another error."""
+    try:
+        A = catalog.parse_algebra(json.dumps(doc) if as_text else doc)
+    except NiljError:
+        return
+    assert isinstance(A, Algebra)

@@ -124,6 +124,7 @@ BAD_DOCUMENTS = {
         ["report", "--primes", "5,x"],
         ["invariants", "@{tmp}/missing.json"],
         ["invariants", "@{tmp}/bad.json"],
+        ["invariants", "@{tmp}/huge_int.json"],
         ["iso", "J2,1", "J2,1", "--map", "{tmp}/missing"],
         ["lemma-a", "--alpha", "1,2"],
         ["iso", "J2,1", "J2,1", "--search"],
@@ -141,6 +142,8 @@ BAD_DOCUMENTS = {
 )
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"dim": 2,', encoding="utf-8")
+    # more digits than Python converts to an int
+    (tmp_path / "huge_int.json").write_text('{"dim": ' + "7" * 5000 + "}", encoding="utf-8")
     for name, doc in BAD_DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     _assert_usage_error([arg.format(tmp=tmp_path) for arg in argv], capsys)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilj import catalog
-from nilj.algebra import reduce_mod, zero_algebra
+from nilj.algebra import change_basis, reduce_mod, zero_algebra
 from nilj.cohomology import (
     Cocycle,
     act,
@@ -257,6 +257,23 @@ def test_has_nontrivial_1dim_extension():
         assert not has_nontrivial_1dim_extension(catalog.instantiate(name))
     for name in ("J1,1", "J2,2", "J3,2", "J3,3", "J4,3", "J4,12", "J4,13"):
         assert has_nontrivial_1dim_extension(catalog.instantiate(name))
+
+
+@pytest.mark.parametrize("field", (QQ, F5, Field(7)), ids=repr)
+def test_extension_verdict_survives_a_random_change_of_basis(field):
+    """Metamorphic: whether a nontrivial one-dimensional extension exists is a
+    property of the algebra, so two seeded random bases give the same verdict."""
+    rng = random.Random(f"extension-basis:{field!r}")
+    for name in catalog.dim_le4_names():
+        A = catalog.instantiate(name)
+        A = reduce_mod(A, field.p) if field.p else A
+        verdict = has_nontrivial_1dim_extension(A)
+        for _ in range(2):
+            while True:
+                P = Matrix.from_rows(field, [[rng.randrange(-3, 4) for _ in range(A.dim)] for _ in range(A.dim)])
+                if P.is_invertible():
+                    break
+            assert has_nontrivial_1dim_extension(change_basis(A, P)) == verdict, name
 
 
 def test_parse_cocycle():

@@ -23,7 +23,6 @@ from nilj.errors import (
 from nilj.fields import QQ, Field
 from nilj.isomorphism import (
     Morphism,
-    _forced_images,
     _forced_isomorphisms,
     _forced_maps,
     _graded,
@@ -330,7 +329,9 @@ def test_compiled_closure_rebuilds_every_automorphism(name):
 def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name):
     """In filtration coordinates the block-diagonal part of an automorphism is
     an automorphism of the associated graded algebra; the graded closure
-    forces it back from its level-1 images.  A random basis makes the
+    forces it back from its level-1 images with zero defects, and the graded
+    leaf check accepts it.  On random level-1 images that check agrees with
+    ``is_automorphism`` of the graded algebra.  A random basis makes the
     filtration coordinates' products reach below their level sums."""
     A = reduce_mod(catalog.instantiate(name), 5)
     rng = random.Random(f"graded:{name}")
@@ -344,7 +345,15 @@ def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name):
     phis = np.concatenate(list(_search(M.A, M.A, find_all=True)))
     graded = phis * (levels[:, None] == levels)
     gens = graded[:, :, :M.n1].transpose(0, 2, 1).copy()
-    assert np.array_equal(_forced_images(_graded(M), _graded(M), gens), graded)
+    forced, defects = _forced_maps(_graded(M), _graded(M), gens)
+    assert np.array_equal(forced, graded) and not defects.any()
+    assert _forced_isomorphisms(_graded(M), _graded(M), gens)[1].all()
+    n, C = M.A.dim, _graded(M).C
+    G = Algebra(F5, M.A.names, {(i, j): dict(enumerate(C[i, j].tolist())) for i in range(n) for j in range(i, n)})
+    gens = np.zeros((64, M.n1, n), dtype=np.int64)
+    gens[:, :, :M.n1] = np.random.default_rng(11).integers(0, 5, (64, M.n1, M.n1))
+    forced, ok = _forced_isomorphisms(_graded(M), _graded(M), gens)
+    assert np.array_equal(ok, [is_automorphism(G, Matrix.from_rows(F5, f.tolist())) for f in forced])
 
 
 @pytest.mark.parametrize("p", [5, 7, 9223372036854775837])
@@ -376,19 +385,25 @@ def test_pruned_search_builds_no_filtration_model():
     assert _model.cache_info().currsize == 0
 
 
-# (algebra, basis change P, first map found) over F_5 for nilpotency index
-# >= 5, where the search runs a batched digit level before the linear stage
+# (algebra, p, basis change P, first map found) where graded leaves go on to
+# the lift stages: over F_5 for nilpotency index >= 5, where the search runs a
+# batched digit level before the linear stage; over F_7 for J5,13 (index 4),
+# whose leaves go straight to the linear stage, and where many of them pass
+# the graded check yet cannot lift
 PINNED_DEEP_HITS = [
-    ("J5,2", (0, 2, 3, 4, 3, 3, 3, 4, 3, 1, 2, 0, 0, 1, 3, 1, 2, 3, 2, 3, 4, 3, 4, 2, 4),
+    ("J5,2", 5, (0, 2, 3, 4, 3, 3, 3, 4, 3, 1, 2, 0, 0, 1, 3, 1, 2, 3, 2, 3, 4, 3, 4, 2, 4),
      (0, 2, 0, 3, 4, 1, 1, 0, 0, 3, 4, 3, 0, 2, 2, 1, 1, 1, 0, 2, 3, 0, 2, 3, 0)),
-    ("J5,24", (0, 1, 3, 2, 4, 2, 1, 0, 2, 2, 2, 1, 3, 3, 3, 4, 3, 4, 4, 0, 4, 4, 2, 3, 1),
+    ("J5,24", 5, (0, 1, 3, 2, 4, 2, 1, 0, 2, 2, 2, 1, 3, 3, 3, 4, 3, 4, 4, 0, 4, 4, 2, 3, 1),
      (2, 3, 0, 0, 4, 1, 3, 0, 1, 1, 0, 1, 3, 1, 4, 0, 0, 2, 1, 0, 0, 1, 3, 1, 3)),
+    ("J5,13", 7, (3, 2, 0, 6, 5, 6, 5, 4, 4, 2, 1, 5, 4, 0, 0, 6, 6, 5, 5, 5, 6, 3, 3, 1, 3),
+     (4, 5, 4, 4, 3, 1, 3, 2, 3, 1, 5, 3, 6, 6, 5, 1, 0, 1, 1, 3, 5, 0, 4, 5, 4)),
 ]
 
 
-@pytest.mark.parametrize("name, basis, first", PINNED_DEEP_HITS, ids=[c[0] for c in PINNED_DEEP_HITS])
-def test_first_hit_through_a_digit_level_is_pinned(name, basis, first):
-    A = reduce_mod(catalog.instantiate(name), 5)
-    B = change_basis(A, Matrix(5, 5, basis, F5))
-    m = search_isomorphism(A, B, F5)
+@pytest.mark.parametrize("name, p, basis, first", PINNED_DEEP_HITS, ids=[c[0] for c in PINNED_DEEP_HITS])
+def test_first_hit_through_a_digit_level_is_pinned(name, p, basis, first):
+    F = Field(p)
+    A = reduce_mod(catalog.instantiate(name), p)
+    B = change_basis(A, Matrix(5, 5, basis, F))
+    m = search_isomorphism(A, B, F)
     assert m.mat.data == first and verify_isomorphism(m)
