@@ -180,7 +180,8 @@ def structure_tensor(A: Algebra):
     would pass: every contraction over T sums at most n products of two
     reduced residues and is reduced mod p at once.  Otherwise the entries are Python
     ints (object dtype), and over Q (p is None) they are the constants scaled
-    by the lcm of their denominators.
+    by the lcm of their denominators; the integer rows read off T go to the
+    fraction-free ``Subspace.kernel`` and ``span`` as they are.
     """
     n, p = A.dim, A.field.p
     if p is None:
@@ -255,20 +256,22 @@ def jordan_identity_holds(A: Algebra) -> bool:
 def power_filtration(A: Algebra):
     """[J^1, J^2, ...] with ideal powers J^k = sum_{i+j=k} J^i o J^j.
 
-    Stops at (and includes) the first zero subspace.  Raises if the algebra is
-    not nilpotent within dim+1 steps.
+    Each J^i o J^j is one contraction of the integer basis rows of J^i and
+    J^j with the structure tensor.  Stops at (and includes) the first zero
+    subspace.  Raises if the algebra is not nilpotent within dim+1 steps.
     """
-    F = A.field
-    powers = [Subspace.full(F, A.dim)]
+    T, p = structure_tensor(A)
+    n = A.dim
+    powers = [Subspace.full(A.field, n)]
+    rows = [np.array(powers[0].echelon().ints, dtype=T.dtype)]
     while not powers[-1].is_zero():
         k = len(powers) + 1
-        vecs = []
+        prods = []
         for i in range(1, k // 2 + 1):
-            j = k - i
-            for u in powers[i - 1].vectors():
-                for v in powers[j - 1].vectors():
-                    vecs.append(A.vec_mul(u, v))
-        powers.append(Subspace.span(F, A.dim, vecs))
+            left = _mod(rows[i - 1] @ T.reshape(n, n * n), p).reshape(-1, n, n)  # u o e_j
+            prods += _mod(rows[k - i - 1] @ left, p).reshape(-1, n).tolist()
+        powers.append(Subspace.span(A.field, n, prods))
+        rows.append(np.array(powers[-1].echelon().ints, dtype=T.dtype).reshape(-1, n))
         if len(powers) > A.dim + 1:
             raise NotNilpotentError("algebra is not nilpotent")
     return powers
@@ -278,7 +281,7 @@ def annihilator(A: Algebra) -> Subspace:
     """{x : x o e_j = 0 for all j} (the center, in the sense used throughout)."""
     T, _ = structure_tensor(A)
     # row (j, k) reads the coefficient of e_k in x o e_j
-    return Matrix.from_rows(A.field, T.transpose(1, 2, 0).reshape(-1, A.dim).tolist()).nullspace()
+    return Subspace.kernel(A.field, A.dim, T.transpose(1, 2, 0).reshape(-1, A.dim).tolist())
 
 
 def derivation_algebra(A: Algebra) -> Subspace:
@@ -297,7 +300,7 @@ def derivation_algebra(A: Algebra) -> Subspace:
     rows[q, k] = T[i, j]
     rows[q, :, i] -= T[j, :, k]
     rows[q, :, j] -= T[i, :, k]
-    return Matrix.from_rows(A.field, rows.reshape(len(k), n * n).tolist()).nullspace()
+    return Subspace.kernel(A.field, n * n, rows.reshape(len(k), n * n).tolist())
 
 
 @lru_cache(maxsize=None)

@@ -203,6 +203,8 @@ def _cmd_lemma_a(args) -> int:
 
 def _cmd_report(args) -> int:
     primes = tuple(_prime_field(p).p for p in args.primes.split(","))
+    if len(set(primes)) != len(primes):
+        raise NiljError(f"duplicate prime in --primes {args.primes}")
     doc = reports.build_report(primes)
     text = doc.render_text()
     if args.out:

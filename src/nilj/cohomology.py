@@ -97,9 +97,6 @@ class Cocycle:
                     acc = F.add(acc, F.mul(F.mul(a, b), self.mat.at(i, j)))
         return acc
 
-    def radical(self) -> Subspace:
-        return self.mat.nullspace()
-
     def add(self, other: "Cocycle") -> "Cocycle":
         return Cocycle(self.algebra, self.mat.add(other.mat))
 
@@ -196,10 +193,7 @@ def _symmetric_solutions(A: Algebra, theta, p) -> Subspace:
     rows = theta[:, iu, ju]
     rows[:, off] += theta[:, ju[off], iu[off]]
     rows = _mod(rows, p)
-    rows = rows[(rows != 0).any(axis=1)]
-    if not len(rows):
-        return Subspace.full(A.field, len(iu))
-    return Matrix.from_rows(A.field, rows.tolist()).nullspace()
+    return Subspace.kernel(A.field, len(iu), rows[(rows != 0).any(axis=1)].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +216,7 @@ def h2(A: Algebra) -> CocycleSpaces:
 
 
 def radical(thetas) -> Subspace:
-    """Joint radical of a (vector-valued) cocycle, as the intersection of kernels."""
+    """Joint radical of a (vector-valued) cocycle: the kernel of all its rows."""
     thetas = list(thetas)
     if not thetas:
         raise NiljError("radical of an empty cocycle list is undefined")
@@ -230,10 +224,7 @@ def radical(thetas) -> Subspace:
     for t in thetas:
         if t.algebra != A:
             raise FieldMismatchError("cocycles on different algebras")
-    out = Subspace.full(A.field, A.dim)
-    for t in thetas:
-        out = out.intersect(t.radical())
-    return out
+    return Subspace.kernel(A.field, A.dim, [t.mat.row(i) for t in thetas for i in range(A.dim)])
 
 
 def act(phi: Matrix, theta: Cocycle) -> Cocycle:
@@ -269,15 +260,8 @@ def has_nontrivial_1dim_extension(A: Algebra) -> bool:
     basis = [Cocycle.from_upper(A, v) for v in spaces.z2.vectors()]
     if not basis:
         return False
-    # kernel test: z in the radical of every basis cocycle?
-    rows = []
-    for z in ann.vectors():
-        row = []
-        for theta in basis:
-            row.extend(theta.mat.apply(z))
-        rows.append(row)
-    # rank < dim ann means some nonzero central z pairs trivially with all of z2
-    if Matrix.from_rows(F, rows).rank() < ann.dim:
+    # some nonzero central z pairs trivially with all of z2
+    if not radical(basis).intersect(ann).is_zero():
         return False
     for combo in _witness_combos(F, len(basis)):
         theta = Cocycle.zero(A)

@@ -79,12 +79,12 @@ class Field:
 
     def of(self, value):
         """Coerce an int, Fraction or scalar string into this field."""
-        if isinstance(value, int):
-            return value % self.p if self.p is not None else Fraction(value)
         if isinstance(value, str):
             return self.parse(value)
         if self.p is None:
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
+        if isinstance(value, int):
+            return value % self.p
         frac = Fraction(value)
         den = frac.denominator % self.p
         if den == 0:

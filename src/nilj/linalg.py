@@ -4,13 +4,16 @@ Matrices and subspaces are immutable and pure.  Subspaces are always stored
 with a reduced row echelon basis, so two equal subspaces compare equal
 structurally.  ``Echelon`` is the one scalar elimination: every RREF, rank,
 kernel, solution, determinant, inverse, span, membership test and
-intersection here runs on it.
+intersection here runs on it.  Over Q it runs fraction-free on Python ints;
+``Fraction`` values are built only where results are read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, SingularMatrixError
 from .fields import Field, same_field
@@ -109,9 +112,7 @@ class Matrix:
 
     def nullspace(self) -> "Subspace":
         """Basis of {x : self @ x = 0} as a Subspace of dimension cols."""
-        red, rank, pivots = self.rref()
-        rows = [red.row(r) for r in range(rank)]
-        return Subspace.span(self.field, self.cols, _kernel(self.field, self.cols, pivots, rows))
+        return Subspace.kernel(self.field, self.cols, [self.row(i) for i in range(self.rows)])
 
     def solve(self, rhs) -> tuple | None:
         """One solution x of self @ x = rhs, or None when inconsistent."""
@@ -157,23 +158,6 @@ class Matrix:
         return Matrix(n, n, tuple(x for row in ech.rows for x in row[n:]), F)
 
 
-def _kernel(F: Field, width: int, pivots, rows) -> list:
-    """Null vectors of fully reduced rows, one per free column among the first width.
-
-    Each is 1 at its free column and minus that column's row entries at the pivots.
-    """
-    out = []
-    for fc in range(width):
-        if fc in pivots:
-            continue
-        vec = [F.zero] * width
-        vec[fc] = F.one
-        for pc, row in zip(pivots, rows):
-            vec[pc] = F.neg(row[fc])
-        out.append(vec)
-    return out
-
-
 def _dot(F: Field, u, v):
     acc = F.zero
     for a, b in zip(u, v):
@@ -191,13 +175,15 @@ class Subspace:
 
     @staticmethod
     def span(field: Field, ambient: int, vectors) -> "Subspace":
-        ech = Echelon(field, ambient)
-        for v in vectors:
-            if len(v) != ambient:
-                raise DimensionMismatchError("spanning vector length mismatch")
-            ech.add([field.of(x) for x in v])
+        """The span of vectors: ints or Fractions over Q, anything ``field.of`` takes over F_p."""
+        ech = _echelon(field, ambient, vectors)
         data = tuple(x for row in ech.rows for x in row)
         return Subspace(ambient, Matrix(ech.rank, ambient, data, field))
+
+    @staticmethod
+    def kernel(field: Field, ambient: int, rows) -> "Subspace":
+        """{x : r . x = 0 for every row r}, rows given as for ``span``."""
+        return Subspace.span(field, ambient, _echelon(field, ambient, rows).null_vectors())
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -223,36 +209,25 @@ class Subspace:
 
     def echelon(self) -> "Echelon":
         """An Echelon seeded with this subspace's RREF basis."""
-        ech = Echelon(self.field, self.ambient)
-        for v in self.vectors():
-            ech.add(v)
-        return ech
+        return Echelon(self.field, self.ambient, rref=self.vectors())
 
     def contains(self, vec) -> bool:
-        if len(vec) != self.ambient:
-            raise DimensionMismatchError("vector length mismatch")
-        F = self.field
-        return not any(self.echelon().reduce([F.of(x) for x in vec]))
+        return self.contains_subspace(Subspace.span(self.field, self.ambient, [vec]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains(v) for v in other.vectors())
+        ech = self.echelon()
+        return not any(any(ech._reduce(v)[0]) for v in other.vectors())
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace.span(self.field, self.ambient, self.vectors() + other.vectors())
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce rows (u|u) and (w|0); rows pivoting right span the meet."""
+        """The vectors orthogonal to the null vectors of both bases."""
         self._check(other)
-        F, n = self.field, self.ambient
-        ech = Echelon(F, 2 * n)
-        for u in self.vectors():
-            ech.add(u + u)
-        for w in other.vectors():
-            ech.add(w + (F.zero,) * n)
-        meet = [row[n:] for pc, row in zip(ech.pivots, ech.rows) if pc >= n]
-        return Subspace(n, Matrix(len(meet), n, tuple(x for r in meet for x in r), F))
+        null = self.echelon().null_vectors() + other.echelon().null_vectors()
+        return Subspace.kernel(self.field, self.ambient, null)
 
     def _check(self, other: "Subspace"):
         same_field(self.field, other.field)
@@ -260,70 +235,136 @@ class Subspace:
             raise DimensionMismatchError("ambient dimension mismatch")
 
 
+def _echelon(field: Field, width: int, vectors) -> "Echelon":
+    """An Echelon of the vectors, each checked for length and, over F_p, coerced."""
+    ech = Echelon(field, width)
+    for v in vectors:
+        if len(v) != width:
+            raise DimensionMismatchError("vector length mismatch")
+        ech.add(v if field.p is None else [field.of(x) for x in v])
+    return ech
+
+
 class Echelon:
     """An incremental reduced row echelon basis over one field.
 
-    Rows hold raw scalars (Fractions over Q, residues 0..p-1 over F_p; callers
-    coerce) and stay fully reduced and sorted by pivot.  Pivots are taken only
-    in the first ``key`` columns; later columns ride along with their row, so
-    an augmented right-hand side or an image vector is reduced together with it.
+    Rows stay fully reduced and sorted by pivot.  Pivots are taken only in the
+    first ``key`` columns; later columns ride along with their row, so an
+    augmented right-hand side or an image vector is reduced together with it.
+
+    ``ints`` holds the rows as Python ints: over F_p the reduced rows (callers
+    coerce to residues); over Q, fraction-free, the primitive integer multiples
+    of the reduced rows with positive leads.  A vector's denominators are
+    cleared once, and each step cross-multiplies by a lead and divides out the
+    content; ``rows``, ``residual``, ``reduce`` and ``solution`` build their
+    Fractions when read.  ``rref`` seeds rows already fully reduced.
     """
 
-    __slots__ = ("field", "key", "rows", "pivots", "residual", "_sparse")
+    __slots__ = ("field", "key", "ints", "pivots", "_sparse", "_res")
 
-    def __init__(self, field: Field, width: int, key: int | None = None):
+    def __init__(self, field: Field, width: int, key: int | None = None, rref=()):
         self.field = field
         self.key = width if key is None else key
-        self.rows = []
-        self.pivots = []
-        self.residual = None
-        self._sparse = []  # (column, value) pairs of each row's nonzero entries
+        self.ints = [self._clear(row)[0] for row in rref]
+        self.pivots = [next(t for t, x in enumerate(row) if x) for row in self.ints]
+        self._sparse = [[(t, x) for t, x in enumerate(row) if x] for row in self.ints]  # nonzero (column, value)
+        self._res = None  # (v, num, den): the last added vector reduced to v * den / num
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def rows(self) -> list:
+        return [self._view(row, row[pc], 1) for pc, row in zip(self.pivots, self.ints)]
+
+    @property
+    def residual(self):
+        """What the last added vector reduced to; None before the first add."""
+        return None if self._res is None else self._view(*self._res)
+
+    def _clear(self, vec):
+        """(ints, num): vec * num as ints; num is 1 over F_p."""
+        if self.field.p is not None or all(type(x) is int for x in vec):
+            return list(vec), 1
+        num = lcm(*(x.denominator for x in vec))
+        return [x.numerator * (num // x.denominator) for x in vec], num
+
+    def _view(self, v, num, den):
+        """The exact vector v * den / num: v itself over F_p, Fractions over Q."""
+        return v if self.field.p is not None else [Fraction(x * den, num) if x else _ZERO for x in v]
+
+    def _step(self, v, pc, row, sparse):
+        """(w, s, c): w = (s v - f row) / c has no entry at row's pivot pc."""
+        f, p = v[pc], self.field.p
+        if p is not None:
+            for t, x in sparse:
+                v[t] = (v[t] - f * x) % p
+            return v, 1, 1
+        g = gcd(row[pc], f)
+        s, f = row[pc] // g, f // g
+        if s != 1:
+            v = [s * x for x in v]
+        for t, x in sparse:
+            v[t] -= f * x
+        c = gcd(*v) or 1
+        return (v if c == 1 else [x // c for x in v]), s, c
+
+    def _reduce(self, vec):
+        """(v, num, den) with v * den / num what ``reduce`` returns."""
+        v, num = self._clear(vec)
+        den = 1
+        for pc, row, sparse in zip(self.pivots, self.ints, self._sparse):
+            if v[pc]:
+                v, s, c = self._step(v, pc, row, sparse)
+                num, den = num * s, den * c
+        return v, num, den
+
     def reduce(self, vec) -> list:
         """vec minus the combination of rows that agrees with it on every pivot."""
-        v = list(vec)
-        p = self.field.p
-        for pc, row in zip(self.pivots, self._sparse):
-            f = v[pc]
-            if f:
-                if p is None:
-                    for t, x in row:
-                        v[t] -= f * x
-                else:
-                    for t, x in row:
-                        v[t] = (v[t] - f * x) % p
-        return v
+        return self._view(*self._reduce(vec))
 
     def add(self, vec) -> bool:
         """Extend the basis by vec; False when it reduces to zero on the key columns.
 
         Either way ``residual`` keeps what vec reduced to.
         """
-        v = self.residual = self.reduce(vec)
+        self._res = self._reduce(vec)
+        v = self._res[0]
         pc = next((t for t in range(self.key) if v[t]), None)
         if pc is None:
             return False
         F = self.field
-        s = F.inv(v[pc])
-        new = [(t, F.mul(s, x)) for t, x in enumerate(v) if x]
-        dense = [F.zero] * len(v)
-        for t, x in new:
-            dense[t] = x
-        for i, row in enumerate(self.rows):
-            f = row[pc]
-            if f:
-                for t, x in new:
-                    row[t] = F.sub(row[t], F.mul(f, x))
+        if F.p is None:
+            c = gcd(*v) if v[pc] > 0 else -gcd(*v)
+            dense = [x // c for x in v]
+        else:
+            s = F.inv(v[pc])
+            dense = [F.mul(s, x) for x in v]
+        new = [(t, x) for t, x in enumerate(dense) if x]
+        for i, row in enumerate(self.ints):
+            if row[pc]:
+                self.ints[i] = row = self._step(row, pc, dense, new)[0]
                 self._sparse[i] = [(t, x) for t, x in enumerate(row) if x]
         pos = bisect(self.pivots, pc)
         self.pivots.insert(pos, pc)
-        self.rows.insert(pos, dense)
+        self.ints.insert(pos, dense)
         self._sparse.insert(pos, new)
         return True
+
+    def null_vectors(self) -> list:
+        """Per free key column, its unit vector minus its reduced row entries at
+        the pivots, scaled to ints by the lcm of the leads it meets."""
+        out = []
+        for fc in (t for t in range(self.key) if t not in self.pivots):
+            hit = [(pc, row) for pc, row in zip(self.pivots, self.ints) if row[fc]]
+            scale = lcm(*(row[pc] for pc, row in hit))
+            vec = [0] * self.key
+            vec[fc] = scale
+            for pc, row in hit:
+                vec[pc] = -row[fc] * (scale // row[pc])
+            out.append(vec)
+        return out
 
     def solution(self) -> list:
         """x with x[pivot] = the first ride-along entry of that pivot's row, 0 elsewhere."""
@@ -331,3 +372,6 @@ class Echelon:
         for pc, row in zip(self.pivots, self.rows):
             x[pc] = row[self.key]
         return x
+
+
+_ZERO = Fraction(0)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,8 @@ BAD_DOCUMENTS = {
         ["extend", "J4,6", "--cocycle", "d(²,1)"],
         # the first prime above 2^63: refused by the search budget, not by an int64 overflow
         ["iso", "--search", "--field", "p:9223372036854775837", "J4,6", "J4,6"],
+        # each field is searched once; a repeated prime would run its searches twice
+        ["report", "--primes", "5,5"],
     ],
 )
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
@@ -147,6 +153,18 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     for name, doc in BAD_DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     _assert_usage_error([arg.format(tmp=tmp_path) for arg in argv], capsys)
+
+
+def test_python_m_nilj_exit_codes():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "nilj", *argv], env=env, capture_output=True, text=True)
+
+    assert run("--help").returncode == 0
+    bad = run("report", "--primes", "5,5")
+    assert bad.returncode == 2 and "duplicate prime" in bad.stderr and "Traceback" not in bad.stderr
 
 
 def test_verify_catalog_exit_code(capsys):

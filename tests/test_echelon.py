@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilj.errors import SingularMatrixError
 from nilj.fields import QQ, Field
 from nilj.linalg import Echelon, Matrix, Subspace
 
@@ -135,3 +136,78 @@ def test_intersect_is_commutative_and_lies_in_both(pair):
     assert meet == b.intersect(a)
     assert a.contains_subspace(meet) and b.contains_subspace(meet)
     assert meet.dim == a.dim + b.dim - a.add(b).dim
+
+
+BIG = 10**40
+_Q_ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-BIG, BIG),
+    st.fractions(min_value=-BIG, max_value=BIG, max_denominator=BIG),
+)
+
+
+@st.composite
+def _q_matrices(draw, square=False):
+    """Integer and rational matrices with huge entries, zero rows, no rows and one column."""
+    rows = draw(st.integers(1 if square else 0, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    row = st.one_of(st.just([0] * cols), st.lists(_Q_ENTRY, min_size=cols, max_size=cols))
+    data = draw(st.lists(row, min_size=rows, max_size=rows))
+    return Matrix(rows, cols, tuple(QQ.of(x) for r in data for x in r), QQ)
+
+
+def _sympy_q(m: Matrix):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.data])
+
+
+def _q_list(oracle_matrix):
+    return [_from_sympy(QQ, x) for x in oracle_matrix]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_matrices(), st.data())
+def test_q_elimination_matches_sympy(m, data):
+    oracle = _sympy_q(m)
+    red, rank, pivots = m.rref()
+    ref, ref_pivots = oracle.rref()
+    assert list(red.data) == _q_list(ref)
+    assert pivots == tuple(ref_pivots) and rank == len(ref_pivots) == m.rank()
+    assert m.nullspace() == Subspace.span(QQ, m.cols, [_q_list(v) for v in oracle.nullspace()])
+    rhs = data.draw(st.lists(_Q_ENTRY, min_size=m.rows, max_size=m.rows))
+    augmented, aug_pivots = oracle.row_join(sympy.Matrix(m.rows, 1, rhs)).rref()
+    x = m.solve(rhs)
+    if m.cols in aug_pivots:
+        assert x is None
+    else:
+        # free unknowns 0, each pivot unknown the right-hand side of its RREF row
+        expected = [Fraction(0)] * m.cols
+        for r, pc in enumerate(aug_pivots):
+            expected[pc] = _from_sympy(QQ, augmented[r, m.cols])
+        assert list(x) == expected
+        assert m.apply(x) == tuple(QQ.of(b) for b in rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_q_matrices(square=True))
+def test_q_det_and_inverse_match_sympy(m):
+    oracle = _sympy_q(m)
+    det = oracle.det()
+    assert m.det() == _from_sympy(QQ, det)
+    if det:
+        assert list(m.inverse().data) == _q_list(oracle.inv())
+    else:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_q_matrices(), st.data())
+def test_scaling_a_row_keeps_the_rref(m, data):
+    if not m.rows:
+        return
+    i = data.draw(st.integers(0, m.rows - 1))
+    c = data.draw(st.integers(-BIG, BIG).filter(bool))
+    rows = m.row_list()
+    rows[i] = [c * x for x in rows[i]]
+    assert Matrix.from_rows(QQ, rows).rref()[0] == m.rref()[0]
