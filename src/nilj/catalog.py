@@ -330,19 +330,9 @@ def sample_bindings(name: str):
     if not entry.params:
         return [{}]
     out = []
-    if len(entry.params) == 1:
-        p = entry.params[0]
-        for v in ONE_PARAM_SAMPLES:
-            b = {p: v}
-            try:
-                _check_binding(entry, b, QQ)
-            except InadmissibleParameterError:
-                continue
-            out.append(b)
-        return out
-    pa, pb = entry.params
-    for va, vb in TWO_PARAM_SAMPLES:
-        b = {pa: va, pb: vb}
+    samples = [(v,) for v in ONE_PARAM_SAMPLES] if len(entry.params) == 1 else TWO_PARAM_SAMPLES
+    for values in samples:
+        b = dict(zip(entry.params, values))
         try:
             _check_binding(entry, b, QQ)
         except InadmissibleParameterError:

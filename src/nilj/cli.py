@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 
 from . import catalog, reports
 from .algebra import invariant_vector, reduce_mod
@@ -205,16 +206,21 @@ def _cmd_report(args) -> int:
     primes = tuple(_prime_field(p).p for p in args.primes.split(","))
     if len(set(primes)) != len(primes):
         raise NiljError(f"duplicate prime in --primes {args.primes}")
-    doc = reports.build_report(primes)
-    text = doc.render_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with ExitStack() as stack:
+        if args.out:
+            try:  # opened before the report is built, so a bad path fails at once
+                fh = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+                fj = stack.enter_context(open(args.out + ".json", "w", encoding="utf-8"))
+            except OSError as exc:
+                raise NiljError(f"cannot write {exc.filename}: {exc.strerror}") from None
+        doc = reports.build_report(primes)
+        text = doc.render_text()
+        if args.out:
             fh.write(text)
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(doc.to_json())
-        print(f"wrote {args.out} and {args.out}.json")
-    else:
-        print(text, end="")
+            fj.write(doc.to_json())
+            print(f"wrote {args.out} and {args.out}.json")
+        else:
+            print(text, end="")
     return 0 if doc.ok else 1
 
 

@@ -139,12 +139,18 @@ class CocycleSpaces:
         return tuple(sol[: len(self.h2_reps)])
 
     def cocycle_from_class(self, coords) -> Cocycle:
-        F = self.algebra.field
-        out = Cocycle.zero(self.algebra)
-        for c, rep in zip(coords, self.h2_reps):
-            if c:
-                out = out.add(rep.scale(c))
-        return out
+        return _combination(self.algebra, coords, [rep.upper() for rep in self.h2_reps])
+
+
+def _combination(A: Algebra, coeffs, vectors) -> Cocycle:
+    """The cocycle sum_t coeffs[t] * vectors[t], vectors in upper-triangle coordinates."""
+    F = A.field
+    coords = [F.zero] * sym_dim(A.dim)
+    for c, vec in zip(coeffs, vectors):
+        c = F.of(c)
+        if c:
+            coords = [F.add(x, F.mul(c, y)) for x, y in zip(coords, vec)]
+    return Cocycle.from_upper(A, coords)
 
 
 def cocycle_space(A: Algebra) -> Subspace:
@@ -209,8 +215,7 @@ def h2(A: Algebra) -> CocycleSpaces:
     assoc = associativity_constraint_space(A).intersect(z2)
 
     def extend_b2(space):
-        ech = b2.echelon()
-        return tuple(Cocycle.from_upper(A, v) for v in space.vectors() if ech.add(v))
+        return tuple(Cocycle.from_upper(A, v) for v in b2.extend(space.vectors()))
 
     return CocycleSpaces(A, z2, b2, extend_b2(z2), extend_b2(assoc))
 
@@ -256,19 +261,14 @@ def has_nontrivial_1dim_extension(A: Algebra) -> bool:
     ann = cached_annihilator(A)
     if ann.is_zero():
         return True
-    spaces = h2(A)
-    basis = [Cocycle.from_upper(A, v) for v in spaces.z2.vectors()]
-    if not basis:
+    vectors = h2(A).z2.vectors()
+    if not vectors:
         return False
     # some nonzero central z pairs trivially with all of z2
-    if not radical(basis).intersect(ann).is_zero():
+    if not radical([Cocycle.from_upper(A, v) for v in vectors]).intersect(ann).is_zero():
         return False
-    for combo in _witness_combos(F, len(basis)):
-        theta = Cocycle.zero(A)
-        for c, b in zip(combo, basis):
-            if c:
-                theta = theta.add(b.scale(c))
-        if radical([theta]).intersect(ann).is_zero():
+    for combo in _witness_combos(F, len(vectors)):
+        if radical([_combination(A, combo, vectors)]).intersect(ann).is_zero():
             return True
     raise NiljError("witness search exhausted without finding a combination")
 
@@ -292,7 +292,7 @@ def parse_cocycle(A: Algebra, text: str) -> Cocycle:
     1-based indices in ASCII digits.
     """
     F = A.field
-    out = Cocycle.zero(A)
+    coords = [F.zero] * sym_dim(A.dim)
     body = text.replace("-", "+-").strip()
     # split on top-level + and , but keep commas inside d(...) intact
     terms, depth, cur = [], 0, ""
@@ -337,5 +337,6 @@ def parse_cocycle(A: Algebra, text: str) -> Cocycle:
                 idx.append(A.index_of(s))
         if neg:
             coef = F.neg(coef)
-        out = out.add(Cocycle.delta(A, idx[0], idx[1], coef))
-    return out
+        t = sym_pairs(A.dim).index(tuple(sorted(idx)))
+        coords[t] = F.add(coords[t], coef)
+    return Cocycle.from_upper(A, coords)

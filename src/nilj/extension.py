@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, cached_annihilator, next_names
-from .cohomology import Cocycle, h2, radical
+from .cohomology import Cocycle, h2, radical, sym_dim, sym_pairs
 from .errors import InvalidCocycleError, NotAnExtensionError
 from .linalg import Matrix, Subspace
 
@@ -46,18 +46,15 @@ def central_extend(spec: ExtensionSpec) -> Algebra:
     base = spec.base
     if not spec.cocycles:
         return base
-    spaces = h2(base)
-    for c in spec.cocycles:
-        if not spaces.z2.contains(c.upper()):
-            raise InvalidCocycleError("matrix is not a cocycle for this algebra")
     n = base.dim
+    upper = [c.upper() for c in spec.cocycles]
+    if not h2(base).z2.contains_subspace(Subspace.span(base.field, sym_dim(n), upper)):
+        raise InvalidCocycleError("matrix is not a cocycle for this algebra")
     products = {pair: dict(terms) for pair, terms in base.products().items()}
-    for t, c in enumerate(spec.cocycles):
-        for i in range(n):
-            for j in range(i, n):
-                v = c.mat.at(i, j)
-                if v:
-                    products.setdefault((i, j), {})[n + t] = v
+    for t, coords in enumerate(upper):
+        for pair, v in zip(sym_pairs(n), coords):
+            if v:
+                products.setdefault(pair, {})[n + t] = v
     return Algebra(base.field, base.names + spec.new_names, products)
 
 
@@ -69,8 +66,7 @@ def diagnose(spec: ExtensionSpec) -> ExtensionDiagnostics:
         meet = radical(spec.cocycles).intersect(ann)
     else:
         meet = ann
-    ech = h2(base).b2.echelon()
-    independent = all(ech.add(c.upper()) for c in spec.cocycles)
+    independent = len(h2(base).b2.extend(c.upper() for c in spec.cocycles)) == len(spec.cocycles)
     return ExtensionDiagnostics(
         joint_radical_meet=meet,
         independent_mod_b2=independent,
@@ -90,38 +86,19 @@ def reconstruct(M: Algebra):
         raise NotAnExtensionError("annihilator is zero; not a central extension")
     if ann.dim == M.dim:
         raise NotAnExtensionError("zero algebra is a degenerate central extension")
-    F = M.field
     ech = ann.echelon()
     comp = [j for j in range(M.dim) if j not in ech.pivots]
-
-    def split(vec):
-        """vec = sum lam_t ann_t + rest with rest supported on comp."""
-        return [vec[pc] for pc in ech.pivots], ech.reduce(vec)
-
+    # vec = sum_t vec[pivot_t] ann_t + reduce(vec), the remainder supported on comp
+    pairs = sym_pairs(len(comp))
+    vecs = [M.basis_product(comp[i], comp[j]) for i, j in pairs]
     base_products = {}
-    theta_vals = [dict() for _ in range(ann.dim)]
-    for bi, i in enumerate(comp):
-        for bj, j in enumerate(comp[bi:], start=bi):
-            lams, rest = split(M.basis_product(i, comp[bj]))
-            terms = {}
-            for bk, k in enumerate(comp):
-                if rest[k]:
-                    terms[bk] = rest[k]
-            if any(rest[k] for k in range(M.dim) if k not in comp):
-                raise NotAnExtensionError("quotient products do not close on the complement")
-            if terms:
-                base_products[(bi, bj)] = terms
-            for t, lam in enumerate(lams):
-                if lam:
-                    theta_vals[t][(bi, bj)] = lam
-    base = Algebra(F, tuple(M.names[i] for i in comp), base_products)
-    cocycles = []
-    for t in range(ann.dim):
-        c = Cocycle.zero(base)
-        for (i, j), lam in theta_vals[t].items():
-            c = c.add(Cocycle.delta(base, i, j, lam))
-        cocycles.append(c)
-    return base, cocycles
+    for pair, vec in zip(pairs, vecs):
+        rest = ech.reduce(vec)
+        terms = {bk: rest[k] for bk, k in enumerate(comp) if rest[k]}
+        if terms:
+            base_products[pair] = terms
+    base = Algebra(M.field, tuple(M.names[i] for i in comp), base_products)
+    return base, [Cocycle.from_upper(base, [vec[pc] for vec in vecs]) for pc in ech.pivots]
 
 
 def section_morphism_matrix(M: Algebra, base: Algebra) -> Matrix:

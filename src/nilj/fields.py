@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import FieldMismatchError, NiljError, RootNotInFieldError
 
@@ -69,11 +70,11 @@ class Field:
 
     # -- element constructors ------------------------------------------------
 
-    @property
+    @cached_property
     def zero(self):
         return 0 if self.p is not None else Fraction(0)
 
-    @property
+    @cached_property
     def one(self):
         return 1 if self.p is not None else Fraction(1)
 

@@ -149,11 +149,9 @@ class _FilteredModel:
         levels = []
         rows = []
         for k in range(1, self.m):
-            ech = powers[k].echelon()
-            for v in powers[k - 1].vectors():
-                if ech.add(v):
-                    rows.append(list(v))
-                    levels.append(k)
+            for v in powers[k].extend(powers[k - 1].vectors()):
+                rows.append(list(v))
+                levels.append(k)
         order = sorted(range(n), key=lambda i: levels[i])
         self.levels = tuple(levels[i] for i in order)
         # columns are the new basis vectors
@@ -887,11 +885,7 @@ def _induced_actions(spaces, autos):
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     _check_int64(p, len(pairs))
     cols = [list(c.upper()) for c in spaces.h2_reps] + [list(v) for v in spaces.b2.vectors()]
-    ech = spaces.z2.echelon()  # reps and b2 span z2
-    for t in range(len(pairs)):
-        unit = [1 if k == t else 0 for k in range(len(pairs))]
-        if ech.add(unit):
-            cols.append(unit)
+    cols += spaces.z2.extend(Matrix.identity(field, len(pairs)).row_list())  # reps and b2 span z2
     T = Matrix.from_rows(field, [[cols[c][r] for c in range(len(cols))] for r in range(len(pairs))])
     extractor = np.array(T.inverse().row_list()[:hdim], dtype=np.int64)
     reps = np.array([c.mat.row_list() for c in spaces.h2_reps], dtype=np.int64)

@@ -211,6 +211,16 @@ class Subspace:
         """An Echelon seeded with this subspace's RREF basis."""
         return Echelon(self.field, self.ambient, rref=self.vectors())
 
+    def extend(self, vectors) -> list:
+        """The vectors, in order, independent of this subspace and of those kept before them."""
+        F, ech, kept = self.field, self.echelon(), []
+        for v in vectors:
+            if len(v) != self.ambient:
+                raise DimensionMismatchError("vector length mismatch")
+            if ech.add(v if F.p is None else [F.of(x) for x in v]):
+                kept.append(v)
+        return kept
+
     def contains(self, vec) -> bool:
         return self.contains_subspace(Subspace.span(self.field, self.ambient, [vec]))
 
@@ -292,7 +302,10 @@ class Echelon:
 
     def _view(self, v, num, den):
         """The exact vector v * den / num: v itself over F_p, Fractions over Q."""
-        return v if self.field.p is not None else [Fraction(x * den, num) if x else _ZERO for x in v]
+        if self.field.p is not None:
+            return v
+        zero = self.field.zero
+        return [Fraction(x * den, num) if x else zero for x in v]
 
     def _step(self, v, pc, row, sparse):
         """(w, s, c): w = (s v - f row) / c has no entry at row's pivot pc."""
@@ -373,5 +386,3 @@ class Echelon:
             x[pc] = row[self.key]
         return x
 
-
-_ZERO = Fraction(0)

@@ -144,9 +144,13 @@ BAD_DOCUMENTS = {
         ["iso", "--search", "--field", "p:9223372036854775837", "J4,6", "J4,6"],
         # each field is searched once; a repeated prime would run its searches twice
         ["report", "--primes", "5,5"],
+        # an unwritable --out is refused before the report is built
+        ["report", "--primes", "5", "--out", "{tmp}/missing/r.txt"],
     ],
 )
-def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # bad input is refused before any report is built
+    monkeypatch.setattr(reports, "build_report", lambda primes: pytest.fail("report was built"))
     (tmp_path / "bad.json").write_text('{"dim": 2,', encoding="utf-8")
     # more digits than Python converts to an int
     (tmp_path / "huge_int.json").write_text('{"dim": ' + "7" * 5000 + "}", encoding="utf-8")

@@ -282,6 +282,10 @@ def test_parse_cocycle():
     assert theta.mat.at(1, 3) == 1 and theta.mat.at(2, 2) == 1
     theta = parse_cocycle(A, "2*d(1,3), -1/2*d(a,b)")
     assert theta.mat.at(0, 2) == 2 and theta.mat.at(0, 1) == QQ.parse("-1/2")
+    # both orders of a pair, and repeats of one term, share one coordinate
+    assert parse_cocycle(A, "d(a,b)+d(b,a)").upper() == Cocycle.delta(A, 0, 1, 2).upper()
+    assert parse_cocycle(A, "d(c,c)-d(c,c)").is_zero()
+    assert parse_cocycle(A, "d(a,a)+3*d(a,a)").upper() == Cocycle.delta(A, 0, 0, 4).upper()
     with pytest.raises(NiljError):
         parse_cocycle(A, "d(a)")
     with pytest.raises(NiljError):

@@ -5,6 +5,7 @@ import pytest
 from nilj import catalog
 from nilj.algebra import (
     annihilator,
+    change_basis,
     direct_sum,
     is_associative,
     jordan_identity_holds,
@@ -23,6 +24,7 @@ from nilj.extension import (
 from nilj.fields import QQ, Field
 from nilj.algebra import Algebra
 from nilj.isomorphism import Morphism, verify_isomorphism
+from nilj.linalg import Matrix
 
 F5 = Field(5)
 
@@ -81,11 +83,22 @@ def test_reconstruct_examples():
 
 @pytest.mark.parametrize("name", ["J5,9", "J5,24", "J5,31", "J5,37", "J5,41", "J4,6"])
 def test_reconstruct_round_trip_through_section(name):
-    M = catalog.instantiate(name)
-    base, cocycles = reconstruct(M)
-    E = central_extend(ExtensionSpec.of(base, cocycles))
-    S = section_morphism_matrix(M, base)
-    assert verify_isomorphism(Morphism(E, M, S))
+    rng = random.Random(f"reconstruct:{name}")
+    for field in (QQ, F5, Field(7)):
+        A = catalog.instantiate(name, None, field)
+        # metamorphic: the same algebra in a random basis round-trips too
+        for M in (A, change_basis(A, _random_invertible(field, A.dim, rng))):
+            base, cocycles = reconstruct(M)
+            E = central_extend(ExtensionSpec.of(base, cocycles))
+            S = section_morphism_matrix(M, base)
+            assert verify_isomorphism(Morphism(E, M, S))
+
+
+def _random_invertible(field, n, rng):
+    while True:
+        P = Matrix.from_rows(field, [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)])
+        if P.is_invertible():
+            return P
 
 
 def test_extension_center_dimension_on_lineages():
@@ -110,7 +123,6 @@ def test_dependent_cocycles_add_central_component():
     # doubled one, and the extra summand onto e
     cols = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
             [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
-    from nilj.linalg import Matrix
 
     mat = Matrix.from_rows(QQ, [[cols[c][r] for c in range(5)] for r in range(5)])
     assert verify_isomorphism(Morphism(expected, doubled, mat))

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilj.errors import DimensionMismatchError, FieldMismatchError
 from nilj.fields import QQ, Field
@@ -113,3 +115,22 @@ def test_contains_rejects_wrong_lengths():
             plane.contains(vec)
     with pytest.raises(DimensionMismatchError):
         plane.contains_subspace(Subspace.full(QQ, 2))
+
+
+# few distinct entries, so that drawn vectors are often dependent
+_ENTRIES = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extend_keeps_a_basis_of_the_sum(any_field, data):
+    n = data.draw(st.integers(1, 5))
+    vectors = st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), max_size=5)
+    S = Subspace.span(any_field, n, data.draw(vectors))
+    inputs = data.draw(vectors)
+    kept = S.extend(inputs)
+    rest = iter(inputs)
+    assert all(any(v is w for w in rest) for v in kept)  # input vectors, in input order
+    # independent of S and of each other, and spanning what all inputs span
+    assert S.add(Subspace.span(any_field, n, kept)).dim == S.dim + len(kept)
+    assert S.add(Subspace.span(any_field, n, kept)) == S.add(Subspace.span(any_field, n, inputs))
