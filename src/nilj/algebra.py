@@ -269,8 +269,8 @@ def power_filtration(A: Algebra):
         prods = []
         for i in range(1, k // 2 + 1):
             left = _mod(rows[i - 1] @ T.reshape(n, n * n), p).reshape(-1, n, n)  # u o e_j
-            prods += _mod(rows[k - i - 1] @ left, p).reshape(-1, n).tolist()
-        powers.append(Subspace.span(A.field, n, prods))
+            prods.append(_mod(rows[k - i - 1] @ left, p).reshape(-1, n))
+        powers.append(Subspace.span(A.field, n, np.concatenate(prods)))
         rows.append(np.array(powers[-1].echelon().ints, dtype=T.dtype).reshape(-1, n))
         if len(powers) > A.dim + 1:
             raise NotNilpotentError("algebra is not nilpotent")
@@ -281,7 +281,7 @@ def annihilator(A: Algebra) -> Subspace:
     """{x : x o e_j = 0 for all j} (the center, in the sense used throughout)."""
     T, _ = structure_tensor(A)
     # row (j, k) reads the coefficient of e_k in x o e_j
-    return Subspace.kernel(A.field, A.dim, T.transpose(1, 2, 0).reshape(-1, A.dim).tolist())
+    return Subspace.kernel(A.field, A.dim, T.transpose(1, 2, 0).reshape(-1, A.dim))
 
 
 def derivation_algebra(A: Algebra) -> Subspace:
@@ -300,7 +300,7 @@ def derivation_algebra(A: Algebra) -> Subspace:
     rows[q, k] = T[i, j]
     rows[q, :, i] -= T[j, :, k]
     rows[q, :, j] -= T[i, :, k]
-    return Subspace.kernel(A.field, n * n, rows.reshape(len(k), n * n).tolist())
+    return Subspace.kernel(A.field, n * n, rows.reshape(len(k), n * n))
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,10 @@ algebras reduced mod p and returns None when they differ.  An isomorphism
 over F_p preserves every fingerprint component, so this prune is a
 certificate of non-isomorphism over F_p only; it says nothing over Q, and a
 report row it decides keeps the grade of a search that found nothing.
+``_search`` then returns before the graded stage when two distinct algebras
+have different ``_graded_signature``s.  An isomorphism induces one of the
+associated graded algebras, so this prune too certifies only over F_p, and a
+row it decides keeps its grade.
 
 Each algebra is modelled by one F_p array (``_FilteredModel.C``): its
 structure tensor in a basis adapted to the power filtration and sorted by
@@ -294,15 +298,30 @@ def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _graded_signature(M: _FilteredModel) -> tuple:
+    """The distinct rows, with counts, of the level-1 vectors x of ``_graded(M)``:
+    the rank of y -> x y on each level block, then which of the right powers x,
+    x x, (x x) x, ... vanish.  An isomorphism induces a graded one, which maps
+    level 1 onto level 1 and keeps every row, so unequal signatures certify
+    non-isomorphism over F_p."""
+    p, s, n, C = M.p, M.n1, M.A.dim, _graded(M).C
+    x = _digits(np.arange(p**s, dtype=np.int64), p, s) @ np.eye(s, n, dtype=np.int64)
+    cols = [_rref_mod_p((x @ C[:, lo:hi].reshape(n, -1) % p).reshape(len(x), hi - lo, n), p)[1]
+            for lo, hi in (M.block[k] for k in range(1, M.m))]
+    power = x
+    for _ in range(1, M.m):
+        cols.append(~power.any(axis=1))
+        power = _products(power, x, C, p)
+    rows, counts = np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+    return tuple(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+
 class _GradedTables:
     """numpy lookup tables for the target's graded pairings."""
 
     def __init__(self, M: _FilteredModel):
         p, s = M.p, M.n1
-        if p**s > GRADED_TABLE_LIMIT:
-            raise SearchBudgetExceededError(
-                f"graded table of size {p}^{s} exceeds the supported budget"
-            )
         self.digits1 = _digits(np.arange(p**s, dtype=np.int64), p, s)
         lo2, hi2 = M.block.get(2, (0, 0))
         lo3, hi3 = M.block.get(3, (0, 0))
@@ -568,11 +587,14 @@ def _search(A: Algebra, B: Algebra, find_all):
     MA, MB = _model(A), _model(B)
     if MA.m != MB.m or MA.block_dims() != MB.block_dims():
         return
-    if MA.p ** (MA.n1 * MA.n1) > AUT_CANDIDATE_BUDGET:
-        raise SearchBudgetExceededError(
-            f"{MA.p}^({MA.n1}^2) graded candidates exceed the search budget"
-        )
-    _check_int64(MA.p, MA.A.dim)  # every contraction below sums at most n products
+    p, s = MA.p, MA.n1
+    if p ** (s * s) > AUT_CANDIDATE_BUDGET:
+        raise SearchBudgetExceededError(f"{p}^({s}^2) graded candidates exceed the search budget")
+    _check_int64(p, MA.A.dim)  # every contraction below sums at most n products
+    if p**s > GRADED_TABLE_LIMIT:
+        raise SearchBudgetExceededError(f"graded table of size {p}^{s} exceeds the supported budget")
+    if A is not B and _graded_signature(MA) != _graded_signature(MB):
+        return
     # leaves are lifted in blocks that double up to AUT_BLOCK, so a search
     # that hits early completes few graded leaves it does not need
     for leaves in _regroup(_graded_level1_solutions(MA, MB), 1):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from .errors import DimensionMismatchError, SingularMatrixError
 from .fields import Field, same_field
 
@@ -175,7 +177,8 @@ class Subspace:
 
     @staticmethod
     def span(field: Field, ambient: int, vectors) -> "Subspace":
-        """The span of vectors: ints or Fractions over Q, anything ``field.of`` takes over F_p."""
+        """The span of vectors: ints or Fractions over Q, anything ``field.of`` takes
+        over F_p, or the rows of an integer array."""
         ech = _echelon(field, ambient, vectors)
         data = tuple(x for row in ech.rows for x in row)
         return Subspace(ambient, Matrix(ech.rank, ambient, data, field))
@@ -183,7 +186,8 @@ class Subspace:
     @staticmethod
     def kernel(field: Field, ambient: int, rows) -> "Subspace":
         """{x : r . x = 0 for every row r}, rows given as for ``span``."""
-        return Subspace.span(field, ambient, _echelon(field, ambient, rows).null_vectors())
+        null = _echelon(field, ambient, rows).null_vectors()
+        return Subspace.span(field, ambient, np.array(null, dtype=object).reshape(-1, ambient))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -246,12 +250,15 @@ class Subspace:
 
 
 def _echelon(field: Field, width: int, vectors) -> "Echelon":
-    """An Echelon of the vectors, each checked for length and, over F_p, coerced."""
-    ech = Echelon(field, width)
+    """An Echelon of the vectors, each checked for length and, over F_p, coerced
+    entry by entry; an integer array is reduced mod p in one step instead."""
+    ech, coerce = Echelon(field, width), field.p is not None
+    if isinstance(vectors, np.ndarray):
+        vectors, coerce = (vectors if field.p is None else vectors % field.p).tolist(), False
     for v in vectors:
         if len(v) != width:
             raise DimensionMismatchError("vector length mismatch")
-        ech.add(v if field.p is None else [field.of(x) for x in v])
+        ech.add([field.of(x) for x in v] if coerce else v)
     return ech
 
 
@@ -286,12 +293,16 @@ class Echelon:
 
     @property
     def rows(self) -> list:
+        if self.field.p is not None:
+            return list(self.ints)
         return [self._view(row, row[pc], 1) for pc, row in zip(self.pivots, self.ints)]
 
     @property
     def residual(self):
         """What the last added vector reduced to; None before the first add."""
-        return None if self._res is None else self._view(*self._res)
+        if self._res is None:
+            return None
+        return self._res[0] if self.field.p is not None else self._view(*self._res)
 
     def _clear(self, vec):
         """(ints, num): vec * num as ints; num is 1 over F_p."""
@@ -301,19 +312,13 @@ class Echelon:
         return [x.numerator * (num // x.denominator) for x in vec], num
 
     def _view(self, v, num, den):
-        """The exact vector v * den / num: v itself over F_p, Fractions over Q."""
-        if self.field.p is not None:
-            return v
+        """The exact vector v * den / num over Q, as Fractions."""
         zero = self.field.zero
         return [Fraction(x * den, num) if x else zero for x in v]
 
     def _step(self, v, pc, row, sparse):
-        """(w, s, c): w = (s v - f row) / c has no entry at row's pivot pc."""
-        f, p = v[pc], self.field.p
-        if p is not None:
-            for t, x in sparse:
-                v[t] = (v[t] - f * x) % p
-            return v, 1, 1
+        """(w, s, c) over Q: w = (s v - f row) / c has no entry at row's pivot pc."""
+        f = v[pc]
         g = gcd(row[pc], f)
         s, f = row[pc] // g, f // g
         if s != 1:
@@ -325,6 +330,14 @@ class Echelon:
 
     def _reduce(self, vec):
         """(v, num, den) with v * den / num what ``reduce`` returns."""
+        p = self.field.p
+        if p is not None:
+            v = list(vec)
+            for pc, sparse in zip(self.pivots, self._sparse):
+                if f := v[pc]:
+                    for t, x in sparse:
+                        v[t] = (v[t] - f * x) % p
+            return v, 1, 1
         v, num = self._clear(vec)
         den = 1
         for pc, row, sparse in zip(self.pivots, self.ints, self._sparse):
@@ -335,7 +348,8 @@ class Echelon:
 
     def reduce(self, vec) -> list:
         """vec minus the combination of rows that agrees with it on every pivot."""
-        return self._view(*self._reduce(vec))
+        v, num, den = self._reduce(vec)
+        return v if self.field.p is not None else self._view(v, num, den)
 
     def add(self, vec) -> bool:
         """Extend the basis by vec; False when it reduces to zero on the key columns.
@@ -347,17 +361,21 @@ class Echelon:
         pc = next((t for t in range(self.key) if v[t]), None)
         if pc is None:
             return False
-        F = self.field
-        if F.p is None:
+        p = self.field.p
+        if p is None:
             c = gcd(*v) if v[pc] > 0 else -gcd(*v)
             dense = [x // c for x in v]
         else:
-            s = F.inv(v[pc])
-            dense = [F.mul(s, x) for x in v]
+            s = pow(v[pc], -1, p)
+            dense = [s * x % p for x in v]
         new = [(t, x) for t, x in enumerate(dense) if x]
         for i, row in enumerate(self.ints):
-            if row[pc]:
-                self.ints[i] = row = self._step(row, pc, dense, new)[0]
+            if f := row[pc]:
+                if p is None:
+                    self.ints[i] = row = self._step(row, pc, dense, new)[0]
+                else:
+                    for t, x in new:
+                        row[t] = (row[t] - f * x) % p
                 self._sparse[i] = [(t, x) for t, x in enumerate(row) if x]
         pos = bisect(self.pivots, pc)
         self.pivots.insert(pos, pc)

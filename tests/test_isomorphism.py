@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from nilj import catalog
+from nilj import catalog, isomorphism
 from nilj.algebra import (
     Algebra,
     change_basis,
@@ -26,6 +26,8 @@ from nilj.isomorphism import (
     _forced_isomorphisms,
     _forced_maps,
     _graded,
+    _graded_level1_solutions,
+    _graded_signature,
     _model,
     _search,
     enumerate_automorphisms,
@@ -39,6 +41,13 @@ from nilj.isomorphism import (
 from nilj.linalg import Matrix
 
 F5, F7 = Field(5), Field(7)
+
+
+def _random_basis(field, n, rng):
+    while True:
+        P = Matrix.from_rows(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+        if P.is_invertible():
+            return P
 
 
 def test_all_recorded_maps_verify():
@@ -287,11 +296,7 @@ def test_search_hits_survive_a_random_change_of_basis(case):
     A, B = reduce_mod(make_src(), p), reduce_mod(make_dst(), p)
     rng = random.Random(f"search-basis:{case}")
     for _ in range(3):
-        while True:
-            P = Matrix.from_rows(F, [[rng.randrange(p) for _ in range(B.dim)] for _ in range(B.dim)])
-            if P.is_invertible():
-                break
-        B2 = change_basis(B, P)
+        B2 = change_basis(B, _random_basis(F, B.dim, rng))
         m = search_isomorphism(A, B2, F)
         assert m is not None and m.dst == B2 and verify_isomorphism(m)
 
@@ -334,12 +339,7 @@ def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name):
     ``is_automorphism`` of the graded algebra.  A random basis makes the
     filtration coordinates' products reach below their level sums."""
     A = reduce_mod(catalog.instantiate(name), 5)
-    rng = random.Random(f"graded:{name}")
-    while True:
-        P = Matrix.from_rows(F5, [[rng.randrange(5) for _ in range(A.dim)] for _ in range(A.dim)])
-        if P.is_invertible():
-            break
-    M = _model(change_basis(A, P))
+    M = _model(change_basis(A, _random_basis(F5, A.dim, random.Random(f"graded:{name}"))))
     assert (M.C != _graded(M).C).any()
     levels = np.array(M.levels)
     phis = np.concatenate(list(_search(M.A, M.A, find_all=True)))
@@ -407,3 +407,65 @@ def test_first_hit_through_a_digit_level_is_pinned(name, p, basis, first):
     B = change_basis(A, Matrix(5, 5, basis, F))
     m = search_isomorphism(A, B, F)
     assert m.mat.data == first and verify_isomorphism(m)
+
+
+def test_graded_signature_survives_a_random_change_of_basis():
+    """Metamorphic: every dimension-5 instance at its sample bindings has the
+    signature over F_7 of one seeded random rewriting of it."""
+    for name in catalog.dim5_names():
+        for binding in catalog.sample_bindings(name):
+            A = reduce_mod(catalog.instantiate(name, binding), 7)
+            P = _random_basis(F7, A.dim, random.Random(f"signature:{name}:{sorted(binding.items())}"))
+            B = change_basis(A, P)
+            assert _graded_signature(_model(A)) == _graded_signature(_model(B)), (name, binding)
+
+
+def test_isomorphic_pairs_have_equal_graded_signatures():
+    """Soundness: every pinned hit and every bundled verified map joins two
+    algebras with one signature over each field the map lives in."""
+    cases = [(make_src(), make_dst(), p) for make_src, make_dst, p in PINNED_HITS]
+    for spec in catalog.KNOWN_MAPS + catalog.OVERLAP_MAPS:
+        src, dst, _ = spec.resolve()
+        primes = [spec.field.p] if spec.field.is_prime_field else [5, 7]
+        cases += [(src, dst, p) for p in primes]
+    for src, dst, p in cases:
+        MA, MB = (_model(reduce_mod(X, p) if not X.field.is_prime_field else X) for X in (src, dst))
+        assert _graded_signature(MA) == _graded_signature(MB), (src.names, dst.names, p)
+
+
+# fingerprint-equal pairs whose associated graded algebras differ over F_7:
+# the level-(1,1) product form of J5,12 has rank 2, that of J5,19 rank 3
+SIGNATURE_PRUNED = [("J5,12", "J5,19"), ("J5,15", "J5,18"), ("J5,12", "J5,21")]
+
+
+@pytest.mark.parametrize("src, dst", SIGNATURE_PRUNED)
+def test_signature_prune_skips_the_graded_stage(src, dst, monkeypatch):
+    """The search returns None before it enumerates a level-1 image, and
+    every leaf the unpruned graded stage yields fails the graded leaf test."""
+    A, B = (reduce_mod(catalog.instantiate(name), 7) for name in (src, dst))
+    assert invariant_vector(A) == invariant_vector(B)
+    MA, MB = _model(A), _model(B)
+    assert _graded_signature(MA) != _graded_signature(MB)
+    leaves = np.concatenate(list(_graded_level1_solutions(MA, MB)))
+    gens = np.zeros((len(leaves), MA.n1, A.dim), dtype=np.int64)
+    gens[:, :, :MA.n1] = leaves
+    assert len(leaves) and not _forced_isomorphisms(_graded(MA), _graded(MB), gens)[1].any()
+
+    def refuse(*args):
+        raise AssertionError("the graded stage ran")
+
+    monkeypatch.setattr(isomorphism, "_graded_level1_solutions", refuse)
+    assert search_isomorphism(A, B, F7) is None
+
+
+def test_signature_prune_keeps_the_budget_errors():
+    """Above the candidate budget and above the graded table limit the search
+    raises as it did before the signature existed."""
+    A, B = catalog.instantiate("J5,12"), catalog.instantiate("J5,19")
+    with pytest.raises(SearchBudgetExceededError, match=r"^10007\^\(3\^2\) graded candidates exceed the search budget$"):
+        search_isomorphism(A, B, Field(10007))
+    F53 = Field(53)
+    A = reduce_mod(catalog.instantiate("J4,6"), 53)
+    B = change_basis(A, _random_basis(F53, A.dim, random.Random("signature:J4,6")))
+    with pytest.raises(SearchBudgetExceededError, match=r"^graded table of size 53\^2 exceeds the supported budget$"):
+        search_isomorphism(A, B, F53)

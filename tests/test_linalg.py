@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,3 +135,20 @@ def test_extend_keeps_a_basis_of_the_sum(any_field, data):
     # independent of S and of each other, and spanning what all inputs span
     assert S.add(Subspace.span(any_field, n, kept)).dim == S.dim + len(kept)
     assert S.add(Subspace.span(any_field, n, kept)) == S.add(Subspace.span(any_field, n, inputs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_array_rows_span_as_their_list(any_field, data):
+    """An integer array's rows, reduced mod p in one step, give the subspace
+    and the kernel that the same rows give as a list of Python ints."""
+    n = data.draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -7, 12]) | st.integers(-10**30, 10**30)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    fits = all(abs(x) < 2**62 for row in rows for x in row)
+    array = np.array(rows, dtype=np.int64 if fits else object).reshape(-1, n)
+    assert Subspace.span(any_field, n, array) == Subspace.span(any_field, n, rows)
+    assert Subspace.kernel(any_field, n, array) == Subspace.kernel(any_field, n, rows)
+    if rows:
+        with pytest.raises(DimensionMismatchError):
+            Subspace.span(any_field, n + 1, array)
