@@ -120,13 +120,18 @@ class Algebra:
 
 
 def is_multiplicative(A: Algebra, B: Algebra, phi: Matrix) -> bool:
-    """phi(e_i e_j) = phi(e_i) phi(e_j) for every basis pair of A, in exact
-    arithmetic; the columns of phi are the images of A's basis in B."""
-    return all(
-        phi.apply(A.basis_product(i, j)) == B.vec_mul(phi.col(i), phi.col(j))
-        for i in range(A.dim)
-        for j in range(i, A.dim)
-    )
+    """phi(e_i e_j) = phi(e_i) phi(e_j) for every basis pair of A, exactly; the
+    columns of phi are the images of A's basis in B.  Over Q the tensors are
+    s_A T_A and s_B T_B and phi is P / d, so both sides are taken d^2 s_A s_B times."""
+    (TA, p), (TB, _) = structure_tensor(A), structure_tensor(B)
+    rows, left, right = phi.row_list(), 1, 1
+    if p is None:
+        d = math.lcm(*(x.denominator for row in rows for x in row))
+        rows = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+        left, right = d * _scale(B), _scale(A)
+    P = np.array(rows, dtype=np.result_type(TA, TB)).reshape(B.dim, A.dim)
+    half = _mod(P.T @ TB.reshape(B.dim, B.dim * B.dim), p).reshape(A.dim, B.dim, B.dim)  # [i, c, t]
+    return not _mod(left * _mod(TA @ P.T, p) - right * _mod(P.T @ half, p), p).any()
 
 
 @dataclass(frozen=True)
@@ -191,12 +196,17 @@ def structure_tensor(A: Algebra):
         # derivation and coboundary rows of degree 1), so the scale multiplies
         # both sides or a whole row by a power of itself and changes no
         # verdict and no solution space.
-        scale = math.lcm(*(c.denominator for terms in A._sc.values() for c in terms.values()))
+        scale = _scale(A)
     T = np.zeros((n, n, n), dtype=np.int64 if p is not None and _fits_int64(p, n) else object)
     for (i, j), terms in A._sc.items():
         for k, c in terms.items():
             T[i, j, k] = T[j, i, k] = c if p is not None else c.numerator * (scale // c.denominator)
     return T, p
+
+
+def _scale(A: Algebra) -> int:
+    """The lcm of the denominators of A's structure constants over Q."""
+    return math.lcm(*(c.denominator for terms in A._sc.values() for c in terms.values()))
 
 
 def _mod(X, p):

@@ -185,6 +185,7 @@ def _cmd_orbits(args) -> int:
     print(f"admissible {args.grassmann}-subspaces: {rep.total_admissible}")
     print(f"orbits: {rep.orbit_count}  sizes: {list(rep.orbit_sizes)}")
     print(f"|Aut| = {rep.aut_group_order}")
+    print(f"|Aut| = |G1| * |K| = {rep.aut_group_order // rep.aut_kernel_order} * {rep.aut_kernel_order}")
     for r in rep.orbit_representatives:
         print("  representative:", [list(v) for v in r])
     return 0

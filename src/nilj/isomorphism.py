@@ -57,11 +57,11 @@ re-verifies it with ``verify_isomorphism``.  ``_automorphism_array`` maps the
 find-all output back in blocks of AUT_BLOCK and re-verifies every block
 (multiplicativity on all basis pairs, full rank mod p) before keeping it.
 
-``orbit_census`` works on that verified array directly: the admissibility
-rank test over all candidate subspaces, the induced action on H2 class
-coordinates and the orbit images are batched numpy contractions over int64
-residues, reduced mod p after every contraction (no floating point),
-and ``_check_int64`` refuses moduli whose sums could overflow.
+``orbit_census`` verifies and acts with the |T| + |K| maps of
+``_automorphism_cosets``, not the |T| |K| of Aut: the admissibility rank test,
+the induced actions on H2 class coordinates and the orbit images are batched
+numpy contractions over int64 residues, reduced mod p after each (no floating
+point), and ``_check_int64`` refuses moduli whose sums could overflow.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -577,6 +577,21 @@ def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, core, find_all
         yield out
 
 
+def _leaf_stream(MA: _FilteredModel, MB: _FilteredModel):
+    """``_search``'s refusals, then its graded leaf blocks (none when shapes or signatures differ)."""
+    if MA.m != MB.m or MA.block_dims() != MB.block_dims():
+        return ()
+    p, s = MA.p, MA.n1
+    if p ** (s * s) > AUT_CANDIDATE_BUDGET:
+        raise SearchBudgetExceededError(f"{p}^({s}^2) graded candidates exceed the search budget")
+    _check_int64(p, MA.A.dim)  # every contraction below sums at most n products
+    if p**s > GRADED_TABLE_LIMIT:
+        raise SearchBudgetExceededError(f"graded table of size {p}^{s} exceeds the supported budget")
+    if MA is not MB and _graded_signature(MA) != _graded_signature(MB):
+        return ()
+    return _graded_level1_solutions(MA, MB)
+
+
 def _search(A: Algebra, B: Algebra, find_all):
     """All (or the first) isomorphisms A -> B as engine-coordinate matrix arrays.
 
@@ -585,19 +600,9 @@ def _search(A: Algebra, B: Algebra, find_all):
     bases.
     """
     MA, MB = _model(A), _model(B)
-    if MA.m != MB.m or MA.block_dims() != MB.block_dims():
-        return
-    p, s = MA.p, MA.n1
-    if p ** (s * s) > AUT_CANDIDATE_BUDGET:
-        raise SearchBudgetExceededError(f"{p}^({s}^2) graded candidates exceed the search budget")
-    _check_int64(p, MA.A.dim)  # every contraction below sums at most n products
-    if p**s > GRADED_TABLE_LIMIT:
-        raise SearchBudgetExceededError(f"graded table of size {p}^{s} exceeds the supported budget")
-    if A is not B and _graded_signature(MA) != _graded_signature(MB):
-        return
     # leaves are lifted in blocks that double up to AUT_BLOCK, so a search
     # that hits early completes few graded leaves it does not need
-    for leaves in _regroup(_graded_level1_solutions(MA, MB), 1):
+    for leaves in _regroup(_leaf_stream(MA, MB), 1):
         for core in _lift_candidates(MA, MB, leaves, find_all):
             yield from _free_digit_expansion(MA, MB, core, find_all)
             if not find_all:
@@ -722,25 +727,17 @@ def _unique_rows(rows):
     return ordered[keep]
 
 
-def _automorphism_array(A: Algebra, field: Field):
-    """Every automorphism of A over F_p as a sorted, deduplicated (N, n, n) array.
-
-    Rows are ordered as ``sorted(mat.data)`` orders the matrices.  The
-    search's engine-coordinate output is mapped back to the original basis
-    AUT_BLOCK matrices at a time, and each block is re-verified before it is
-    kept in a small residue dtype.
-    """
+def _automorphism_setup(A: Algebra, field: Field):
+    """(M, convert) after the enumeration's refusals: M models A over F_p, and convert maps a block of
+    engine-coordinate automorphisms to the original basis, re-verifies it and keeps it in a small dtype."""
     Ap, _ = _prepare_pair(A, A, field)
-    p, n = field.p, Ap.dim
-    powers = power_filtration(Ap)
-    sq_dim = powers[1].dim if len(powers) > 1 else 0
-    g = n - sq_dim
+    M, p, n = _model(Ap), field.p, Ap.dim
+    g = M.n1  # n - dim J^2 generator images, each of n coordinates
     if p ** (g * n) > AUT_CANDIDATE_BUDGET:
         raise SearchBudgetExceededError(
             f"{p}^({g}*{n}) candidate images exceed the enumeration budget"
         )
     _check_int64(p, n)
-    M = _model(Ap)
     to_old = np.array(M.to_old.row_list(), dtype=np.int64)
     to_new = np.array(M.to_new.row_list(), dtype=np.int64)
     C, _ = structure_tensor(Ap)
@@ -751,8 +748,39 @@ def _automorphism_array(A: Algebra, field: Field):
         _verify_automorphism_block(C, phis, p)
         return phis.astype(dtype)
 
-    kept = [convert(block) for block in _regroup(_search(Ap, Ap, find_all=True), AUT_BLOCK)]
+    return M, convert
+
+
+def _automorphism_array(A: Algebra, field: Field):
+    """Every automorphism of A over F_p as a sorted, deduplicated (N, n, n) array.
+
+    Rows are ordered as ``sorted(mat.data)`` orders the matrices.  The
+    search's engine-coordinate output is mapped back to the original basis
+    AUT_BLOCK matrices at a time, and each block is re-verified before it is
+    kept in a small residue dtype.
+    """
+    M, convert = _automorphism_setup(A, field)
+    n = M.A.dim
+    kept = [convert(block) for block in _regroup(_search(M.A, M.A, find_all=True), AUT_BLOCK)]
     return _unique_rows(np.concatenate(kept).reshape(-1, n * n)).reshape(-1, n, n)
+
+
+def _automorphism_cosets(A: Algebra, field: Field):
+    """(T, K), verified in the original basis, with ``_automorphism_array``'s refusals.  K is every
+    automorphism that is the identity mod J^2 (the lifts of the identity leaf, deduplicated); T is the
+    first lift of each leaf (lifts come leaf by leaf), one per element of G1, Aut's image in GL(J/J^2)."""
+    M, convert = _automorphism_setup(A, field)
+    n, s = M.A.dim, M.n1
+    cores = (core for block in _regroup(_leaf_stream(M, M), AUT_BLOCK) for core in _lift_candidates(M, M, block, False))
+    firsts = (next(lifts)[None] for _, lifts in groupby(cores, key=lambda core: core[:s, :s].tobytes()))
+    kernel = (out for core in _lift_candidates(M, M, np.eye(s, dtype=np.int64)[None], True)
+              for out in _free_digit_expansion(M, M, core, True))
+    T, K = (np.concatenate([np.zeros((0, n, n), dtype=np.int64), *map(convert, _regroup(stream, AUT_BLOCK))])
+            for stream in (firsts, kernel))
+    K = _unique_rows(K.reshape(-1, n * n)).reshape(-1, n, n)
+    if not (K == np.eye(n, dtype=K.dtype)).all(axis=(1, 2)).any():
+        raise NiljError("the automorphisms trivial mod J^2 miss the identity")
+    return T, K
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +798,7 @@ class OrbitReport:
     orbit_sizes: tuple
     aut_group_order: int
     orbit_members: tuple  # frozensets of canonical bases, aligned with representatives
+    aut_kernel_order: int  # |K|, the automorphisms that are the identity mod J^2
 
     def orbit_of(self, canonical) -> int:
         for idx, members in enumerate(self.orbit_members):
@@ -799,17 +828,6 @@ def _subspace_blocks(p: int, h: int, r: int):
 def _tuples(block) -> list:
     """The (K, r, h) residue block as a list of bases, each a tuple of row tuples."""
     return [tuple(map(tuple, rows)) for rows in block.tolist()]
-
-
-def _canonical_subspaces(field: Field, h: int, r: int):
-    """Canonical RREF bases of all r-dimensional subspaces of F_p^h, as tuples.
-
-    The tuple form of ``_subspace_blocks``, in its order: the enumeration is
-    streamed as int64 blocks of at most AUT_BLOCK bases, and each block is
-    turned into tuples only when it is reached.
-    """
-    for block in _subspace_blocks(field.p, h, r):
-        yield from _tuples(block)
 
 
 def _canonicalize(field: Field, rows):
@@ -855,15 +873,21 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     has rank dim Ann: every theta_i is symmetric, so the annihilator vector
     N^T y lies in the common radical exactly when y is in the left kernel of
     that matrix, and N^T y = 0 only when y = 0.
+
+    Aut is the disjoint union of the cosets t K (``_automorphism_cosets``):
+    t k = t' k' makes t, t' agree mod J^2, so they lift one leaf and t = t';
+    phi = t (t^-1 phi) with t agreeing with phi mod J^2.  So |Aut| = |T| |K|.
+    Automorphisms keep B2 and (t k)^T R (t k) = k^T (t^T R t) k, so t k acts
+    on class coordinates as X_k X_t, and {X_k X_t} is the induced group.
     """
     if r < 1:
         raise NiljError(f"census needs r >= 1, got {r}")
     Ap, _ = _prepare_pair(A, A, field)
     spaces = h2(Ap)
-    autos = _automorphism_array(Ap, field)
+    T, K = _automorphism_cosets(Ap, field)
     admissible = _admissible_subspaces(spaces, cached_annihilator(Ap), r)
     admissible_set = set(admissible)
-    actions = _induced_actions(spaces, autos) if admissible else None
+    actions = _coset_actions(spaces, T, K, field.p) if admissible else None
     unseen = set(admissible_set)
     orbits = []
     for rows in admissible:
@@ -887,9 +911,19 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
         orbit_count=len(orbits),
         orbit_representatives=tuple(o[0] for o in orbits),
         orbit_sizes=tuple(o[1] for o in orbits),
-        aut_group_order=len(autos),
+        aut_group_order=len(T) * len(K),
         orbit_members=tuple(o[2] for o in orbits),
+        aut_kernel_order=len(K),
     )
+
+
+def _coset_actions(spaces, T, K, p: int):
+    """The distinct X_k X_t (see ``orbit_census``) in ``_induced_actions`` order, ~AUT_BLOCK at a time."""
+    XT, XK = _induced_actions(spaces, T), _induced_actions(spaces, K)
+    h, step = XT.shape[1], max(1, AUT_BLOCK // len(XK))
+    found = [_unique_rows((XK[:, None] @ XT[None, start:start + step] % p).reshape(-1, h * h))
+             for start in range(0, len(XT), step)]
+    return _unique_rows(np.concatenate(found)).reshape(-1, h, h)
 
 
 def _induced_actions(spaces, autos):

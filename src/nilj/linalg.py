@@ -250,15 +250,15 @@ class Subspace:
 
 
 def _echelon(field: Field, width: int, vectors) -> "Echelon":
-    """An Echelon of the vectors, each checked for length and, over F_p, coerced
-    entry by entry; an integer array is reduced mod p in one step instead."""
-    ech, coerce = Echelon(field, width), field.p is not None
-    if isinstance(vectors, np.ndarray):
+    """An Echelon of the vectors, each checked for length and, over F_p, coerced entry by entry; an
+    integer array is reduced mod p in one step instead, and over Q skips the scan for denominators."""
+    ech, coerce, ints = Echelon(field, width), field.p is not None, isinstance(vectors, np.ndarray)
+    if ints:
         vectors, coerce = (vectors if field.p is None else vectors % field.p).tolist(), False
     for v in vectors:
         if len(v) != width:
             raise DimensionMismatchError("vector length mismatch")
-        ech.add([field.of(x) for x in v] if coerce else v)
+        ech.add([field.of(x) for x in v] if coerce else v, ints)
     return ech
 
 
@@ -328,8 +328,8 @@ class Echelon:
         c = gcd(*v) or 1
         return (v if c == 1 else [x // c for x in v]), s, c
 
-    def _reduce(self, vec):
-        """(v, num, den) with v * den / num what ``reduce`` returns."""
+    def _reduce(self, vec, ints=False):
+        """(v, num, den) with v * den / num what ``reduce`` returns; ``ints``: vec holds only ints."""
         p = self.field.p
         if p is not None:
             v = list(vec)
@@ -338,7 +338,7 @@ class Echelon:
                     for t, x in sparse:
                         v[t] = (v[t] - f * x) % p
             return v, 1, 1
-        v, num = self._clear(vec)
+        v, num = (list(vec), 1) if ints else self._clear(vec)
         den = 1
         for pc, row, sparse in zip(self.pivots, self.ints, self._sparse):
             if v[pc]:
@@ -351,12 +351,12 @@ class Echelon:
         v, num, den = self._reduce(vec)
         return v if self.field.p is not None else self._view(v, num, den)
 
-    def add(self, vec) -> bool:
+    def add(self, vec, ints=False) -> bool:
         """Extend the basis by vec; False when it reduces to zero on the key columns.
 
-        Either way ``residual`` keeps what vec reduced to.
+        Either way ``residual`` keeps what vec reduced to.  ``ints`` as for ``_reduce``.
         """
-        self._res = self._reduce(vec)
+        self._res = self._reduce(vec, ints)
         v = self._res[0]
         pc = next((t for t in range(self.key) if v[t]), None)
         if pc is None:

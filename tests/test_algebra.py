@@ -14,6 +14,7 @@ from nilj.algebra import (
     direct_sum,
     invariant_vector,
     is_associative,
+    is_multiplicative,
     jordan_identity_holds,
     power_filtration,
     reduce_mod,
@@ -148,6 +149,45 @@ def test_tensor_reads_match_the_reference_loops(any_field, nilpotent_algebras, d
     assert is_associative(A) == reference_is_associative(A)
     assert annihilator(A) == reference_annihilator(A)
     assert derivation_algebra(A) == reference_derivation_algebra(A)
+
+
+def reference_is_multiplicative(A, B, phi):
+    """The per-pair loop over ``vec_mul`` that the tensor contraction replaced."""
+    return all(
+        phi.apply(A.basis_product(i, j)) == B.vec_mul(phi.col(i), phi.col(j))
+        for i in range(A.dim)
+        for j in range(i, A.dim)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_multiplicative_matches_the_reference_loop(any_field, nilpotent_algebras, data):
+    """Isomorphisms onto a random basis, an inclusion into a direct sum and the
+    zero map, each also with one entry moved, against the per-pair loop."""
+    A = data.draw(nilpotent_algebras(any_field))
+    F, n = A.field, A.dim
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def scalar():
+        return F.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if F.p is None else rng.randrange(F.p))
+
+    while True:
+        P = Matrix.from_rows(F, [[scalar() for _ in range(n)] for _ in range(n)])
+        if P.is_invertible():
+            break
+    B = change_basis(A, P)  # P maps B's basis to its images in A
+    S = direct_sum(A, B)
+    inclusion = Matrix.from_rows(F, [[F.one if r == c else F.zero for c in range(n)] for r in range(2 * n)])
+    maps = [(B, A, P), (A, S, inclusion), (A, B, Matrix.zeros(F, n, n))]
+    assert all(reference_is_multiplicative(*m) for m in maps)
+    for src, dst, phi in maps:
+        rows = phi.row_list()
+        r, c = rng.randrange(dst.dim), rng.randrange(n)
+        rows[r][c] = F.add(rows[r][c], F.of(rng.randint(1, 4)) if F.p is None else F.one)
+        moved = Matrix.from_rows(F, rows)
+        for m in (phi, moved):
+            assert is_multiplicative(src, dst, m) == reference_is_multiplicative(src, dst, m)
 
 
 @pytest.mark.parametrize("field", (QQ, Field(7)), ids=repr)

@@ -22,9 +22,13 @@ from nilj.fields import Field
 from nilj.isomorphism import (
     _admissible_subspaces,
     _automorphism_array,
-    _canonical_subspaces,
+    _automorphism_cosets,
     _canonicalize,
+    _coset_actions,
+    _induced_actions,
     _rref_mod_p,
+    _subspace_blocks,
+    _tuples,
     _verify_automorphism_block,
     enumerate_automorphisms,
     orbit_census,
@@ -32,6 +36,13 @@ from nilj.isomorphism import (
 from nilj.linalg import Matrix
 
 F5, F7 = Field(5), Field(7)
+
+
+def _canonical_subspaces(field, h, r):
+    """Canonical RREF bases of all r-dimensional subspaces of F_p^h, as tuples,
+    in the order of the census's streamed ``_subspace_blocks``."""
+    for block in _subspace_blocks(field.p, h, r):
+        yield from _tuples(block)
 
 
 def reference_census(A, field, r):
@@ -271,7 +282,8 @@ def test_block_boundaries_move_nothing(monkeypatch):
     J46, J412, J32 = (reduce_mod(catalog.instantiate(n), 5) for n in ("J4,6", "J4,12", "J3,2"))
 
     def results():
-        return [_automorphism_array(A, F5) for A in (J46, J412)], orbit_census(J32, F5, 2)
+        censuses = orbit_census(J32, F5, 2), orbit_census(J412, F5, 1)
+        return [_automorphism_array(A, F5) for A in (J46, J412)], censuses
 
     autos, census = results()
     for block in (3, 7):
@@ -279,3 +291,48 @@ def test_block_boundaries_move_nothing(monkeypatch):
         got_autos, got_census = results()
         assert all(np.array_equal(a, b) for a, b in zip(autos, got_autos))
         assert got_census == census
+
+
+def _check_cosets(A, field):
+    """|T| |K| is |Aut|, and the actions X_k X_t are the induced actions of
+    the whole automorphism array, element for element."""
+    T, K = _automorphism_cosets(A, field)
+    autos = _automorphism_array(A, field)
+    assert len(T) * len(K) == len(autos)
+    spaces = h2(A)
+    if spaces.h2_reps:
+        got, want = _coset_actions(spaces, T, K, field.p), _induced_actions(spaces, autos)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", BENCH_PARENTS)
+def test_cosets_rebuild_the_automorphism_group_over_f5(name):
+    A = reduce_mod(catalog.instantiate(name), 5)
+    _check_cosets(A, F5)
+    _check_cosets(change_basis(A, _random_invertible(F5, A.dim, random.Random(f"cosets:{name}"))), F5)
+
+
+@pytest.mark.parametrize("name", ["J3,2", "J3,3", "J4,4", "J4,7", "J4,8"])
+def test_cosets_rebuild_the_automorphism_group_over_f7(name):
+    _check_cosets(reduce_mod(catalog.instantiate(name), 7), F7)
+
+
+@pytest.mark.parametrize("find_all", [False, True], ids=["T", "K"])
+def test_cosets_reject_a_corrupted_automorphism(monkeypatch, find_all):
+    """A wrong map in T (the first lift of each leaf) or in K (every lift of
+    the identity leaf) is refused by the block check, never trusted."""
+    A5 = reduce_mod(catalog.instantiate("J4,4"), 5)
+    lift = isomorphism._lift_candidates
+
+    def corrupted(MA, MB, leaves, all_lifts):
+        for k, core in enumerate(lift(MA, MB, leaves, all_lifts)):
+            if k == 0 and all_lifts == find_all:
+                core = core.copy()
+                core[0, 0] = (core[0, 0] + 1) % 5  # e_0 moves, its products do not
+            yield core
+
+    monkeypatch.setattr(isomorphism, "_lift_candidates", corrupted)
+    with pytest.raises(NiljError, match="enumerated automorphism"):
+        _automorphism_cosets(A5, F5)
+    with pytest.raises(NiljError, match="enumerated automorphism"):
+        orbit_census(A5, F5, 1)

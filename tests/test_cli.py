@@ -64,6 +64,7 @@ def test_orbits_command(capsys):
     assert main(["orbits", "J1,1", "--field", "p:5", "--grassmann", "1"]) == 0
     out = capsys.readouterr().out
     assert "admissible 1-subspaces: 1" in out
+    assert "|Aut| = 4\n|Aut| = |G1| * |K| = 4 * 1\n" in out
 
 
 def test_lemma_a_command(capsys):
