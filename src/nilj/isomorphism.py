@@ -13,9 +13,13 @@ square ideal); images of all other basis vectors are forced by
 multiplicativity.  For speed the enumeration is staged along the power
 filtration: leading (graded) digits first with table-driven pruning, then the
 lower digits, which are solved linearly whenever correction cross-terms
-provably vanish (they land below the last nonzero power).  Digits too deep to
-influence any product are factored out of the search and re-attached
-combinatorially, so automorphism counts are exact.
+provably vanish (they land below the last nonzero power).  There the forced
+map and its defect are affine in the digits: the constant term is the
+candidate's own forced map, and the slopes come from the closure's
+linearisation (``_linearisation``), compiled once per model pair with the
+defect entries each digit can reach, so only those entries are solved.
+Digits too deep to influence any product are factored out of the search and
+re-attached combinatorially, so automorphism counts are exact.
 
 ``search_isomorphism`` first compares the invariant fingerprints of the two
 algebras reduced mod p and returns None when they differ.  An isomorphism
@@ -40,7 +44,10 @@ basis vector over words in the generators.  It runs on blocks of candidate
 generator images as int64 contractions over the target's tensor, and the
 candidates are accepted or rejected in batch (multiplicativity on all basis
 pairs, full rank mod p) by ``_forced_isomorphisms``, the engine's one
-acceptance test.  The graded leaves take it on the associated graded tensors
+acceptance test.  The defects are evaluated only at the entries that some
+forced map can make nonzero: ``_supports`` runs the program once on the
+tensors' nonzero patterns, and every other entry vanishes for all
+candidates.  The graded leaves take the test on the associated graded tensors
 (``_graded``: C keeps the components of level(k) = level(i) + level(j)).
 
 Every enumeration is one parent-major stream of (parent, child) pairs from
@@ -255,33 +262,95 @@ def _closure(M: _FilteredModel, d: int, s: int) -> _Closure:
     return _Closure(tuple(rounds), np.array([row[d:] for row in ech.rows], dtype=np.int64))
 
 
+def _mult(X, C, p: int):
+    """Multiplication matrices of the rows x of a (..., n) residue array: row c is x e_c."""
+    n = C.shape[0]
+    return (X.reshape(-1, n) @ C.reshape(n, n * n) % p).reshape(X.shape + (n,))
+
+
 def _products(X, Y, C, p: int):
     """Row-wise products x * y of two (..., n) residue arrays through the tensor C."""
-    n = C.shape[0]
-    half = (X @ C.reshape(n, n * n) % p).reshape(X.shape + (n,))  # [..., c, t]
-    return (Y[..., None, :] @ half)[..., 0, :] % p
+    return (Y[..., None, :] @ _mult(X, C, p))[..., 0, :] % p
 
 
-def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens):
+def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens, tangents=None):
     """The maps forced by multiplicativity from generator images, and their
-    ``_product_defects``.
+    defects, or with ``tangents`` their first-order changes.
 
     ``gens`` is a (k, s, d) array: candidate images of the first s coordinates
     in the quotients C[:d, :d, :d] of both models.  Runs MA's compiled closure
     through MB's tensor; phis[b] has the forced images of the quotient's
-    basis as columns.
+    basis as columns.  The defects are ``_defects_at`` the entries that a
+    forced map can make nonzero (``_supports``); every other entry of
+    ``_product_defects`` vanishes for all candidates.  ``tangents`` is a
+    (T, s, d) array of changes to every candidate's generator images; the
+    closure's linearisation at gens[b] carries change t to the (d, d) change
+    [b, t] of phis[b], which is exact when no two changes multiply to a
+    nonzero product (see ``_linear_stage``).
     """
     k, s, d = gens.shape
     prog = _closure(MA, d, s)
     p, CA, CB = MA.p, MA.C[:d, :d, :d], MB.C[:d, :d, :d]
     imgs = np.empty((k, d, d), dtype=np.int64)  # images of the independent words
     imgs[:, :s] = gens
+    if tangents is not None:
+        moves = np.zeros((k, d, len(tangents), d), dtype=np.int64)  # [b, word, t]: their changes
+        moves[:, :s] = tangents.transpose(1, 0, 2)
     found = s
     for left, right in prog.rounds:
-        imgs[:, found:found + len(left)] = _products(imgs[:, left], imgs[:, right], CB, p)
-        found += len(left)
+        new = slice(found, found + len(left))
+        if tangents is not None:  # (x + dx)(y + dy) = x y + dx y + x dy, as dx dy = 0
+            moves[:, new] = (moves[:, left] @ _mult(imgs[:, right], CB, p)
+                             + moves[:, right] @ _mult(imgs[:, left], CB, p)) % p
+        imgs[:, new] = _products(imgs[:, left], imgs[:, right], CB, p)
+        found = new.stop
     phis = imgs.transpose(0, 2, 1) @ prog.basis.T % p
-    return phis, _product_defects(CA, CB, phis, p)
+    if tangents is not None:
+        return phis, moves.transpose(0, 2, 3, 1) @ prog.basis.T % p
+    return phis, _defects_at(CA, CB, phis, _supports(MA, MB, d, s)[2], p)
+
+
+def _times(CB, phis, c, i, p: int):
+    """(phi(e_i) e_a)[c] = sum_y phi[y, i] CB[a, y, c] for every phis[b] at the index arrays c and i,
+    as [b, a, entry]."""
+    return (phis.transpose(2, 0, 1)[i] @ CB[:, :, c].transpose(2, 1, 0) % p).transpose(1, 2, 0)
+
+
+def _defects_at(CA, CB, phis, entries, p: int):
+    """phi(e_i e_j)[c] - (phi(e_i) phi(e_j))[c] mod p for every phis[b] at the (c, i, j) index arrays
+    ``entries``, as [b, entry]."""
+    c, i, j = entries
+    return ((phis[:, c] * CA[i, j]).sum(axis=2) - (phis[:, :, j] * _times(CB, phis, c, i, p)).sum(axis=1)) % p
+
+
+def _meets(X, Y, S, spec="...a,...c,acr->...r"):
+    """Where products of vectors supported on X and on Y can be nonzero through a tensor supported on S."""
+    return np.einsum(spec, X, Y, S) > 0
+
+
+def _reaches(MA: _FilteredModel, MB: _FilteredModel, d: int, X, images):
+    """[c, i, j] where X(e_i e_j)[c], (X(e_i) phi(e_j))[c] or (phi(e_i) X(e_j))[c] may be nonzero for
+    maps phi and X whose images of the basis of the quotient C[:d, :d, :d] are supported on images and X."""
+    SA, SB = ((M.C[:d, :d, :d] != 0).astype(np.int64) for M in (MA, MB))
+    hit = np.einsum("ijq,qc->cij", SA, X) + _meets(X, images, SB, "ia,jc,acr->rij") > 0
+    return hit | hit.transpose(0, 2, 1)
+
+
+@lru_cache(maxsize=None)
+def _supports(MA: _FilteredModel, MB: _FilteredModel, d: int, s: int):
+    """Where a forced map of the quotients C[:d, :d, :d] can be nonzero, whatever its s generator
+    images: MA's closure program run on supports, a product being nonzero where MB's tensor can make
+    it so.  Returns (words, images, entries): the coordinates of the independent words' and of the
+    basis' images, and the (c, i, j) index arrays of the defect entries with i <= j that can be nonzero."""
+    prog = _closure(MA, d, s)
+    SB = (MB.C[:d, :d, :d] != 0).astype(np.int64)
+    words = np.ones((d, d), dtype=bool)
+    found = s
+    for left, right in prog.rounds:
+        words[found:found + len(left)] = _meets(words[left], words[right], SB)
+        found += len(left)
+    images = (prog.basis != 0).astype(np.int64) @ words > 0  # [e_i, coordinate]
+    return words, images, np.nonzero(np.triu(_reaches(MA, MB, d, images, images)))
 
 
 def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
@@ -504,64 +573,104 @@ def _combos(p: int, width: int):
         yield _digits(codes, p, width)[:, ::-1]
 
 
+@lru_cache(maxsize=None)
+def _linearisation(MA: _FilteredModel, MB: _FilteredModel, levels: tuple):
+    """The linear stage's digit slots for ``levels``, compiled: (tangents, moved, reached).
+
+    ``tangents[t]`` is the (s, n) unit change of the generator images at slot
+    t.  MA's closure program runs on supports, as in ``_supports``, and the
+    product rule carries the unit changes into the words' changes.  So forced
+    maps change only at the (coordinate, basis vector) index arrays
+    ``moved``, and a defect entry of ``_supports`` moves with the digits only
+    where ``reached``.  Raises if two changes can multiply to a nonzero
+    product, which otherwise makes the forced maps and their defects affine
+    in the digits.
+    """
+    n, s = MA.A.dim, MA.n1
+    prog = _closure(MA, n, s)
+    words, images, entries = _supports(MA, MB, n, s)
+    gs, cs = _slots(MB, s, levels)
+    SB = (MB.C != 0).astype(np.int64)
+    moved = np.zeros((n, n), dtype=bool)
+    moved[gs, cs] = True
+    found = s
+    for left, right in prog.rounds:
+        new = slice(found, found + len(left))
+        moved[new] = _meets(moved[left], words[right], SB) | _meets(words[left], moved[right], SB)
+        found = new.stop
+    span = moved.any(axis=0)
+    if SB[span][:, span].any():
+        raise NiljError("two digit changes multiply: the linear stage does not apply")
+    moved = (prog.basis != 0).astype(np.int64) @ moved > 0  # [e_i, coordinate]
+    tangents = np.zeros((len(gs), s, n), dtype=np.int64)
+    tangents[np.arange(len(gs)), gs, cs] = 1
+    return tangents, np.nonzero(moved.T), _reaches(MA, MB, n, moved, images)[entries]
+
+
 def _linear_stage(MA, MB, gens, levels_left, find_all):
     """Solve all remaining relevant digits at once.
 
     Valid exactly when every cross-product of two corrections lands in a
-    vanishing power (2K >= m), making the multiplicativity defect an affine
-    function of the digits.  For each candidate in ``gens`` the defect is
-    interpolated from T+1 evaluations and the linear system is solved over
-    F_p; the evaluations, the systems and the solutions run as batches.
-    Both tensors are symmetric, so the defect rows of the pairs i <= j carry
-    the whole system.
+    vanishing power (2K >= m): then the forced map and its multiplicativity
+    defect are affine in the digits.  One run of the closure and of its
+    linearisation (``_linearisation``, compiled once per model pair and
+    levels) gives each candidate's forced map, the constant term, and the
+    slopes of its digits.  The defect is evaluated at the entries that can be
+    nonzero (``_supports``; pairs i <= j, as both tensors are symmetric): those no digit
+    moves must vanish already, a mask, and only the moved ones go into one
+    batched RREF.  Its rows span the full system's row space, so the solution
+    set and the particular solution (free digits zero) are those of the full
+    system.  The solutions come in ``iproduct`` order of the digits, the
+    particular one alone unless ``find_all``; a candidate's solution set is
+    streamed AUT_BLOCK at a time in that order from the RREF of its null
+    space.  A solution's map is the constant plus the slopes, multiplicative
+    by construction, and is kept when it has full rank.
     """
-    p = MA.p
-    gs, cs = _slots(MB, MA.n1, levels_left)
-    T = len(gs)
-    upper = np.triu_indices(MA.A.dim)
+    p, n = MA.p, MA.A.dim
+    tangents, (xs, ys), reached = _linearisation(MA, MB, tuple(levels_left))
+    phis, slopes = _forced_maps(MA, MB, gens, tangents)  # slopes[b, t]: the (n, n) change along slot t
+    entries = _supports(MA, MB, n, MA.n1)[2]
+    defects = _defects_at(MA.C, MB.C, phis, entries, p)
+    live = ~defects[:, ~reached].any(axis=1)  # the entries no digit moves vanish already
+    defects, (c, i, j) = defects[:, reached], (index[reached] for index in entries)
+    by_i, by_j = _times(MB.C, phis, c, i, p), _times(MB.C, phis, c, j, p)  # [b, a, entry]
+    # the change S(e_i e_j)[c] - (S(e_i) phi(e_j))[c] - (phi(e_i) S(e_j))[c] is linear in S[xs, ys]
+    weights = ((xs[:, None] == c) * MA.C[i, j][:, ys].T - (ys[:, None] == i) * by_j[:, xs]
+               - (ys[:, None] == j) * by_i[:, xs])
+    change = slopes[:, :, xs, ys] @ (weights % p)  # [b, t, entry]
+    # rows (defect slopes | -constant); a pivot in the last column is inconsistent
+    reduced, ranks = _rref_mod_p(np.concatenate([change.transpose(0, 2, 1), -defects[:, :, None]], axis=2), p)
+    T = len(tangents)
+    lead = (reduced != 0).argmax(axis=2)
+    pivot = np.arange(len(c)) < ranks[:, None]
+    consistent = live & ~(pivot & (lead == T)).any(axis=1)
+    reduced, lead, pivot, phis, slopes = (a[consistent] for a in (reduced, lead, pivot, phis, slopes))
+    b, r = np.nonzero(pivot)
+    x0 = np.zeros((len(reduced), T), dtype=np.int64)
+    x0[b, lead[b, r]] = reduced[b, r, T]
+    if find_all:
+        # null vectors e_f - sum_r reduced[r, f] e_lead(r), zero where f is a pivot column; in RREF
+        # their coordinates order the solutions lexicographically from the one that vanishes at
+        # their leading columns
+        null = np.tile(np.eye(T, dtype=np.int64), (len(reduced), 1, 1))
+        null[b, :, lead[b, r]] -= reduced[b, r, :T]
+        null, nullity = _rref_mod_p(null, p)
+        x0 = (x0 - (np.take_along_axis(x0, (null != 0).argmax(axis=2), axis=1)[:, None] @ null)[:, 0]) % p
+    base = np.concatenate([np.arange(len(x0))[:, None], x0], axis=1)  # (candidate | digits)
 
-    def build(owners, tvals):
-        cand = gens[owners]
-        cand[:, gs, cs] = (cand[:, gs, cs] + tvals) % p
-        return cand
+    def solutions():
+        start = 0
+        for at in np.flatnonzero(nullity) if find_all else ():
+            yield base[start:at]
+            for y in _combos(p, nullity[at]):
+                yield np.concatenate([np.full((len(y), 1), at), (x0[at] + y @ null[at, :nullity[at]]) % p], axis=1)
+            start = at + 1
+        yield base[start:]
 
-    owners, solutions = np.arange(len(gens)), np.zeros((len(gens), T), dtype=np.int64)
-    if T:
-        probes = np.eye(T + 1, T, -1, dtype=np.int64)  # no digit, then each unit digit
-        step = max(1, AUT_BLOCK // (T + 1))
-        d = []
-        for start in range(0, len(gens), step):
-            idx = owners[start:start + step]
-            cand = build(np.repeat(idx, T + 1), np.tile(probes, (len(idx), 1)))
-            defects = _forced_maps(MA, MB, cand)[1][:, :, upper[0], upper[1]]
-            d.append(defects.reshape(len(idx), T + 1, -1))
-        d = np.concatenate(d)
-        # rows (defect slopes | -d0); a pivot in the last column is inconsistent
-        system = np.concatenate([(d[:, 1:] - d[:, :1]) % p, -d[:, :1] % p], axis=1)
-        reduced, ranks = _rref_mod_p(system.transpose(0, 2, 1), p)
-        kept, found = [], []
-        for b, (red, rank) in enumerate(zip(reduced, ranks)):
-            red = red[:rank]
-            pivots = (red != 0).argmax(axis=1)
-            if rank and pivots[-1] == T:
-                continue
-            sols = np.zeros((1, T), dtype=np.int64)
-            sols[0, pivots] = red[:, T]
-            free = np.setdiff1d(np.arange(T), pivots)
-            if find_all and len(free):
-                null = np.zeros((len(free), T), dtype=np.int64)
-                null[np.arange(len(free)), free] = 1
-                null[:, pivots] = -red[:, free].T % p
-                sols = _unique_rows((sols + np.concatenate(list(_combos(p, len(free)))) @ null) % p)
-            kept.append(np.full(len(sols), b))
-            found.append(sols)
-        if not kept:
-            return
-        owners, solutions = np.concatenate(kept), np.concatenate(found)
-    for start in range(0, len(owners), AUT_BLOCK):
-        cand = build(owners[start:start + AUT_BLOCK], solutions[start:start + AUT_BLOCK])
-        phis, ok = _forced_isomorphisms(MA, MB, cand)
-        yield from phis[ok]
+    for block in _regroup(solutions(), AUT_BLOCK):
+        at, x = block[:, 0], block[:, 1:]
+        maps = (phis[at] + np.einsum("bt,btij->bij", x, slopes[at])) % p
+        yield from maps[_rref_mod_p(maps, p)[1] == n]
 
 
 def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, core, find_all):
@@ -584,7 +693,7 @@ def _leaf_stream(MA: _FilteredModel, MB: _FilteredModel):
     p, s = MA.p, MA.n1
     if p ** (s * s) > AUT_CANDIDATE_BUDGET:
         raise SearchBudgetExceededError(f"{p}^({s}^2) graded candidates exceed the search budget")
-    _check_int64(p, MA.A.dim)  # every contraction below sums at most n products
+    _check_int64(p, MA.A.dim**2)  # every contraction below sums at most n^2 products
     if p**s > GRADED_TABLE_LIMIT:
         raise SearchBudgetExceededError(f"graded table of size {p}^{s} exceeds the supported budget")
     if MA is not MB and _graded_signature(MA) != _graded_signature(MB):

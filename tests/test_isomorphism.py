@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -469,3 +470,118 @@ def test_signature_prune_keeps_the_budget_errors():
     B = change_basis(A, _random_basis(F53, A.dim, random.Random("signature:J4,6")))
     with pytest.raises(SearchBudgetExceededError, match=r"^graded table of size 53\^2 exceeds the supported budget$"):
         search_isomorphism(A, B, F53)
+
+
+def _linear_cases():
+    """(source, target, p) of searches whose candidates reach the linear stage:
+    J5,13 -> J5,16 (no map) and onto the pinned J5,13 basis over F_7, two
+    J5,17 bindings onto themselves over F_5 and F_7, and J4,6 and J4,7 onto
+    themselves over F_5, in the catalog basis and in one seeded basis.  (J4,12
+    has nilpotency index 3, so no digit is left for the stage to solve.)"""
+    J513 = reduce_mod(catalog.instantiate("J5,13"), 7)
+    cases = {
+        "J5,13-J5,16": (J513, reduce_mod(catalog.instantiate("J5,16"), 7), 7),
+        "J5,13-pinned": (J513, change_basis(J513, Matrix(5, 5, PINNED_DEEP_HITS[2][2], F7)), 7),
+    }
+    for alpha in ("0", "1"):
+        for p in (5, 7):
+            A = reduce_mod(catalog.instantiate("J5,17", {"alpha": alpha}), p)
+            cases[f"J5,17[{alpha}]-F{p}"] = (A, A, p)
+    for name in ("J4,6", "J4,7"):
+        A = reduce_mod(catalog.instantiate(name), 5)
+        cases[name] = (A, A, 5)
+        cases[f"{name}-basis"] = (A, change_basis(A, _random_basis(F5, A.dim, random.Random(f"linear:{name}"))), 5)
+    return cases
+
+
+LINEAR_CASES = _linear_cases()
+
+
+def _linear_stage_calls(A, B, limit, monkeypatch):
+    """The (MA, MB, gens, levels) of the linear-stage calls of a find-all search of A -> B,
+    in order, cut after the first ``limit`` candidates."""
+    calls = []
+
+    class Enough(Exception):
+        pass
+
+    def record(MA, MB, gens, levels, find_all):
+        left = limit - sum(len(call[2]) for call in calls)
+        calls.append((MA, MB, gens[:left].copy(), levels))
+        if len(gens) >= left:
+            raise Enough
+        return iter(())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(isomorphism, "_linear_stage", record)
+        try:
+            list(_search(A, B, find_all=True))
+        except Enough:
+            pass
+    return calls
+
+
+@pytest.mark.parametrize("block", [isomorphism.AUT_BLOCK, 3])
+@pytest.mark.parametrize("case", list(LINEAR_CASES))
+def test_linear_stage_matches_digit_enumeration(case, block, monkeypatch):
+    """For the first candidates that reach the linear stage, its maps are, in
+    order, those of running every setting of the remaining digits through the
+    forced closure: with find_all every isomorphism in ``iproduct`` order of
+    the digits, and otherwise, per candidate, the one solution whose free
+    digits are zero (a digit is free when it is the last one moved by some
+    difference of two solutions) when that solution has full rank."""
+    A, B, p = LINEAR_CASES[case]
+    monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
+    calls = _linear_stage_calls(A, B, 128, monkeypatch)
+    assert calls
+    for MA, MB, gens, levels in calls:
+        gs, cs = isomorphism._slots(MB, MA.n1, levels)
+        digits = np.array(list(itertools.product(range(p), repeat=len(gs))), dtype=np.int64)
+        every, first = [], []
+        for g in gens:
+            cand = np.repeat(g[None], len(digits), axis=0)
+            cand[:, gs, cs] = digits
+            phis, defects = _forced_maps(MA, MB, cand)
+            _, ok = _forced_isomorphisms(MA, MB, cand)
+            every += list(phis[ok])
+            solved = np.flatnonzero(~defects.reshape(len(cand), -1).any(axis=1))
+            if len(solved):
+                moved = (digits[solved] - digits[solved[0]]) % p
+                free = sorted({np.flatnonzero(step)[-1] for step in moved if step.any()})
+                (particular,) = solved[~digits[solved][:, free].any(axis=1)]
+                first += [phis[particular]] if ok[particular] else []
+        for find_all, want in ((True, every), (False, first)):
+            got = list(isomorphism._linear_stage(MA, MB, gens.copy(), levels, find_all))
+            assert len(got) == len(want) and all(map(np.array_equal, got, want)), (find_all, len(got), len(want))
+
+
+def test_linear_stage_evaluates_one_defect_row_per_candidate(monkeypatch):
+    """The linear stage takes each candidate's constant term from its own
+    forced map and its slopes from the compiled linearisation, so it computes
+    the product defects of at most one map per candidate: on J5,13 -> J5,16
+    over F_7, whose 10,584 candidates all reach it and none lifts.  Both
+    defect kernels are counted by rows, so the block size does not matter."""
+    A, B = (reduce_mod(catalog.instantiate(name), 7) for name in ("J5,13", "J5,16"))
+    seen = {"rows": 0, "candidates": 0, "stage rows": 0}
+    at, full, stage = isomorphism._defects_at, isomorphism._product_defects, isomorphism._linear_stage
+
+    def count_at(CA, CB, phis, entries, p):
+        seen["rows"] += len(phis)
+        return at(CA, CB, phis, entries, p)
+
+    def count_full(CA, CB, phis, p):
+        seen["rows"] += len(phis)
+        return full(CA, CB, phis, p)
+
+    def count_stage(MA, MB, gens, levels, find_all):
+        seen["candidates"] += len(gens)
+        before = seen["rows"]
+        maps = list(stage(MA, MB, gens, levels, find_all))
+        seen["stage rows"] += seen["rows"] - before
+        return iter(maps)
+
+    monkeypatch.setattr(isomorphism, "_defects_at", count_at)
+    monkeypatch.setattr(isomorphism, "_product_defects", count_full)
+    monkeypatch.setattr(isomorphism, "_linear_stage", count_stage)
+    assert search_isomorphism(A, B, F7) is None
+    assert 0 < seen["stage rows"] <= seen["candidates"], seen
