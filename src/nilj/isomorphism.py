@@ -12,12 +12,13 @@ The search enumerates images of a generating set (a basis complement of the
 square ideal); images of all other basis vectors are forced by
 multiplicativity.  For speed the enumeration is staged along the power
 filtration: leading (graded) digits first with table-driven pruning, then the
-lower digits, which are solved linearly whenever correction cross-terms
-provably vanish (they land below the last nonzero power).  There the forced
-map and its defect are affine in the digits: the constant term is the
-candidate's own forced map, and the slopes come from the closure's
-linearisation (``_linearisation``), compiled once per model pair with the
-defect entries each digit can reach, so only those entries are solved.
+lower digits, solved linearly on quotients where two corrections cannot
+multiply (a level K with 2K < m modulo the levels >= K + 2, as 2K >= K + 2;
+the levels with 2K >= m together).  There the forced map and its defect are
+affine in the digits: the constant term is the candidate's own forced map,
+and the slopes come from the closure's linearisation (``_linearisation``),
+compiled once per model pair and quotient with the defect entries each digit
+can reach, so only those entries are solved.
 Digits too deep to influence any product are factored out of the search and
 re-attached combinatorially, so automorphism counts are exact.
 
@@ -43,20 +44,20 @@ The forced closure is compiled once per source quotient and generator count
 basis vector over words in the generators.  It runs on blocks of candidate
 generator images as int64 contractions over the target's tensor, and the
 candidates are accepted or rejected in batch (multiplicativity on all basis
-pairs, full rank mod p) by ``_forced_isomorphisms``, the engine's one
-acceptance test.  The defects are evaluated only at the entries that some
-forced map can make nonzero: ``_supports`` runs the program once on the
-tensors' nonzero patterns, and every other entry vanishes for all
+pairs, full rank mod p) by ``_forced_isomorphisms``, or at the digit levels
+by ``_linear_stage``'s solve.  The defects are evaluated only at the entries
+that some forced map can make nonzero: ``_supports`` runs the program once
+on the tensors' nonzero patterns, and every other entry vanishes for all
 candidates.  The graded leaves take the test on the associated graded tensors
 (``_graded``: C keeps the components of level(k) = level(i) + level(j)).
 
 Every enumeration is one parent-major stream of (parent, child) pairs from
 ``_blocks``, at most AUT_BLOCK at a time: the graded stage extends partial
-level-1 codes by one generator and filters each block with array masks; a
-digit level extends the survivors of the level before by all their digit
-settings; free digits and candidate subspaces have one parent.  Candidates
-keep their enumeration order, so the first hit is the one a
-candidate-by-candidate search finds.
+level-1 codes by one generator and filters each block with array masks; free
+digits and candidate subspaces have one parent.  A digit level enumerates
+nothing: it streams each candidate's solutions in ``iproduct`` order of its
+digits.  Candidates keep their enumeration order, so the first hit is the one
+a candidate-by-candidate search finds.
 
 The engine works in filtration coordinates and emits arrays of matrices.
 ``search_isomorphism`` maps its single hit back to the original bases and
@@ -529,11 +530,11 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
     (``_graded``): its forced images are block-diagonal, multiplicative at
     every level sum and of full rank.  Yields (n, n) matrices whose columns
     are the images of A's basis, leaf by leaf and within a leaf in
-    ``iproduct`` order of its digits.  A digit level extends its parents by
-    all their digit settings in one ``_blocks`` stream and checks each block
-    as a batch.
+    ``iproduct`` order of its digits.  ``_linear_stage`` solves each level K
+    with 2K < m modulo the levels >= K + 2, streaming every solution on as a
+    candidate, then the levels with 2K >= m together, where ``find_all`` decides.
     """
-    p, n, s, m = MA.p, MA.A.dim, MA.n1, MA.m
+    n, s, m = MA.A.dim, MA.n1, MA.m
     relevant = [k for k in range(2, m - 1) if MB.block[k][0] != MB.block[k][1]]
 
     def stage(k_idx, gens):
@@ -543,16 +544,14 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
             return
         K = relevant[k_idx]
         if 2 * K >= m:
-            yield from _linear_stage(MA, MB, gens, relevant[k_idx:], find_all)
+            for maps in _linear_stage(MA, MB, gens, relevant[k_idx:], n, find_all):
+                yield from maps
             return
-        gs, cs = _slots(MB, s, [K])
         d = MB.block[K + 1][1]  # the quotient by the levels >= K + 2
-        for parent, code in _blocks(len(gens), p ** len(gs)):
-            cand = gens[parent]
-            cand[:, gs, cs] = _digits(code, p, len(gs))[:, ::-1]
-            _, ok = _forced_isomorphisms(MA, MB, cand[:, :, :d])
-            if ok.any():
-                yield from stage(k_idx + 1, cand[ok])
+        for maps in _linear_stage(MA, MB, gens, [K], d, True):
+            cand = np.zeros((len(maps), s, n), dtype=np.int64)
+            cand[:, :, :d] = maps[:, :, :s].transpose(0, 2, 1)  # the generators' columns
+            yield from stage(k_idx + 1, cand)
 
     gens = np.zeros((len(leaves), s, n), dtype=np.int64)
     gens[:, :, :s] = leaves
@@ -574,10 +573,10 @@ def _combos(p: int, width: int):
 
 
 @lru_cache(maxsize=None)
-def _linearisation(MA: _FilteredModel, MB: _FilteredModel, levels: tuple):
-    """The linear stage's digit slots for ``levels``, compiled: (tangents, moved, reached).
+def _linearisation(MA: _FilteredModel, MB: _FilteredModel, levels: tuple, d: int):
+    """The linear stage's digit slots for ``levels`` in C[:d, :d, :d], compiled: (tangents, moved, reached).
 
-    ``tangents[t]`` is the (s, n) unit change of the generator images at slot
+    ``tangents[t]`` is the (s, d) unit change of the generator images at slot
     t.  MA's closure program runs on supports, as in ``_supports``, and the
     product rule carries the unit changes into the words' changes.  So forced
     maps change only at the (coordinate, basis vector) index arrays
@@ -586,12 +585,12 @@ def _linearisation(MA: _FilteredModel, MB: _FilteredModel, levels: tuple):
     product, which otherwise makes the forced maps and their defects affine
     in the digits.
     """
-    n, s = MA.A.dim, MA.n1
-    prog = _closure(MA, n, s)
-    words, images, entries = _supports(MA, MB, n, s)
+    s = MA.n1
+    prog = _closure(MA, d, s)
+    words, images, entries = _supports(MA, MB, d, s)
     gs, cs = _slots(MB, s, levels)
-    SB = (MB.C != 0).astype(np.int64)
-    moved = np.zeros((n, n), dtype=bool)
+    SB = (MB.C[:d, :d, :d] != 0).astype(np.int64)
+    moved = np.zeros((d, d), dtype=bool)
     moved[gs, cs] = True
     found = s
     for left, right in prog.rounds:
@@ -602,40 +601,41 @@ def _linearisation(MA: _FilteredModel, MB: _FilteredModel, levels: tuple):
     if SB[span][:, span].any():
         raise NiljError("two digit changes multiply: the linear stage does not apply")
     moved = (prog.basis != 0).astype(np.int64) @ moved > 0  # [e_i, coordinate]
-    tangents = np.zeros((len(gs), s, n), dtype=np.int64)
+    tangents = np.zeros((len(gs), s, d), dtype=np.int64)
     tangents[np.arange(len(gs)), gs, cs] = 1
-    return tangents, np.nonzero(moved.T), _reaches(MA, MB, n, moved, images)[entries]
+    return tangents, np.nonzero(moved.T), _reaches(MA, MB, d, moved, images)[entries]
 
 
-def _linear_stage(MA, MB, gens, levels_left, find_all):
-    """Solve all remaining relevant digits at once.
+def _linear_stage(MA, MB, gens, levels, d, find_all):
+    """Solve the digits of ``levels`` at once on the quotient C[:d, :d, :d].
 
-    Valid exactly when every cross-product of two corrections lands in a
-    vanishing power (2K >= m): then the forced map and its multiplicativity
-    defect are affine in the digits.  One run of the closure and of its
-    linearisation (``_linearisation``, compiled once per model pair and
-    levels) gives each candidate's forced map, the constant term, and the
-    slopes of its digits.  The defect is evaluated at the entries that can be
-    nonzero (``_supports``; pairs i <= j, as both tensors are symmetric): those no digit
+    Valid exactly when no two corrections multiply to a nonzero product on
+    the quotient (``_linearisation`` checks it): then the forced map and its
+    multiplicativity defect are affine in the digits.  One run of the closure
+    and of its linearisation (compiled once per model pair, levels and d)
+    gives each candidate's forced map, the constant term, and the slopes of
+    its digits.  The defect is evaluated at the entries that can be nonzero
+    (``_supports``; pairs i <= j, as both tensors are symmetric): those no digit
     moves must vanish already, a mask, and only the moved ones go into one
     batched RREF.  Its rows span the full system's row space, so the solution
     set and the particular solution (free digits zero) are those of the full
     system.  The solutions come in ``iproduct`` order of the digits, the
     particular one alone unless ``find_all``; a candidate's solution set is
-    streamed AUT_BLOCK at a time in that order from the RREF of its null
-    space.  A solution's map is the constant plus the slopes, multiplicative
-    by construction, and is kept when it has full rank.
+    streamed in that order from the RREF of its null space.  A solution's map
+    is the constant plus the slopes, multiplicative by construction; blocks
+    of at most AUT_BLOCK (d, d) maps are yielded, the ones of full rank d.
     """
-    p, n = MA.p, MA.A.dim
-    tangents, (xs, ys), reached = _linearisation(MA, MB, tuple(levels_left))
-    phis, slopes = _forced_maps(MA, MB, gens, tangents)  # slopes[b, t]: the (n, n) change along slot t
-    entries = _supports(MA, MB, n, MA.n1)[2]
-    defects = _defects_at(MA.C, MB.C, phis, entries, p)
+    p = MA.p
+    CA, CB = MA.C[:d, :d, :d], MB.C[:d, :d, :d]
+    tangents, (xs, ys), reached = _linearisation(MA, MB, tuple(levels), d)
+    phis, slopes = _forced_maps(MA, MB, gens[:, :, :d], tangents)  # slopes[b, t]: the (d, d) change along slot t
+    entries = _supports(MA, MB, d, MA.n1)[2]
+    defects = _defects_at(CA, CB, phis, entries, p)
     live = ~defects[:, ~reached].any(axis=1)  # the entries no digit moves vanish already
     defects, (c, i, j) = defects[:, reached], (index[reached] for index in entries)
-    by_i, by_j = _times(MB.C, phis, c, i, p), _times(MB.C, phis, c, j, p)  # [b, a, entry]
+    by_i, by_j = _times(CB, phis, c, i, p), _times(CB, phis, c, j, p)  # [b, a, entry]
     # the change S(e_i e_j)[c] - (S(e_i) phi(e_j))[c] - (phi(e_i) S(e_j))[c] is linear in S[xs, ys]
-    weights = ((xs[:, None] == c) * MA.C[i, j][:, ys].T - (ys[:, None] == i) * by_j[:, xs]
+    weights = ((xs[:, None] == c) * CA[i, j][:, ys].T - (ys[:, None] == i) * by_j[:, xs]
                - (ys[:, None] == j) * by_i[:, xs])
     change = slopes[:, :, xs, ys] @ (weights % p)  # [b, t, entry]
     # rows (defect slopes | -constant); a pivot in the last column is inconsistent
@@ -670,7 +670,7 @@ def _linear_stage(MA, MB, gens, levels_left, find_all):
     for block in _regroup(solutions(), AUT_BLOCK):
         at, x = block[:, 0], block[:, 1:]
         maps = (phis[at] + np.einsum("bt,btij->bij", x, slopes[at])) % p
-        yield from maps[_rref_mod_p(maps, p)[1] == n]
+        yield maps[_rref_mod_p(maps, p)[1] == d]
 
 
 def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, core, find_all):

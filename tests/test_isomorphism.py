@@ -498,16 +498,22 @@ LINEAR_CASES = _linear_cases()
 
 
 def _linear_stage_calls(A, B, limit, monkeypatch):
-    """The (MA, MB, gens, levels) of the linear-stage calls of a find-all search of A -> B,
-    in order, cut after the first ``limit`` candidates."""
+    """The (MA, MB, gens, levels, d) of the linear-stage calls of a find-all search of A -> B,
+    in order, at most ``limit`` candidates for each quotient size d.  A call on a quotient
+    (d < n) passes its solutions on to the next level, so the search goes on to the calls
+    of its last group (d = n); it is cut after the first ``limit`` candidates of those."""
     calls = []
+    stage = isomorphism._linear_stage
 
     class Enough(Exception):
         pass
 
-    def record(MA, MB, gens, levels, find_all):
-        left = limit - sum(len(call[2]) for call in calls)
-        calls.append((MA, MB, gens[:left].copy(), levels))
+    def record(MA, MB, gens, levels, d, find_all):
+        left = limit - sum(len(call[2]) for call in calls if call[4] == d)
+        if left > 0:
+            calls.append((MA, MB, gens[:left].copy(), levels, d))
+        if d < MA.A.dim:
+            return stage(MA, MB, gens, levels, d, find_all)
         if len(gens) >= left:
             raise Enough
         return iter(())
@@ -524,22 +530,24 @@ def _linear_stage_calls(A, B, limit, monkeypatch):
 @pytest.mark.parametrize("block", [isomorphism.AUT_BLOCK, 3])
 @pytest.mark.parametrize("case", list(LINEAR_CASES))
 def test_linear_stage_matches_digit_enumeration(case, block, monkeypatch):
-    """For the first candidates that reach the linear stage, its maps are, in
-    order, those of running every setting of the remaining digits through the
-    forced closure: with find_all every isomorphism in ``iproduct`` order of
-    the digits, and otherwise, per candidate, the one solution whose free
-    digits are zero (a digit is free when it is the last one moved by some
-    difference of two solutions) when that solution has full rank."""
+    """For the first candidates that reach each digit level, the linear stage's maps are, in
+    order, those of running every setting of the level's digits through the forced closure of
+    the level's quotient C[:d, :d, :d]: with find_all every isomorphism of the quotients in
+    ``iproduct`` order of the digits, and otherwise, per candidate, the one solution whose
+    free digits are zero (a digit is free when it is the last one moved by some difference of
+    two solutions) when that solution has full rank.  The J5,17 searches solve level 2 modulo
+    the levels >= 4 (d < n) before their last group, the others only a last group (d = n)."""
     A, B, p = LINEAR_CASES[case]
     monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
     calls = _linear_stage_calls(A, B, 128, monkeypatch)
-    assert calls
-    for MA, MB, gens, levels in calls:
+    assert any(d == A.dim for *_, d in calls)
+    assert any(d < A.dim for *_, d in calls) == case.startswith("J5,17")
+    for MA, MB, gens, levels, d in calls:
         gs, cs = isomorphism._slots(MB, MA.n1, levels)
         digits = np.array(list(itertools.product(range(p), repeat=len(gs))), dtype=np.int64)
         every, first = [], []
         for g in gens:
-            cand = np.repeat(g[None], len(digits), axis=0)
+            cand = np.repeat(g[None, :, :d], len(digits), axis=0)
             cand[:, gs, cs] = digits
             phis, defects = _forced_maps(MA, MB, cand)
             _, ok = _forced_isomorphisms(MA, MB, cand)
@@ -551,37 +559,77 @@ def test_linear_stage_matches_digit_enumeration(case, block, monkeypatch):
                 (particular,) = solved[~digits[solved][:, free].any(axis=1)]
                 first += [phis[particular]] if ok[particular] else []
         for find_all, want in ((True, every), (False, first)):
-            got = list(isomorphism._linear_stage(MA, MB, gens.copy(), levels, find_all))
-            assert len(got) == len(want) and all(map(np.array_equal, got, want)), (find_all, len(got), len(want))
+            got = [phi for maps in isomorphism._linear_stage(MA, MB, gens.copy(), levels, d, find_all) for phi in maps]
+            assert len(got) == len(want) and all(map(np.array_equal, got, want)), (d, find_all, len(got), len(want))
 
 
 def test_linear_stage_evaluates_one_defect_row_per_candidate(monkeypatch):
-    """The linear stage takes each candidate's constant term from its own
-    forced map and its slopes from the compiled linearisation, so it computes
-    the product defects of at most one map per candidate: on J5,13 -> J5,16
-    over F_7, whose 10,584 candidates all reach it and none lifts.  Both
-    defect kernels are counted by rows, so the block size does not matter."""
-    A, B = (reduce_mod(catalog.instantiate(name), 7) for name in ("J5,13", "J5,16"))
-    seen = {"rows": 0, "candidates": 0, "stage rows": 0}
-    at, full, stage = isomorphism._defects_at, isomorphism._product_defects, isomorphism._linear_stage
+    """Every linear-stage call, on a level's quotient or on the whole algebra, takes each
+    candidate's constant term from its own forced map and its slopes from the compiled
+    linearisation, so it runs the closure (``_forced_maps``) and computes the product defects
+    of at most one map per candidate.  Checked at every digit level of two searches over F_7:
+    J5,13 -> J5,16, whose 10,584 candidates all reach its one group of levels and none lifts,
+    and J5,17 onto itself, whose level 2 is solved modulo the levels >= 4 first.  Rows are
+    counted, so the block size does not matter."""
+    seen, inside = {}, []
+    kernels = {"_forced_maps": "maps", "_defects_at": "defect rows", "_product_defects": "defect rows"}
+    stage = isomorphism._linear_stage
 
-    def count_at(CA, CB, phis, entries, p):
-        seen["rows"] += len(phis)
-        return at(CA, CB, phis, entries, p)
+    def counting(kernel, key):
+        def count(*args):
+            if inside:
+                seen[inside[0]][key] += len(args[2])  # gens or phis
+            return kernel(*args)
+        return count
 
-    def count_full(CA, CB, phis, p):
-        seen["rows"] += len(phis)
-        return full(CA, CB, phis, p)
-
-    def count_stage(MA, MB, gens, levels, find_all):
-        seen["candidates"] += len(gens)
-        before = seen["rows"]
-        maps = list(stage(MA, MB, gens, levels, find_all))
-        seen["stage rows"] += seen["rows"] - before
+    def count_stage(MA, MB, gens, levels, d, find_all):
+        seen.setdefault(d, {"candidates": 0, "maps": 0, "defect rows": 0})["candidates"] += len(gens)
+        inside.append(d)
+        maps = list(stage(MA, MB, gens, levels, d, find_all))
+        inside.pop()
         return iter(maps)
 
-    monkeypatch.setattr(isomorphism, "_defects_at", count_at)
-    monkeypatch.setattr(isomorphism, "_product_defects", count_full)
+    for name, key in kernels.items():
+        monkeypatch.setattr(isomorphism, name, counting(getattr(isomorphism, name), key))
     monkeypatch.setattr(isomorphism, "_linear_stage", count_stage)
-    assert search_isomorphism(A, B, F7) is None
-    assert 0 < seen["stage rows"] <= seen["candidates"], seen
+    J513, J516 = (reduce_mod(catalog.instantiate(name), 7) for name in ("J5,13", "J5,16"))
+    J517 = reduce_mod(catalog.instantiate("J5,17", {"alpha": "1"}), 7)
+    for A, B, hit in ((J513, J516, False), (J517, J517, True)):
+        seen.clear()
+        assert (search_isomorphism(A, B, F7) is not None) == hit
+        M = _model(A)
+        assert set(seen) == {M.block[K + 1][1] for K in range(2, M.m - 1) if 2 * K < M.m} | {A.dim}, seen
+        for counts in seen.values():
+            assert 0 < counts["maps"] <= counts["candidates"], seen
+            assert 0 < counts["defect rows"] <= counts["candidates"], seen
+
+
+def _digit_groups(M):
+    """The (levels, d) groups of digit levels that ``_lift_candidates`` solves, in order: each
+    level K with 2K < m modulo the levels >= K + 2, then the levels with 2K >= m together."""
+    relevant = [k for k in range(2, M.m - 1) if M.block[k][0] != M.block[k][1]]
+    last = tuple(K for K in relevant if 2 * K >= M.m)
+    return [((K,), M.block[K + 1][1]) for K in relevant if 2 * K < M.m] + ([(last, M.A.dim)] if last else [])
+
+
+def test_every_digit_level_is_affine_on_its_quotient():
+    """The exactness guard of the lift: ``_linearisation`` compiles without its "two digit
+    changes multiply" error for every group of digit levels the lift solves, for every
+    catalog instance at its sample bindings over F_5 and F_7, in the catalog basis and in one
+    seeded random basis.  Two level-K corrections multiply into level 2K, which is >= K + 2
+    for K >= 2, and >= m for the last group.  Quotient levels occur exactly for J4,11, J5,2,
+    J5,3, J5,17 and J5,24."""
+    quotients = set()
+    for name in catalog.names():
+        for binding in catalog.sample_bindings(name):
+            for F in (F5, F7):
+                A = reduce_mod(catalog.instantiate(name, binding), F.p)
+                rng = random.Random(f"linearise:{name}:{sorted(binding.items())}:{F.p}")
+                for X in (A, change_basis(A, _random_basis(F, A.dim, rng))):
+                    M = _model(X)
+                    for levels, d in _digit_groups(M):
+                        tangents, _, _ = isomorphism._linearisation(M, M, levels, d)
+                        assert tangents.shape == (M.n1 * sum(M.block_dims()[K - 1] for K in levels), M.n1, d)
+                        if d < X.dim:
+                            quotients.add(name)
+    assert quotients == {"J4,11", "J5,2", "J5,3", "J5,17", "J5,24"}
