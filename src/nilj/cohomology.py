@@ -1,4 +1,4 @@
-"""Jordan cocycles, coboundaries, second cohomology and the automorphism action.
+"""Jordan cocycles, coboundaries, second cohomology and the automorphism test.
 
 A scalar cocycle is a symmetric n x n matrix; vector-valued cocycles are plain
 lists of scalar ones.  Cocycle coordinates flatten the upper triangle in the
@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     NiljError,
-    SingularMatrixError,
 )
 from .linalg import Matrix, Subspace
 
@@ -68,15 +67,6 @@ class Cocycle:
             data[i][j] = v
             data[j][i] = v
         return Cocycle(A, Matrix.from_rows(A.field, data))
-
-    @staticmethod
-    def delta(A: Algebra, i: int, j: int, coeff=1) -> "Cocycle":
-        """The elementary symmetric map taking value coeff at the pair {i, j}."""
-        n = A.dim
-        coords = [A.field.zero] * sym_dim(n)
-        pair = (i, j) if i <= j else (j, i)
-        coords[sym_pairs(n).index(pair)] = A.field.of(coeff)
-        return Cocycle.from_upper(A, coords)
 
     @staticmethod
     def zero(A: Algebra) -> "Cocycle":
@@ -230,13 +220,6 @@ def radical(thetas) -> Subspace:
         if t.algebra != A:
             raise FieldMismatchError("cocycles on different algebras")
     return Subspace.kernel(A.field, A.dim, [t.mat.row(i) for t in thetas for i in range(A.dim)])
-
-
-def act(phi: Matrix, theta: Cocycle) -> Cocycle:
-    """Pullback (phi theta)(x, y) = theta(phi x, phi y) = phi^T M phi."""
-    if not phi.is_invertible():
-        raise SingularMatrixError("action requires an invertible matrix")
-    return Cocycle(theta.algebra, phi.transpose().mul(theta.mat).mul(phi))
 
 
 def is_automorphism(A: Algebra, phi: Matrix) -> bool:

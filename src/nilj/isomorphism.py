@@ -66,8 +66,9 @@ find-all output back in blocks of AUT_BLOCK and re-verifies every block
 (multiplicativity on all basis pairs, full rank mod p) before keeping it.
 
 ``orbit_census`` verifies and acts with the |T| + |K| maps of
-``_automorphism_cosets``, not the |T| |K| of Aut: the admissibility rank test,
-the induced actions on H2 class coordinates and the orbit images are batched
+``_automorphism_cosets``, not the |T| |K| of Aut, and forms each orbit as the
+images under T's actions, then under K's: the admissibility rank test, the
+induced actions on H2 class coordinates and the orbit images are batched
 numpy contractions over int64 residues, reduced mod p after each (no floating
 point), and ``_check_int64`` refuses moduli whose sums could overflow.
 """
@@ -986,8 +987,10 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     Aut is the disjoint union of the cosets t K (``_automorphism_cosets``):
     t k = t' k' makes t, t' agree mod J^2, so they lift one leaf and t = t';
     phi = t (t^-1 phi) with t agreeing with phi mod J^2.  So |Aut| = |T| |K|.
-    Automorphisms keep B2 and (t k)^T R (t k) = k^T (t^T R t) k, so t k acts
-    on class coordinates as X_k X_t, and {X_k X_t} is the induced group.
+    Automorphisms keep B2 and t k acts on class coordinates as X_k X_t
+    (``_induced_actions``), so the orbit of V is every X_k (X_t V): the images
+    under T's actions, then the images of those under K's.  The induced group
+    {X_k X_t} is never formed.
     """
     if r < 1:
         raise NiljError(f"census needs r >= 1, got {r}")
@@ -996,15 +999,13 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     T, K = _automorphism_cosets(Ap, field)
     admissible = _admissible_subspaces(spaces, cached_annihilator(Ap), r)
     admissible_set = set(admissible)
-    actions = _coset_actions(spaces, T, K, field.p) if admissible else None
+    XT, XK = _induced_actions(spaces, T, K) if admissible else (None, None)
     unseen = set(admissible_set)
     orbits = []
     for rows in admissible:
         if rows not in unseen:
             continue
-        # the deduplicated actions form the full induced group, so the orbit
-        # is the one-pass image of the representative
-        orbit = _orbit_images(actions, rows, field.p)
+        orbit = _orbit_images(XK, _orbit_images(XT, [rows], field.p), field.p)
         for moved in orbit:
             if moved not in admissible_set:
                 raise NiljError("orbit left the admissible census")
@@ -1026,20 +1027,15 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     )
 
 
-def _coset_actions(spaces, T, K, p: int):
-    """The distinct X_k X_t (see ``orbit_census``) in ``_induced_actions`` order, ~AUT_BLOCK at a time."""
-    XT, XK = _induced_actions(spaces, T), _induced_actions(spaces, K)
-    h, step = XT.shape[1], max(1, AUT_BLOCK // len(XK))
-    found = [_unique_rows((XK[:, None] @ XT[None, start:start + step] % p).reshape(-1, h * h))
-             for start in range(0, len(XT), step)]
-    return _unique_rows(np.concatenate(found)).reshape(-1, h, h)
+def _induced_actions(spaces, *groups):
+    """For each (N, n, n) automorphism array in ``groups``, the distinct
+    matrices by which its maps act on H2 class coordinates.
 
-
-def _induced_actions(spaces, autos):
-    """The distinct matrices by which automorphisms act on H2 class coordinates.
-
-    Row t, column h of an action holds class coordinate t of phi^T R_h phi,
-    where R_h is the h-th H2 representative.
+    Row t, column h of an action X_phi holds class coordinate t of
+    phi^T R_h phi, where R_h is the h-th H2 representative; phi moves the
+    class with coordinates c to X_phi c, and (phi psi)^T R (phi psi) =
+    psi^T (phi^T R phi) psi makes X_{phi psi} = X_psi X_phi.  The
+    class-coordinate extractor is built once for all groups.
     """
     A = spaces.algebra
     field, n = A.field, A.dim
@@ -1055,25 +1051,30 @@ def _induced_actions(spaces, autos):
     extractor = np.array(T.inverse().row_list()[:hdim], dtype=np.int64)
     reps = np.array([c.mat.row_list() for c in spaces.h2_reps], dtype=np.int64)
     upper = np.triu_indices(n)  # row-major, the order of ``pairs``
-    found = []
-    for start in range(0, len(autos), AUT_BLOCK):
-        phi = autos[start:start + AUT_BLOCK, None].astype(np.int64)
-        # congruence phi^T R phi, reduced after each contraction
-        acted = (phi.transpose(0, 1, 3, 2) @ reps % p) @ phi % p
-        coords = acted[:, :, upper[0], upper[1]] @ extractor.T % p  # [b, h, t]
-        action = coords.transpose(0, 2, 1).reshape(len(phi), -1)
-        found.append(_unique_rows(action.astype(autos.dtype)))
-    distinct = _unique_rows(np.concatenate(found))
-    return distinct.reshape(-1, hdim, hdim).astype(np.int64)
+    actions = []
+    for autos in groups:
+        found = []
+        for start in range(0, len(autos), AUT_BLOCK):
+            phi = autos[start:start + AUT_BLOCK, None].astype(np.int64)
+            # congruence phi^T R phi, reduced after each contraction
+            acted = (phi.transpose(0, 1, 3, 2) @ reps % p) @ phi % p
+            coords = acted[:, :, upper[0], upper[1]] @ extractor.T % p  # [b, h, t]
+            action = coords.transpose(0, 2, 1).reshape(len(phi), -1)
+            found.append(_unique_rows(action.astype(autos.dtype)))
+        distinct = _unique_rows(np.concatenate(found))
+        actions.append(distinct.reshape(-1, hdim, hdim).astype(np.int64))
+    return tuple(actions)
 
 
-def _orbit_images(actions, rows, p: int) -> set:
-    """Canonical bases of the images of the subspace spanned by ``rows``."""
-    R = np.array(rows, dtype=np.int64)
-    r, h = R.shape
+def _orbit_images(actions, bases, p: int) -> set:
+    """Canonical bases of X V for every action X and every V in ``bases``
+    (canonical bases of subspaces of one dimension), at most AUT_BLOCK
+    (base, action) pairs per batched echelon form."""
+    R = np.array(list(bases), dtype=np.int64)
+    r, h = R.shape[1:]
     images = []
-    for start in range(0, len(actions), AUT_BLOCK):
-        moved = R @ actions[start:start + AUT_BLOCK].transpose(0, 2, 1) % p
+    for i, k in _blocks(len(R), len(actions)):
+        moved = R[i] @ actions[k].transpose(0, 2, 1) % p
         reduced, _ = _rref_mod_p(moved, p)
         images.append(_unique_rows(reduced.reshape(len(moved), -1)))
     distinct = _unique_rows(np.concatenate(images)).reshape(-1, r, h)

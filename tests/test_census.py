@@ -24,11 +24,11 @@ from nilj.isomorphism import (
     _automorphism_array,
     _automorphism_cosets,
     _canonicalize,
-    _coset_actions,
     _induced_actions,
     _rref_mod_p,
     _subspace_blocks,
     _tuples,
+    _unique_rows,
     _verify_automorphism_block,
     enumerate_automorphisms,
     orbit_census,
@@ -293,6 +293,16 @@ def test_block_boundaries_move_nothing(monkeypatch):
         assert got_census == census
 
 
+def _coset_products(spaces, T, K, p):
+    """The distinct products X_k X_t, the induced group the census never
+    forms, in ``_induced_actions`` order, ~AUT_BLOCK at a time."""
+    XT, XK = _induced_actions(spaces, T, K)
+    h, step = XT.shape[1], max(1, isomorphism.AUT_BLOCK // len(XK))
+    found = [_unique_rows((XK[:, None] @ XT[None, start:start + step] % p).reshape(-1, h * h))
+             for start in range(0, len(XT), step)]
+    return _unique_rows(np.concatenate(found)).reshape(-1, h, h)
+
+
 def _check_cosets(A, field):
     """|T| |K| is |Aut|, and the actions X_k X_t are the induced actions of
     the whole automorphism array, element for element."""
@@ -301,7 +311,8 @@ def _check_cosets(A, field):
     assert len(T) * len(K) == len(autos)
     spaces = h2(A)
     if spaces.h2_reps:
-        got, want = _coset_actions(spaces, T, K, field.p), _induced_actions(spaces, autos)
+        (want,) = _induced_actions(spaces, autos)
+        got = _coset_products(spaces, T, K, field.p)
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -336,3 +347,54 @@ def test_cosets_reject_a_corrupted_automorphism(monkeypatch, find_all):
         _automorphism_cosets(A5, F5)
     with pytest.raises(NiljError, match="enumerated automorphism"):
         orbit_census(A5, F5, 1)
+
+
+def _one_pass_images(actions, rows, p):
+    """Canonical bases of the images of one subspace under every action at once."""
+    reduced, _ = _rref_mod_p(np.array(rows, dtype=np.int64) @ actions.transpose(0, 2, 1) % p, p)
+    return {tuple(tuple(row) for row in mat if any(row)) for mat in reduced.tolist()}
+
+
+@pytest.mark.parametrize("name", BENCH_PARENTS)
+def test_two_pass_orbits_are_the_whole_groups_images(name):
+    """The census's T-then-K orbits are the partition that the induced
+    actions of the whole automorphism array give, in two bases."""
+    A = reduce_mod(catalog.instantiate(name), 5)
+    for B in (A, change_basis(A, _random_invertible(F5, A.dim, random.Random(f"two-pass:{name}")))):
+        spaces = h2(B)
+        if not spaces.h2_reps:
+            continue
+        (group,) = _induced_actions(spaces, _automorphism_array(B, F5))
+        for r in (1, 2):
+            rep = orbit_census(B, F5, r)
+            want = tuple(frozenset(_one_pass_images(group, rows, 5)) for rows in rep.orbit_representatives)
+            assert rep.orbit_members == want, (name, r)
+            assert sum(map(len, want)) == rep.total_admissible == len(frozenset().union(*want))
+
+
+def test_orbit_stage_echelon_rows_stay_within_the_two_pass_bound(monkeypatch):
+    """J4,4 at r=2: the orbit stage reduces at most one representative per
+    T action and one admissible subspace per K action, never the |T| |K|
+    actions of the whole group."""
+    A = reduce_mod(catalog.instantiate("J4,4"), 5)
+    A = change_basis(A, _random_invertible(F5, A.dim, random.Random("orbit-rows:J4,4")))
+    rref, images = isomorphism._rref_mod_p, isomorphism._orbit_images
+    counted, inside = [0], [False]
+
+    def counting_rref(mats, p):
+        if inside[0]:
+            counted[0] += len(mats)
+        return rref(mats, p)
+
+    def tracked_images(*args):
+        inside[0] = True
+        try:
+            return images(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(isomorphism, "_rref_mod_p", counting_rref)
+    monkeypatch.setattr(isomorphism, "_orbit_images", tracked_images)
+    rep = orbit_census(A, F5, 2)
+    XT, XK = _induced_actions(h2(A), *_automorphism_cosets(A, F5))
+    assert 0 < counted[0] <= rep.orbit_count * len(XT) + rep.total_admissible * len(XK)
