@@ -122,14 +122,20 @@ class Algebra:
 def is_multiplicative(A: Algebra, B: Algebra, phi: Matrix) -> bool:
     """phi(e_i e_j) = phi(e_i) phi(e_j) for every basis pair of A, exactly; the
     columns of phi are the images of A's basis in B.  Over Q the tensors are
-    s_A T_A and s_B T_B and phi is P / d, so both sides are taken d^2 s_A s_B times."""
+    s_A T_A and s_B T_B and phi is P / d, so both sides are taken d^2 s_A s_B times.
+    With R, b_A and b_B the largest |entries| of P, T_A and T_B, the sides stay
+    within d s_B n_A b_A R and s_A n_B^2 R^2 b_B; at 2^63 or more for their sum
+    the contraction runs in object dtype."""
     (TA, p), (TB, _) = structure_tensor(A), structure_tensor(B)
-    rows, left, right = phi.row_list(), 1, 1
+    rows, left, right, dtype = phi.row_list(), 1, 1, np.result_type(TA, TB)
     if p is None:
         d = math.lcm(*(x.denominator for row in rows for x in row))
         rows = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
         left, right = d * _scale(B), _scale(A)
-    P = np.array(rows, dtype=np.result_type(TA, TB)).reshape(B.dim, A.dim)
+        R = max(abs(x) for row in rows for x in row)
+        if left * A.dim * _magnitude(TA) * R + right * B.dim**2 * R * R * _magnitude(TB) >= 2**63:
+            dtype = object
+    P = np.array(rows, dtype=dtype).reshape(B.dim, A.dim)
     half = _mod(P.T @ TB.reshape(B.dim, B.dim * B.dim), p).reshape(A.dim, B.dim, B.dim)  # [i, c, t]
     return not _mod(left * _mod(TA @ P.T, p) - right * _mod(P.T @ half, p), p).any()
 
@@ -178,15 +184,26 @@ def _fits_int64(p: int, width: int) -> bool:
     return width * (p - 1) ** 2 < 2**63
 
 
+@lru_cache(maxsize=None)
 def structure_tensor(A: Algebra):
     """(T, p): T[i, j, k] is the coefficient of e_k in e_i e_j, p the modulus.
 
-    Over F_p the entries are residues, int64 wherever ``_check_int64(p, n)``
-    would pass: every contraction over T sums at most n products of two
-    reduced residues and is reduced mod p at once.  Otherwise the entries are Python
-    ints (object dtype), and over Q (p is None) they are the constants scaled
-    by the lcm of their denominators; the integer rows read off T go to the
-    fraction-free ``Subspace.kernel`` and ``span`` as they are.
+    Built once per algebra and read-only.  Over F_p the entries are residues,
+    int64 wherever ``_check_int64(p, n)`` would pass: every contraction over T
+    sums at most n products of two reduced residues and is reduced mod p at once.
+    Over Q (p is None) they are the constants scaled by the lcm of their
+    denominators, int64 when their largest |entry| B has 32 n^2 B^3 < 2^63 and
+    Python ints (object dtype) otherwise.  Sums of absolute values bound every
+    partial sum of a contraction made from T alone: ``_compose`` n B^2,
+    ``is_associative`` 2 n B^2, the linearized Jordan identity 6 n^2 B^3 (three
+    terms of n^2 B^3 a side), the defining identity 32 n^2 B^3, the deepest (x
+    has at most two unit coordinates, so x e_k is within 2 B, x x' 4 B, x^2 e_k
+    4 n B^2, either side 16 n^2 B^3), the Z^2 rows 3 n B^2 + 6 B^2 (three
+    compositions and three products of two constants, both orders of a pair
+    folded), and the derivation, annihilator, coboundary and associativity-
+    constraint rows 3 B.  ``is_multiplicative`` and ``power_filtration``, which
+    multiply T by other integers, check their own bounds.  The rows read off T
+    reach the fraction-free ``Subspace.kernel`` and ``span`` as Python ints.
     """
     n, p = A.dim, A.field.p
     if p is None:
@@ -197,16 +214,24 @@ def structure_tensor(A: Algebra):
         # both sides or a whole row by a power of itself and changes no
         # verdict and no solution space.
         scale = _scale(A)
-    T = np.zeros((n, n, n), dtype=np.int64 if p is not None and _fits_int64(p, n) else object)
+    T = np.zeros((n, n, n), dtype=object)
     for (i, j), terms in A._sc.items():
         for k, c in terms.items():
             T[i, j, k] = T[j, i, k] = c if p is not None else c.numerator * (scale // c.denominator)
+    if _fits_int64(p, n) if p is not None else 32 * n * n * _magnitude(T) ** 3 < 2**63:
+        T = T.astype(np.int64)
+    T.setflags(write=False)
     return T, p
 
 
 def _scale(A: Algebra) -> int:
     """The lcm of the denominators of A's structure constants over Q."""
     return math.lcm(*(c.denominator for terms in A._sc.values() for c in terms.values()))
+
+
+def _magnitude(T) -> int:
+    """The largest |entry| of an integer tensor."""
+    return int(np.abs(T).max())
 
 
 def _mod(X, p):
@@ -269,11 +294,20 @@ def power_filtration(A: Algebra):
     Each J^i o J^j is one contraction of the integer basis rows of J^i and
     J^j with the structure tensor.  Stops at (and includes) the first zero
     subspace.  Raises if the algebra is not nilpotent within dim+1 steps.
+    Over Q an entry of J^i o J^j sums n^2 products of an entry of T and one of
+    each row; the rows of J^i, entries within R_i, leave T's dtype for object
+    dtype once n^2 R_i^2 B reaches 2^63, B the largest |entry| of T.
     """
     T, p = structure_tensor(A)
-    n = A.dim
+    n, B = A.dim, _magnitude(T)
+
+    def basis_rows(S):
+        ints = S.echelon().ints
+        big = p is None and n * n * max((abs(x) for row in ints for x in row), default=0) ** 2 * B >= 2**63
+        return np.array(ints, dtype=object if big else T.dtype).reshape(-1, n)
+
     powers = [Subspace.full(A.field, n)]
-    rows = [np.array(powers[0].echelon().ints, dtype=T.dtype)]
+    rows = [basis_rows(powers[0])]
     while not powers[-1].is_zero():
         k = len(powers) + 1
         prods = []
@@ -281,7 +315,7 @@ def power_filtration(A: Algebra):
             left = _mod(rows[i - 1] @ T.reshape(n, n * n), p).reshape(-1, n, n)  # u o e_j
             prods.append(_mod(rows[k - i - 1] @ left, p).reshape(-1, n))
         powers.append(Subspace.span(A.field, n, np.concatenate(prods)))
-        rows.append(np.array(powers[-1].echelon().ints, dtype=T.dtype).reshape(-1, n))
+        rows.append(basis_rows(powers[-1]))
         if len(powers) > A.dim + 1:
             raise NotNilpotentError("algebra is not nilpotent")
     return powers

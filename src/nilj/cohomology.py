@@ -163,7 +163,7 @@ def coboundary_space(A: Algebra) -> Subspace:
     """Span of df for the n coordinate functionals f, (df)(x,y) = f(x o y)."""
     T, _ = structure_tensor(A)
     i, j = np.triu_indices(A.dim)
-    return Subspace.span(A.field, len(i), T[i, j].T.tolist())
+    return Subspace.span(A.field, len(i), T[i, j].T)
 
 
 def associativity_constraint_space(A: Algebra) -> Subspace:
@@ -189,7 +189,7 @@ def _symmetric_solutions(A: Algebra, theta, p) -> Subspace:
     rows = theta[:, iu, ju]
     rows[:, off] += theta[:, ju[off], iu[off]]
     rows = _mod(rows, p)
-    return Subspace.kernel(A.field, len(iu), rows[(rows != 0).any(axis=1)].tolist())
+    return Subspace.kernel(A.field, len(iu), rows[(rows != 0).any(axis=1)])
 
 
 @lru_cache(maxsize=None)

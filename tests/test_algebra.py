@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,11 +19,13 @@ from nilj.algebra import (
     jordan_identity_holds,
     power_filtration,
     reduce_mod,
+    structure_tensor,
     zero_algebra,
 )
+from nilj.cohomology import h2
 from nilj.errors import DocumentError
 from nilj.fields import QQ, Field
-from nilj.linalg import Matrix
+from nilj.linalg import Matrix, Subspace
 
 F5 = Field(5)
 
@@ -326,3 +329,148 @@ def test_structure_constant_validation():
         Algebra(QQ, ("a", "b"), {(0, 0): {5: 1}})  # bad target
     with pytest.raises(DocumentError):
         Algebra(QQ, ("a", "a"), {})  # duplicate names
+
+
+# -- int64 structure tensors over Q ------------------------------------------------
+
+
+def _edge(n):
+    """The largest B with 32 n^2 B^3 < 2^63: the last int64 magnitude at dimension n."""
+    B = round((2**63 / (32 * n * n)) ** (1 / 3))
+    while 32 * n * n * B**3 >= 2**63:
+        B -= 1
+    while 32 * n * n * (B + 1) ** 3 < 2**63:
+        B += 1
+    return B
+
+
+def _scaled(A, c):
+    """A with every structure constant times c; x -> x / c maps A onto it."""
+    return Algebra(A.field, A.names,
+                   {pair: {k: c * v for k, v in terms.items()} for pair, terms in A.products().items()})
+
+
+def _flat(c):
+    """e_i e_j = c (e_0 + e_1) for all i, j: associative, so Jordan."""
+    return Algebra(QQ, ("a", "b"), {pair: {0: c, 1: c} for pair in ((0, 0), (0, 1), (1, 1))})
+
+
+def test_catalog_tensors_over_q_are_int64():
+    for name in catalog.names():
+        for binding in catalog.sample_bindings(name):
+            T, p = structure_tensor(catalog.instantiate(name, binding))
+            assert p is None and T.dtype == np.int64, (name, binding)
+
+
+@pytest.mark.parametrize("name", ["J4,6", "J5,2", "flat"])
+def test_q_tensor_is_int64_up_to_the_jordan_bound(name):
+    """Constants at B = the edge keep int64, one more takes object dtype, and
+    neither moves a verdict (the catalog constants are 1, so B = c)."""
+    A = _flat(1) if name == "flat" else catalog.instantiate(name)
+    edge = _edge(A.dim)
+    for c, dtype in ((edge, np.int64), (edge + 1, object)):
+        S = _flat(c) if name == "flat" else _scaled(A, c)
+        assert structure_tensor(S)[0].dtype == dtype
+        assert jordan_identity_holds(S) == reference_jordan_identity_holds(S) == jordan_identity_holds(A)
+        assert is_associative(S) == reference_is_associative(S) == is_associative(A)
+
+
+def test_jordan_contraction_that_would_wrap_runs_on_python_ints():
+    """At n = 2 the edge is 416,128.  With B = 2^19 just above it, x = a + b has
+    x^2 = 4B x and x^2 (x x) = 64 B^3 x = 2^63 x, the defining identity's
+    left side at y = x, which an int64 contraction wraps to -2^63."""
+    A = _flat(2**19)
+    T, _ = structure_tensor(A)
+    assert T.dtype == object
+
+    def mul(T, u, v):
+        return v @ (u @ T.reshape(2, 4)).reshape(2, 2)
+
+    for tensor, want in ((T, 2**63), (T.astype(np.int64), -(2**63))):
+        x = np.ones(2, dtype=tensor.dtype)
+        sq = mul(tensor, x, x)
+        assert mul(tensor, sq, sq).tolist() == [want, want]
+    assert jordan_identity_holds(A) and reference_jordan_identity_holds(A)
+    assert is_associative(A) and reference_is_associative(A)
+
+
+def test_is_multiplicative_takes_object_dtype_for_large_maps():
+    """J2,2 (a^2 = b) keeps an int64 tensor while the maps are large.
+
+    a -> x a + y b, b -> x^2 b is an automorphism for every x != 0; at x ~ 10^6
+    and y ~ 10^12 the right side reaches n^2 R^2 ~ 4 * 10^24.  a -> (2^32 + 1) a,
+    b -> (2^33 + 1) b is not multiplicative, yet (2^32 + 1)^2 = 2^33 + 1 mod
+    2^64, so in int64 its two sides would agree."""
+    A = catalog.instantiate("J2,2")
+    assert structure_tensor(A)[0].dtype == np.int64
+    x, y = Fraction(10**6 + 3, 7), 10**12 + 7
+    auto = Matrix.from_rows(QQ, [[x, 0], [y, x * x]])
+    moved = Matrix.from_rows(QQ, [[x, 0], [y, x * x + 1]])
+    wraps = Matrix.from_rows(QQ, [[2**32 + 1, 0], [0, 2**33 + 1]])
+    assert (np.array([2**32 + 1]) ** 2).tolist() == [2**33 + 1]
+    for phi, want in ((auto, True), (moved, False), (wraps, False)):
+        assert is_multiplicative(A, A, phi) == reference_is_multiplicative(A, A, phi) == want
+
+
+def reference_power_filtration(A):
+    """J^k = sum_{i+j=k} J^i o J^j from ``vec_mul`` on the basis vectors."""
+    powers = [Subspace.full(A.field, A.dim)]
+    while not powers[-1].is_zero():
+        k = len(powers) + 1
+        powers.append(Subspace.span(A.field, A.dim, [
+            A.vec_mul(u, v) for i in range(1, k // 2 + 1)
+            for u in powers[i - 1].vectors() for v in powers[k - i - 1].vectors()
+        ]))
+    return powers
+
+
+def test_power_filtration_takes_object_rows_above_their_bound():
+    """B = 29,616 keeps T int64 at n = 6, but J^2's fraction-free echelon
+    rows reach R = 250,541,488, so n^2 R^2 B is about 6.7 * 10^22.  Kept in
+    int64, J^2 o J^2 wraps and J^4 comes out a different plane."""
+    A = Algebra(QQ, "abcdef", {
+        (0, 3): {5: 24018}, (1, 1): {2: -14283, 3: 29616}, (1, 2): {5: 11783},
+        (1, 4): {5: 18507}, (2, 2): {3: 23481, 4: 25379}, (2, 4): {5: 9978},
+    })
+    T, _ = structure_tensor(A)
+    powers = power_filtration(A)
+    R = max(abs(x) for row in powers[1].echelon().ints for x in row)
+    assert T.dtype == np.int64 and 36 * R * R * int(abs(T).max()) >= 2**63
+    assert [S.dim for S in powers] == [6, 3, 2, 2, 1, 1, 0]
+    assert powers == reference_power_filtration(A)
+
+
+def _unimodular(rng, n, m):
+    """L U with unit triangular L, U of entries in [-m, m]: an integer basis change of determinant 1."""
+    L = [[rng.randint(-m, m) if c < r else int(c == r) for c in range(n)] for r in range(n)]
+    U = [[rng.randint(-m, m) if c > r else int(c == r) for c in range(n)] for r in range(n)]
+    return Matrix.from_rows(QQ, L).mul(Matrix.from_rows(QQ, U))
+
+
+def test_catalog_invariants_survive_large_basis_changes():
+    """Seeded integer basis changes with entries up to ~500 take about three
+    quarters of the catalog's tensors to object dtype and leave the rest
+    int64 with larger constants; no verdict, fingerprint or Z2/B2/H2
+    dimension moves."""
+    rng = random.Random(18)
+    dtypes = set()
+    for name in catalog.names():
+        for binding in catalog.sample_bindings(name):
+            A = catalog.instantiate(name, binding)
+            B = change_basis(A, _unimodular(rng, A.dim, 10))
+            dtypes.add(structure_tensor(B)[0].dtype)
+            assert jordan_identity_holds(B) == jordan_identity_holds(A), name
+            assert is_associative(B) == is_associative(A), name
+            assert invariant_vector(B) == invariant_vector(A), name
+            sa, sb = h2(A), h2(B)
+            assert (sb.z2.dim, sb.b2.dim, sb.h2_dim) == (sa.z2.dim, sa.b2.dim, sa.h2_dim), name
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("field", (QQ, F5), ids=repr)
+def test_structure_tensor_is_cached_and_read_only(field):
+    A = catalog.instantiate("J4,6", field=field)
+    T, p = structure_tensor(A)
+    assert structure_tensor(A)[0] is T and p == field.p
+    with pytest.raises(ValueError, match="read-only"):
+        T[0] = 0

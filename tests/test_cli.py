@@ -1,11 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilj import catalog, isomorphism, reports
 from nilj.cli import main
@@ -265,3 +268,103 @@ def test_unprovable_prime_is_a_usage_error(capsys):
     # 2^89 - 1 is prime, but above the range where the primality test is a proof
     assert main(["invariants", "J2,2", "--field", f"p:{2**89 - 1}"]) == 2
     assert "not proven" in capsys.readouterr().err
+
+
+# -- fuzzing the argv contract ------------------------------------------------------
+
+# valid choices are listed more than once, so that most runs get past parsing
+_FIELDS = ["Q", "p:5", "p:7"] * 3 + ["p:2", "p:4", "p:abc", "Z", "p:", "p:9223372036854775837", f"p:{2**89 - 1}"]
+_VALUES = ["0", "1", "-1", "2", "1/2", "-3/4"] * 2 + ["1/0", "x", "", "1e5000", "2**3", "²"]
+# the census gets neither J3,1 nor documents, which may hold a zero algebra of dimension 3:
+# with p = 5 it acts with all of GL_3(F_5), 1.5 GB and 20 s
+_SMALL = [n for n in catalog.names() if catalog.get(n).dim <= 3 and n != "J3,1"]
+_FAMILIES = [n for n in catalog.names() if catalog.get(n).params]
+
+
+def _binding():
+    item = st.one_of(
+        st.builds("{}={}".format, st.sampled_from(["alpha", "beta", " alpha "] * 2 + ["gamma", ""]),
+                  st.sampled_from(_VALUES)),
+        st.text(max_size=6),
+    )
+    return st.lists(item, min_size=1, max_size=3).map(",".join)
+
+
+def _ref(names, docs=True):
+    return st.one_of(
+        st.sampled_from(names),
+        st.sampled_from(names),
+        st.builds("{}[{}]".format, st.sampled_from([n for n in _FAMILIES if n in names] or names), _binding()),
+        st.just("@doc" if docs else names[0]),
+        st.text(max_size=8),
+    )
+
+
+_SCALAR = st.one_of(st.sampled_from(_VALUES), st.sampled_from(_VALUES), st.text(max_size=5))
+_TERM = st.builds(
+    "{}{}({},{})".format,
+    st.sampled_from(["", "2*", "-1/2*", "-"] * 2 + ["0*", "1e5000*", "x*"]),
+    st.sampled_from(["d"] * 4 + ["delta", "q"]),
+    st.sampled_from(["a", "b", "c", "d", "1", "2"] * 2 + ["z", "9", "", "²"]),
+    st.sampled_from(["a", "b", "c", "d", "1", "3"] * 2 + ["a,b", ""]),
+)
+_COCYCLE = st.one_of(st.lists(_TERM, min_size=1, max_size=3).map("+".join), st.text(max_size=10))
+_DOC = st.fixed_dictionaries(
+    {"dim": st.integers(1, 3), "field": st.sampled_from(["Q", "Q", {"p": 5}, {"p": 4}, "F"])},
+    optional={
+        "basis": st.lists(st.sampled_from(["a", "b", "c", "a1", 1]), max_size=3),
+        "products": st.lists(st.fixed_dictionaries(
+            {"i": st.integers(-1, 3), "j": st.integers(-1, 3),
+             "terms": st.lists(st.fixed_dictionaries({"k": st.integers(-1, 3), "c": _SCALAR}), max_size=2)},
+        ), max_size=4),
+    },
+).map(json.dumps) | st.text(max_size=20)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), st.builds(lambda v: [name, v], values))
+
+
+def _argv(tag, *parts):
+    return st.tuples(*parts).map(lambda ps: [tag] + [a for p in ps for a in (p if isinstance(p, list) else [p])])
+
+
+_FIELD = _flag("--field", st.sampled_from(_FIELDS))
+_ARGVS = st.one_of(
+    _argv("verify-catalog", _flag("--params", _binding())),
+    _argv("tables", _flag("--which", st.sampled_from(["center", "assoc", "h2", "x"]))),
+    _argv("cohomology", _ref(catalog.names()), st.sampled_from([[], ["--assoc"]]), _FIELD),
+    _argv("extend", _ref(catalog.names()), st.lists(_COCYCLE, min_size=1, max_size=3).map(
+        lambda cs: [a for c in cs for a in ("--cocycle", c)]), st.sampled_from([[], ["--diagnose"]]), _FIELD),
+    _argv("invariants", _ref(catalog.names() + list(catalog.ADHOC)), _FIELD),
+    _argv("iso", _ref(catalog.names()), _ref(catalog.names()),
+          st.sampled_from([["--search"], ["--map", "@map"], [], ["--search", "--map", "@map"]]), _FIELD),
+    _argv("orbits", _ref(_SMALL, docs=False),
+          _flag("--field", st.sampled_from(["p:5", "p:7", "p:5", "p:7", "Q", "p:x"])),
+          _flag("--grassmann", st.integers(-2, 4).map(str))),
+    _argv("lemma-a", st.builds(lambda xs: ["--alpha", ",".join(xs)], st.one_of(
+        st.lists(_SCALAR, min_size=3, max_size=3), st.lists(_SCALAR, max_size=4))), _FIELD),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_ARGVS, doc=_DOC, mapping=st.lists(st.lists(_SCALAR, max_size=3).map(" ".join), max_size=3))
+def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(fuzz_dir, argv, doc, mapping):
+    """Every subcommand but ``report`` (see the tests above), on catalog
+    references with and without bindings, garbage, and ``@file`` documents."""
+    (fuzz_dir / "doc.json").write_text(doc, encoding="utf-8")
+    (fuzz_dir / "map.txt").write_text("\n".join(mapping), encoding="utf-8")
+    argv = [a.replace("@doc", f"@{fuzz_dir / 'doc.json'}").replace("@map", str(fuzz_dir / "map.txt")) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
