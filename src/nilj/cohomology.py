@@ -61,12 +61,10 @@ class Cocycle:
         coords = list(coords)
         if len(coords) != sym_dim(n):
             raise DimensionMismatchError("upper-triangle coordinate length mismatch")
-        data = [[A.field.zero] * n for _ in range(n)]
+        data = [A.field.zero] * (n * n)  # row-major
         for (i, j), c in zip(sym_pairs(n), coords):
-            v = A.field.of(c)
-            data[i][j] = v
-            data[j][i] = v
-        return Cocycle(A, Matrix.from_rows(A.field, data))
+            data[i * n + j] = data[j * n + i] = A.field.of(c)
+        return Cocycle(A, Matrix(n, n, tuple(data), A.field))
 
     @staticmethod
     def zero(A: Algebra) -> "Cocycle":

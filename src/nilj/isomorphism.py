@@ -27,10 +27,10 @@ algebras reduced mod p and returns None when they differ.  An isomorphism
 over F_p preserves every fingerprint component, so this prune is a
 certificate of non-isomorphism over F_p only; it says nothing over Q, and a
 report row it decides keeps the grade of a search that found nothing.
-``_search`` then returns before the graded stage when two distinct algebras
-have different ``_graded_signature``s.  An isomorphism induces one of the
-associated graded algebras, so this prune too certifies only over F_p, and a
-row it decides keeps its grade.
+``_search`` then returns None before the graded stage when two distinct
+algebras have different ``_graded_signature``s.  An isomorphism induces one
+of the associated graded algebras, so this prune too certifies only over F_p,
+and a row it decides keeps its grade.
 
 Each algebra is modelled by one F_p array (``_FilteredModel.C``): its
 structure tensor in a basis adapted to the power filtration and sorted by
@@ -59,11 +59,12 @@ nothing: it streams each candidate's solutions in ``iproduct`` order of its
 digits.  Candidates keep their enumeration order, so the first hit is the one
 a candidate-by-candidate search finds.
 
-The engine works in filtration coordinates and emits arrays of matrices.
-``search_isomorphism`` maps its single hit back to the original bases and
-re-verifies it with ``verify_isomorphism``.  ``_automorphism_array`` maps the
-find-all output back in blocks of AUT_BLOCK and re-verifies every block
-(multiplicativity on all basis pairs, full rank mod p) before keeping it.
+The engine works in filtration coordinates.  ``search_isomorphism`` maps
+``_search``'s first lift back to the original bases and re-verifies it with
+``verify_isomorphism``.  Automorphisms have one path: ``_automorphism_cosets``
+maps T (a lift per graded leaf) and K (the lifts of the identity leaf) back
+and re-verifies them (multiplicativity on all basis pairs, full rank mod p);
+``_automorphism_array`` is their products t k, re-verified block by block.
 
 ``orbit_census`` verifies and acts with the |T| + |K| maps of
 ``_automorphism_cosets``, not the |T| |K| of Aut, and forms each orbit as the
@@ -674,13 +675,13 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
         yield maps[_rref_mod_p(maps, p)[1] == d]
 
 
-def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, core, find_all):
+def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, core):
     """Re-attach digits that cannot influence any product (levels k with J^{k+1} = 0).
 
     Yields (k, n, n) arrays of engine-coordinate matrices, at most AUT_BLOCK at
-    a time: the core alone, or with ``find_all`` every setting of the free digits.
+    a time: the core with every setting of the free digits.
     """
-    gs, cs = _slots(MB, MA.n1, range(max(2, MA.m - 1), MA.m) if find_all else [])
+    gs, cs = _slots(MB, MA.n1, range(max(2, MA.m - 1), MA.m))
     for digits in _combos(MA.p, len(gs)):
         out = np.repeat(core[None], len(digits), axis=0)
         out[:, cs, gs] = (out[:, cs, gs] + digits) % MA.p
@@ -702,21 +703,17 @@ def _leaf_stream(MA: _FilteredModel, MB: _FilteredModel):
     return _graded_level1_solutions(MA, MB)
 
 
-def _search(A: Algebra, B: Algebra, find_all):
-    """All (or the first) isomorphisms A -> B as engine-coordinate matrix arrays.
+def _search(A: Algebra, B: Algebra):
+    """The first isomorphism A -> B in filtration coordinates, an (n, n) matrix, or None.
 
-    Each yielded (k, n, n) array holds matrices in filtration coordinates;
-    ``_model(B).to_old @ M @ _model(A).to_new`` maps one back to the original
+    ``_model(B).to_old @ M @ _model(A).to_new`` maps it back to the original
     bases.
     """
     MA, MB = _model(A), _model(B)
     # leaves are lifted in blocks that double up to AUT_BLOCK, so a search
     # that hits early completes few graded leaves it does not need
-    for leaves in _regroup(_leaf_stream(MA, MB), 1):
-        for core in _lift_candidates(MA, MB, leaves, find_all):
-            yield from _free_digit_expansion(MA, MB, core, find_all)
-            if not find_all:
-                return
+    blocks = _regroup(_leaf_stream(MA, MB), 1)
+    return next((core for leaves in blocks for core in _lift_candidates(MA, MB, leaves, False)), None)
 
 
 def _prepare_pair(A: Algebra, B: Algebra, field: Field):
@@ -738,14 +735,14 @@ def search_isomorphism(A: Algebra, B: Algebra, field: Field) -> Morphism | None:
     Ap, Bp = _prepare_pair(A, B, field)
     if Ap.dim != Bp.dim or invariant_vector(Ap) != invariant_vector(Bp):
         return None
-    for engine in _search(Ap, Bp, find_all=False):
-        full = Matrix.from_rows(field, engine[0].tolist())
-        mat = _model(Bp).to_old.mul(full).mul(_model(Ap).to_new)
-        m = Morphism(Ap, Bp, mat)
-        if not verify_isomorphism(m):
-            raise NiljError("search produced an unverified candidate")
-        return m
-    return None
+    engine = _search(Ap, Bp)
+    if engine is None:
+        return None
+    mat = _model(Bp).to_old.mul(Matrix.from_rows(field, engine.tolist())).mul(_model(Ap).to_new)
+    m = Morphism(Ap, Bp, mat)
+    if not verify_isomorphism(m):
+        raise NiljError("search produced an unverified candidate")
+    return m
 
 
 def enumerate_automorphisms(A: Algebra, field: Field) -> list:
@@ -837,9 +834,12 @@ def _unique_rows(rows):
     return ordered[keep]
 
 
-def _automorphism_setup(A: Algebra, field: Field):
-    """(M, convert) after the enumeration's refusals: M models A over F_p, and convert maps a block of
-    engine-coordinate automorphisms to the original basis, re-verifies it and keeps it in a small dtype."""
+def _automorphism_cosets(A: Algebra, field: Field):
+    """(T, K), Aut(A) over F_p as the cosets t K.  K is every automorphism that is the identity mod J^2
+    (every lift of the identity leaf and free-digit setting, deduplicated); T is the first lift of each
+    leaf (lifts come leaf by leaf), one per element of G1, Aut's image in GL(J/J^2).  Refuses
+    p^(g n) above the budget, as ``_automorphism_array`` holds |T| |K| maps.  Blocks of AUT_BLOCK maps
+    are mapped back to the original basis and re-verified, then kept in a small residue dtype."""
     Ap, _ = _prepare_pair(A, A, field)
     M, p, n = _model(Ap), field.p, Ap.dim
     g = M.n1  # n - dim J^2 generator images, each of n coordinates
@@ -858,39 +858,35 @@ def _automorphism_setup(A: Algebra, field: Field):
         _verify_automorphism_block(C, phis, p)
         return phis.astype(dtype)
 
-    return M, convert
-
-
-def _automorphism_array(A: Algebra, field: Field):
-    """Every automorphism of A over F_p as a sorted, deduplicated (N, n, n) array.
-
-    Rows are ordered as ``sorted(mat.data)`` orders the matrices.  The
-    search's engine-coordinate output is mapped back to the original basis
-    AUT_BLOCK matrices at a time, and each block is re-verified before it is
-    kept in a small residue dtype.
-    """
-    M, convert = _automorphism_setup(A, field)
-    n = M.A.dim
-    kept = [convert(block) for block in _regroup(_search(M.A, M.A, find_all=True), AUT_BLOCK)]
-    return _unique_rows(np.concatenate(kept).reshape(-1, n * n)).reshape(-1, n, n)
-
-
-def _automorphism_cosets(A: Algebra, field: Field):
-    """(T, K), verified in the original basis, with ``_automorphism_array``'s refusals.  K is every
-    automorphism that is the identity mod J^2 (the lifts of the identity leaf, deduplicated); T is the
-    first lift of each leaf (lifts come leaf by leaf), one per element of G1, Aut's image in GL(J/J^2)."""
-    M, convert = _automorphism_setup(A, field)
-    n, s = M.A.dim, M.n1
     cores = (core for block in _regroup(_leaf_stream(M, M), AUT_BLOCK) for core in _lift_candidates(M, M, block, False))
-    firsts = (next(lifts)[None] for _, lifts in groupby(cores, key=lambda core: core[:s, :s].tobytes()))
-    kernel = (out for core in _lift_candidates(M, M, np.eye(s, dtype=np.int64)[None], True)
-              for out in _free_digit_expansion(M, M, core, True))
-    T, K = (np.concatenate([np.zeros((0, n, n), dtype=np.int64), *map(convert, _regroup(stream, AUT_BLOCK))])
+    firsts = (next(lifts)[None] for _, lifts in groupby(cores, key=lambda core: core[:g, :g].tobytes()))
+    kernel = (out for core in _lift_candidates(M, M, np.eye(g, dtype=np.int64)[None], True)
+              for out in _free_digit_expansion(M, M, core))
+    T, K = (np.concatenate([np.zeros((0, n, n), dtype=dtype), *map(convert, _regroup(stream, AUT_BLOCK))])
             for stream in (firsts, kernel))
     K = _unique_rows(K.reshape(-1, n * n)).reshape(-1, n, n)
     if not (K == np.eye(n, dtype=K.dtype)).all(axis=(1, 2)).any():
         raise NiljError("the automorphisms trivial mod J^2 miss the identity")
     return T, K
+
+
+def _automorphism_array(A: Algebra, field: Field):
+    """Every automorphism of A over F_p as a sorted, deduplicated (N, n, n) array.
+
+    Rows are ordered as ``sorted(mat.data)`` orders the matrices.  They are
+    the products t k of ``_automorphism_cosets`` (see ``orbit_census``),
+    formed whole cosets at a time, at most max(AUT_BLOCK, |K|) maps, and each
+    block is re-verified before it is kept in the cosets' dtype.
+    """
+    T, K = _automorphism_cosets(A, field)
+    C, p = structure_tensor(_prepare_pair(A, A, field)[0])
+    n, K64, step = K.shape[1], K.astype(np.int64), max(1, AUT_BLOCK // len(K))
+    kept = []
+    for start in range(0, len(T), step):
+        phis = (T[start:start + step, None].astype(np.int64) @ K64 % p).reshape(-1, n, n)
+        _verify_automorphism_block(C, phis, p)
+        kept.append(phis.astype(K.dtype))
+    return _unique_rows(np.concatenate(kept).reshape(-1, n * n)).reshape(-1, n, n)
 
 
 # ---------------------------------------------------------------------------

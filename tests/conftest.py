@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from nilj import reports
+from nilj import isomorphism, reports
 from nilj.algebra import Algebra
 from nilj.fields import QQ, Field
 
@@ -47,6 +47,22 @@ def any_field(request):
 def nilpotent_algebras():
     """Strategy factory: random nilpotent algebras of dimension 1-6 over a field."""
     return _nilpotent_algebras
+
+
+def _every_isomorphism(A, B):
+    """Every lift of every graded leaf of A -> B over F_p, with every setting
+    of the free digits, as engine-coordinate (k, n, n) arrays: the whole-group
+    search that the automorphism cosets replaced, kept as their reference."""
+    MA, MB = isomorphism._model(A), isomorphism._model(B)
+    for leaves in isomorphism._regroup(isomorphism._leaf_stream(MA, MB), 1):
+        for core in isomorphism._lift_candidates(MA, MB, leaves, True):
+            yield from isomorphism._free_digit_expansion(MA, MB, core)
+
+
+@pytest.fixture(scope="session")
+def every_isomorphism():
+    """``_every_isomorphism``: every isomorphism A -> B in filtration coordinates."""
+    return _every_isomorphism
 
 
 @pytest.fixture(scope="session")

@@ -303,29 +303,42 @@ def _coset_products(spaces, T, K, p):
     return _unique_rows(np.concatenate(found)).reshape(-1, h, h)
 
 
-def _check_cosets(A, field):
-    """|T| |K| is |Aut|, and the actions X_k X_t are the induced actions of
-    the whole automorphism array, element for element."""
+def _check_cosets(A, field, every_isomorphism):
+    """|T| |K| is |Aut|; the automorphism array is the whole-group search
+    (every lift of every leaf) mapped back to the original basis, element for
+    element; and the actions X_k X_t are that group's induced actions."""
     T, K = _automorphism_cosets(A, field)
     autos = _automorphism_array(A, field)
-    assert len(T) * len(K) == len(autos)
+    p, n, M = field.p, A.dim, isomorphism._model(A)
+    to_old, to_new = (np.array(X.row_list(), dtype=np.int64) for X in (M.to_old, M.to_new))
+    every = np.concatenate([(to_old @ phis % p) @ to_new % p for phis in every_isomorphism(A, A)])
+    reference = _unique_rows(every.reshape(-1, n * n)).reshape(-1, n, n)
+    assert len(T) * len(K) == len(autos) == len(reference)
+    assert np.array_equal(autos, reference)
     spaces = h2(A)
     if spaces.h2_reps:
-        (want,) = _induced_actions(spaces, autos)
-        got = _coset_products(spaces, T, K, field.p)
+        (want,) = _induced_actions(spaces, reference)
+        got = _coset_products(spaces, T, K, p)
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", BENCH_PARENTS)
-def test_cosets_rebuild_the_automorphism_group_over_f5(name):
+def test_cosets_rebuild_the_automorphism_group_over_f5(name, every_isomorphism):
     A = reduce_mod(catalog.instantiate(name), 5)
-    _check_cosets(A, F5)
-    _check_cosets(change_basis(A, _random_invertible(F5, A.dim, random.Random(f"cosets:{name}"))), F5)
+    for B in (A, change_basis(A, _random_invertible(F5, A.dim, random.Random(f"cosets:{name}")))):
+        _check_cosets(B, F5, every_isomorphism)
 
 
 @pytest.mark.parametrize("name", ["J3,2", "J3,3", "J4,4", "J4,7", "J4,8"])
-def test_cosets_rebuild_the_automorphism_group_over_f7(name):
-    _check_cosets(reduce_mod(catalog.instantiate(name), 7), F7)
+def test_cosets_rebuild_the_automorphism_group_over_f7(name, every_isomorphism):
+    _check_cosets(reduce_mod(catalog.instantiate(name), 7), F7, every_isomorphism)
+
+
+def test_automorphisms_keep_the_block_checks_small_dtype():
+    """Over F_5, T, K and the automorphism array all hold int16 residues."""
+    A5 = reduce_mod(catalog.instantiate("J4,4"), 5)
+    T, K = _automorphism_cosets(A5, F5)
+    assert T.dtype == K.dtype == _automorphism_array(A5, F5).dtype == np.int16
 
 
 @pytest.mark.parametrize("find_all", [False, True], ids=["T", "K"])

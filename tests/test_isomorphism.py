@@ -271,7 +271,7 @@ def test_pruned_pairs_have_no_isomorphism_over_the_field(src, dst, p):
     assert catalog.get(src).parent == catalog.get(dst).parent
     Ap, Bp = reduce_mod(A, p), reduce_mod(B, p)
     assert invariant_vector(Ap) != invariant_vector(Bp)
-    assert list(_search(Ap, Bp, find_all=False)) == []
+    assert _search(Ap, Bp) is None
     assert search_isomorphism(A, B, Field(p)) is None
 
 
@@ -314,13 +314,13 @@ def test_non_nilpotent_input_raises_the_same_error():
 
 
 @pytest.mark.parametrize("name", ["J2,2", "J3,2", "J4,6", "J4,10"])
-def test_compiled_closure_rebuilds_every_automorphism(name):
+def test_compiled_closure_rebuilds_every_automorphism(name, every_isomorphism):
     """The closure program, fed the generator images of an automorphism,
     forces that automorphism back with zero defects; fed random images it
     keeps them as the generators' columns."""
     M = _model(reduce_mod(catalog.instantiate(name), 5))
     s = M.n1
-    phis = np.concatenate(list(_search(M.A, M.A, find_all=True)))
+    phis = np.concatenate(list(every_isomorphism(M.A, M.A)))
     forced, defects = _forced_maps(M, M, phis[:, :, :s].transpose(0, 2, 1).copy())
     assert np.array_equal(forced, phis) and not defects.any()
     gens = np.random.default_rng(5).integers(0, 5, (64, s, M.A.dim))
@@ -333,7 +333,7 @@ def test_compiled_closure_rebuilds_every_automorphism(name):
 
 
 @pytest.mark.parametrize("name", ["J4,6", "J4,11", "J5,2", "J5,3"])
-def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name):
+def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name, every_isomorphism):
     """In filtration coordinates the block-diagonal part of an automorphism is
     an automorphism of the associated graded algebra; the graded closure
     forces it back from its level-1 images with zero defects, and the graded
@@ -344,7 +344,7 @@ def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name):
     M = _model(change_basis(A, _random_basis(F5, A.dim, random.Random(f"graded:{name}"))))
     assert (M.C != _graded(M).C).any()
     levels = np.array(M.levels)
-    phis = np.concatenate(list(_search(M.A, M.A, find_all=True)))
+    phis = np.concatenate(list(every_isomorphism(M.A, M.A)))
     graded = phis * (levels[:, None] == levels)
     gens = graded[:, :, :M.n1].transpose(0, 2, 1).copy()
     forced, defects = _forced_maps(_graded(M), _graded(M), gens)
@@ -498,8 +498,8 @@ def _linear_cases():
 LINEAR_CASES = _linear_cases()
 
 
-def _linear_stage_calls(A, B, limit, monkeypatch):
-    """The (MA, MB, gens, levels, d) of the linear-stage calls of a find-all search of A -> B,
+def _linear_stage_calls(A, B, limit, monkeypatch, every_isomorphism):
+    """The (MA, MB, gens, levels, d) of the linear-stage calls of ``every_isomorphism(A, B)``,
     in order, at most ``limit`` candidates for each quotient size d.  A call on a quotient
     (d < n) passes its solutions on to the next level, so the search goes on to the calls
     of its last group (d = n); it is cut after the first ``limit`` candidates of those."""
@@ -522,7 +522,7 @@ def _linear_stage_calls(A, B, limit, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(isomorphism, "_linear_stage", record)
         try:
-            list(_search(A, B, find_all=True))
+            list(every_isomorphism(A, B))
         except Enough:
             pass
     return calls
@@ -530,7 +530,7 @@ def _linear_stage_calls(A, B, limit, monkeypatch):
 
 @pytest.mark.parametrize("block", [isomorphism.AUT_BLOCK, 3])
 @pytest.mark.parametrize("case", list(LINEAR_CASES))
-def test_linear_stage_matches_digit_enumeration(case, block, monkeypatch):
+def test_linear_stage_matches_digit_enumeration(case, block, monkeypatch, every_isomorphism):
     """For the first candidates that reach each digit level, the linear stage's maps are, in
     order, those of running every setting of the level's digits through the forced closure of
     the level's quotient C[:d, :d, :d]: with find_all every isomorphism of the quotients in
@@ -540,7 +540,7 @@ def test_linear_stage_matches_digit_enumeration(case, block, monkeypatch):
     the levels >= 4 (d < n) before their last group, the others only a last group (d = n)."""
     A, B, p = LINEAR_CASES[case]
     monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
-    calls = _linear_stage_calls(A, B, 128, monkeypatch)
+    calls = _linear_stage_calls(A, B, 128, monkeypatch, every_isomorphism)
     assert any(d == A.dim for *_, d in calls)
     assert any(d < A.dim for *_, d in calls) == case.startswith("J5,17")
     for MA, MB, gens, levels, d in calls:
