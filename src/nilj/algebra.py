@@ -125,7 +125,11 @@ def is_multiplicative(A: Algebra, B: Algebra, phi: Matrix) -> bool:
     s_A T_A and s_B T_B and phi is P / d, so both sides are taken d^2 s_A s_B times.
     With R, b_A and b_B the largest |entries| of P, T_A and T_B, the sides stay
     within d s_B n_A b_A R and s_A n_B^2 R^2 b_B; at 2^63 or more for their sum
-    the contraction runs in object dtype."""
+    the contraction runs in object dtype.  A map of the wrong shape or over
+    another field is refused before any arithmetic."""
+    same_field(same_field(A.field, B.field), phi.field)
+    if (phi.rows, phi.cols) != (B.dim, A.dim):
+        raise DimensionMismatchError("map matrix shape mismatch")
     (TA, p), (TB, _) = structure_tensor(A), structure_tensor(B)
     rows, left, right, dtype = phi.row_list(), 1, 1, np.result_type(TA, TB)
     if p is None:
@@ -321,8 +325,10 @@ def power_filtration(A: Algebra):
     return powers
 
 
+@lru_cache(maxsize=None)
 def annihilator(A: Algebra) -> Subspace:
-    """{x : x o e_j = 0 for all j} (the center, in the sense used throughout)."""
+    """{x : x o e_j = 0 for all j} (the center, in the sense used throughout),
+    computed once per algebra."""
     T, _ = structure_tensor(A)
     # row (j, k) reads the coefficient of e_k in x o e_j
     return Subspace.kernel(A.field, A.dim, T.transpose(1, 2, 0).reshape(-1, A.dim))
@@ -441,8 +447,3 @@ def next_names(A: Algebra, count: int):
         taken.append(nm)
         out.append(nm)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def cached_annihilator(A: Algebra) -> Subspace:
-    return annihilator(A)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .algebra import (
     Algebra,
     _compose,
     _mod,
-    cached_annihilator,
+    annihilator,
     is_multiplicative,
     structure_tensor,
 )
@@ -84,12 +84,6 @@ class Cocycle:
                 if b:
                     acc = F.add(acc, F.mul(F.mul(a, b), self.mat.at(i, j)))
         return acc
-
-    def add(self, other: "Cocycle") -> "Cocycle":
-        return Cocycle(self.algebra, self.mat.add(other.mat))
-
-    def scale(self, c) -> "Cocycle":
-        return Cocycle(self.algebra, self.mat.scale(self.algebra.field.of(c)))
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()
@@ -222,47 +216,33 @@ def radical(thetas) -> Subspace:
 
 def is_automorphism(A: Algebra, phi: Matrix) -> bool:
     """True iff phi is invertible and multiplicative (columns are basis images)."""
-    if phi.rows != A.dim or phi.cols != A.dim:
-        raise DimensionMismatchError("automorphism matrix shape mismatch")
-    if phi.field != A.field:
-        raise FieldMismatchError("automorphism field mismatch")
-    return phi.is_invertible() and is_multiplicative(A, A, phi)
+    return is_multiplicative(A, A, phi) and phi.is_invertible()
 
 
 def has_nontrivial_1dim_extension(A: Algebra) -> bool:
     """Whether some cocycle has radical meeting the annihilator trivially.
 
-    A False is exact: some nonzero central element pairs trivially with every
-    basis cocycle, so no cocycle works.  Otherwise a witness combination is
-    looked for by a deterministic small-coefficient search, which is not
-    exhaustive: when it runs out, ``NiljError("witness search exhausted...")``
-    is raised rather than an answer given.
+    With theta_1..theta_k a basis of Z2 and a = dim Ann, each c in the lattice
+    {c in N^k : c_1 + ... + c_k <= a} is tried in order of total degree, and
+    the first sum_i c_i theta_i whose radical meets Ann only in 0 answers True.
+    The scan is exact.  With N a basis of Ann, a witness exists iff some a x a
+    minor of N theta(c) is a nonzero polynomial in c; it has degree at most a,
+    and a polynomial of degree at most a that vanishes on the lattice is zero
+    once 1, ..., a are invertible (induct on k: restrict to c_k = 0, then
+    shift c_k by 1).  So a spent lattice answers False over Q and over F_p
+    with p > a, and raises ``NiljError`` over F_p with p <= a.
     """
-    F = A.field
-    ann = cached_annihilator(A)
-    if ann.is_zero():
-        return True
-    vectors = h2(A).z2.vectors()
-    if not vectors:
-        return False
-    # some nonzero central z pairs trivially with all of z2
-    if not radical([Cocycle.from_upper(A, v) for v in vectors]).intersect(ann).is_zero():
-        return False
-    for combo in _witness_combos(F, len(vectors)):
-        if radical([_combination(A, combo, vectors)]).intersect(ann).is_zero():
-            return True
-    raise NiljError("witness search exhausted without finding a combination")
-
-
-def _witness_combos(F, k: int):
-    # single basis vectors, then Vandermonde mixes, then bounded lexicographic search
-    for i in range(k):
-        yield tuple(F.one if j == i else F.zero for j in range(k))
-    for t in range(1, 21):
-        yield tuple(F.of(t**j) for j in range(k))
-    small = [F.of(v) for v in range(5)]
-    for combo in product(small, repeat=min(k, 6)):
-        yield tuple(combo) + (F.zero,) * (k - min(k, 6))
+    ann = annihilator(A)
+    a, vectors = ann.dim, h2(A).z2.vectors()
+    k = len(vectors)
+    for degree in range(a + 1):
+        for support in combinations_with_replacement(range(k), degree):
+            c = [support.count(i) for i in range(k)]
+            if radical([_combination(A, c, vectors)]).intersect(ann).is_zero():
+                return True
+    if A.field.p is not None and A.field.p <= a:
+        raise NiljError(f"witness search exhausted: the lattice is not exact over F_{A.field.p}, p <= dim Ann")
+    return False
 
 
 def parse_cocycle(A: Algebra, text: str) -> Cocycle:

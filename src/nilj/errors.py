@@ -18,15 +18,14 @@ class SingularMatrixError(NiljError):
 
 
 class RootNotInFieldError(NiljError):
-    """A required square/higher root does not exist in the field.
+    """A required square root does not exist in the field.
 
     ``radicand`` records the offending field element.
     """
 
-    def __init__(self, radicand, degree: int = 2):
+    def __init__(self, radicand):
         self.radicand = radicand
-        self.degree = degree
-        super().__init__(f"no {degree}-th root of {radicand!r} in the field")
+        super().__init__(f"no square root of {radicand!r} in the field")
 
 
 class CaseNotCoveredError(NiljError):

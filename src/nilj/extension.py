@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, cached_annihilator, next_names
+from .algebra import Algebra, annihilator, next_names
 from .cohomology import Cocycle, h2, radical, sym_dim, sym_pairs
 from .errors import InvalidCocycleError, NotAnExtensionError
 from .linalg import Matrix, Subspace
@@ -61,7 +61,7 @@ def central_extend(spec: ExtensionSpec) -> Algebra:
 def diagnose(spec: ExtensionSpec) -> ExtensionDiagnostics:
     """Lemma-level diagnostics: joint radical meet with the center, independence."""
     base = spec.base
-    ann = cached_annihilator(base)
+    ann = annihilator(base)
     if spec.cocycles:
         meet = radical(spec.cocycles).intersect(ann)
     else:
@@ -81,7 +81,7 @@ def reconstruct(M: Algebra):
     isomorphic to M via the evident block map.  The section sends the
     non-pivot coordinates of the annihilator's echelon basis to themselves.
     """
-    ann = cached_annihilator(M)
+    ann = annihilator(M)
     if ann.is_zero():
         raise NotAnExtensionError("annihilator is zero; not a central extension")
     if ann.dim == M.dim:
@@ -103,7 +103,7 @@ def reconstruct(M: Algebra):
 
 def section_morphism_matrix(M: Algebra, base: Algebra) -> Matrix:
     """Block map from central_extend(reconstruct(M)) back to M's coordinates."""
-    ann = cached_annihilator(M)
+    ann = annihilator(M)
     pivots = ann.echelon().pivots
     comp = [j for j in range(M.dim) if j not in pivots]
     cols = [tuple(M.field.one if k == i else M.field.zero for k in range(M.dim)) for i in comp]

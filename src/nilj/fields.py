@@ -15,8 +15,6 @@ from functools import cached_property
 
 from .errors import FieldMismatchError, NiljError, RootNotInFieldError
 
-MAX_ROOT_SEARCH_P = 101  # exhaustive search for roots not found in closed form stops here
-
 # Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
 # below this bound (Sorenson and Webster 2015), so the test is a proof there.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -50,7 +48,10 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """The rationals (``p is None``) or the prime field F_p with p >= 5."""
+    """The rationals (``p is None``) or the prime field F_p with p >= 5.
+
+    Arithmetic is exact; the only root taken is the square root (``sqrt``).
+    """
 
     p: int | None = None
 
@@ -139,45 +140,23 @@ class Field:
     # -- roots -----------------------------------------------------------------
 
     def sqrt(self, a):
-        """An exact square root, or None; over F_p the least of the two roots."""
+        """An exact square root, or None; over F_p the least of the two roots
+        (Tonelli-Shanks), over Q the root of the numerator over that of the
+        denominator."""
         if self.p is not None:
             return _sqrt_mod(a % self.p, self.p)
-        return self.nth_root(a, 2)
-
-    def nth_root(self, a, n: int):
-        """An exact n-th root in this field, or None.
-
-        F_p square roots come from ``sqrt``.  When gcd(n, p - 1) = 1, x -> x^n
-        permutes F_p and the root is the unique a^(1/n mod p-1); the other F_p
-        roots are found by exhaustive search (p <= 101).  Over the rationals
-        only exact rational roots are returned.
-        """
-        if self.p is not None:
-            if n == 2:
-                return self.sqrt(a)
-            if math.gcd(n, self.p - 1) == 1:
-                return pow(a % self.p, pow(n, -1, self.p - 1), self.p)
-            if self.p > MAX_ROOT_SEARCH_P:
-                raise NiljError(f"root search not supported for p > {MAX_ROOT_SEARCH_P}")
-            for x in range(self.p):
-                if pow(x, n, self.p) == a % self.p:
-                    return x
-            return None
         frac = Fraction(a)
-        if frac < 0 and n % 2 == 0:
+        if frac < 0:
             return None
-        sign = -1 if frac < 0 else 1
-        num, den = abs(frac.numerator), frac.denominator
-        rn = _int_nth_root(num, n)
-        rd = _int_nth_root(den, n)
-        if rn is None or rd is None:
+        num, den = math.isqrt(frac.numerator), math.isqrt(frac.denominator)
+        if num * num != frac.numerator or den * den != frac.denominator:
             return None
-        return sign * Fraction(rn, rd)
+        return Fraction(num, den)
 
     def sqrt_or_raise(self, a):
         root = self.sqrt(a)
         if root is None:
-            raise RootNotInFieldError(a, 2)
+            raise RootNotInFieldError(a)
         return root
 
 
@@ -202,23 +181,6 @@ def _sqrt_mod(a: int, p: int) -> int | None:
         b = pow(c, 1 << (s - i - 1), p)
         s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return min(r, p - r)
-
-
-def _int_nth_root(m: int, n: int) -> int | None:
-    """The exact integer n-th root of m >= 0, or None; integer arithmetic only."""
-    if m == 0:
-        return 0
-    if n == 2:
-        r = math.isqrt(m)
-    else:
-        # Newton's iteration from above: r_{k+1} = ((n-1) r_k + m // r_k^(n-1)) // n
-        r = 1 << -(-m.bit_length() // n)
-        while True:
-            nxt = ((n - 1) * r + m // r ** (n - 1)) // n
-            if nxt >= r:
-                break
-            r = nxt
-    return r if r**n == m else None
 
 
 QQ = Field()

@@ -86,7 +86,7 @@ import numpy as np
 from .algebra import (
     Algebra,
     _check_int64,
-    cached_annihilator,
+    annihilator,
     invariant_vector,
     is_multiplicative,
     power_filtration,
@@ -96,7 +96,6 @@ from .algebra import (
 from .cohomology import Cocycle, h2
 from .errors import (
     CaseNotCoveredError,
-    DimensionMismatchError,
     FieldMismatchError,
     NiljError,
     SearchBudgetExceededError,
@@ -119,13 +118,7 @@ class Morphism:
 
 
 def verify_isomorphism(m: Morphism) -> bool:
-    A, B = m.src, m.dst
-    same_field(A.field, B.field)
-    if A.dim != B.dim:
-        raise DimensionMismatchError("isomorphism requires equal dimensions")
-    if m.mat.rows != B.dim or m.mat.cols != A.dim:
-        raise DimensionMismatchError("morphism matrix shape mismatch")
-    return m.mat.is_invertible() and is_homomorphism(m)
+    return is_homomorphism(m) and m.mat.is_invertible()
 
 
 def is_homomorphism(m: Morphism) -> bool:
@@ -993,7 +986,7 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     Ap, _ = _prepare_pair(A, A, field)
     spaces = h2(Ap)
     T, K = _automorphism_cosets(Ap, field)
-    admissible = _admissible_subspaces(spaces, cached_annihilator(Ap), r)
+    admissible = _admissible_subspaces(spaces, annihilator(Ap), r)
     admissible_set = set(admissible)
     XT, XK = _induced_actions(spaces, T, K) if admissible else (None, None)
     unseen = set(admissible_set)
@@ -1025,7 +1018,8 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
 
 def _induced_actions(spaces, *groups):
     """For each (N, n, n) automorphism array in ``groups``, the distinct
-    matrices by which its maps act on H2 class coordinates.
+    matrices by which its maps act on H2 class coordinates, in the array's
+    residue dtype.
 
     Row t, column h of an action X_phi holds class coordinate t of
     phi^T R_h phi, where R_h is the h-th H2 representative; phi moves the
@@ -1057,8 +1051,8 @@ def _induced_actions(spaces, *groups):
             coords = acted[:, :, upper[0], upper[1]] @ extractor.T % p  # [b, h, t]
             action = coords.transpose(0, 2, 1).reshape(len(phi), -1)
             found.append(_unique_rows(action.astype(autos.dtype)))
-        distinct = _unique_rows(np.concatenate(found))
-        actions.append(distinct.reshape(-1, hdim, hdim).astype(np.int64))
+        found = np.concatenate(found)  # the per-block list is freed before the sort copies the rows
+        actions.append(_unique_rows(found).reshape(-1, hdim, hdim))
     return tuple(actions)
 
 

@@ -90,13 +90,6 @@ class Matrix:
         F = self.field
         return Matrix(self.rows, self.cols, tuple(F.mul(c, x) for x in self.data), F)
 
-    def add(self, other: "Matrix") -> "Matrix":
-        F = same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("matrix sum shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(F.add(a, b) for a, b in zip(self.data, other.data)), F)
-
     def is_zero(self) -> bool:
         return all(not x for x in self.data)
 

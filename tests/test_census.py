@@ -11,7 +11,7 @@ import pytest
 from nilj import catalog, isomorphism
 from nilj.algebra import (
     _check_int64,
-    cached_annihilator,
+    annihilator,
     change_basis,
     reduce_mod,
     structure_tensor,
@@ -52,7 +52,7 @@ def reference_census(A, field, r):
     Ap = reduce_mod(A, field.p)
     spaces = h2(Ap)
     hdim = len(spaces.h2_reps)
-    ann = cached_annihilator(Ap)
+    ann = annihilator(Ap)
     autos = enumerate_automorphisms(Ap, field)
     admissible = []
     if hdim >= r:
@@ -249,7 +249,7 @@ def test_batched_admissibility_matches_the_per_candidate_filter(p, r):
     for name in BENCH_PARENTS:
         A = reduce_mod(catalog.instantiate(name), p)
         B = change_basis(A, _random_invertible(field, A.dim, rng))
-        spaces, ann = h2(B), cached_annihilator(B)
+        spaces, ann = h2(B), annihilator(B)
         h = len(spaces.h2_reps)
         if h < r:
             continue
@@ -271,7 +271,7 @@ def test_admissibility_filter_refuses_primes_above_the_int64_guard():
     p = 2**61 - 1
     A = reduce_mod(catalog.instantiate("J2,1"), p)
     with pytest.raises(NiljError, match="int64"):
-        _admissible_subspaces(h2(A), cached_annihilator(A), 1)
+        _admissible_subspaces(h2(A), annihilator(A), 1)
     with pytest.raises(NiljError):
         orbit_census(A, Field(p), 1)
 

@@ -2,10 +2,10 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nilj import catalog
-from nilj.algebra import change_basis, reduce_mod, zero_algebra
+from nilj.algebra import annihilator, change_basis, reduce_mod, zero_algebra
 from nilj.cohomology import (
     Cocycle,
     associativity_constraint_space,
@@ -21,7 +21,7 @@ from nilj.cohomology import (
 )
 from nilj.errors import NiljError, SingularMatrixError
 from nilj.fields import QQ, Field
-from nilj.isomorphism import enumerate_automorphisms
+from nilj.isomorphism import _admissible_subspaces, enumerate_automorphisms
 from nilj.linalg import Matrix, Subspace
 
 F5 = Field(5)
@@ -270,6 +270,32 @@ def test_has_nontrivial_1dim_extension():
         assert not has_nontrivial_1dim_extension(catalog.instantiate(name))
     for name in ("J1,1", "J2,2", "J3,2", "J3,3", "J4,3", "J4,12", "J4,13"):
         assert has_nontrivial_1dim_extension(catalog.instantiate(name))
+
+
+def census_extension_verdict(A):
+    """The census's own test: Ann = 0, or some line of H2 is admissible."""
+    ann = annihilator(A)
+    return ann.is_zero() or bool(_admissible_subspaces(h2(A), ann, 1))
+
+
+# J4,1 is left out: dim H2 = 10, and the reference would enumerate 5^10 lines
+@pytest.mark.parametrize("name", [n for n in catalog.dim_le4_names() if n != "J4,1"])
+def test_extension_scan_matches_the_census_on_catalog_parents(name):
+    A = reduce_mod(catalog.instantiate(name), 5)
+    assert has_nontrivial_1dim_extension(A) == census_extension_verdict(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extension_scan_matches_the_census_on_random_algebras(nilpotent_algebras, data):
+    A = data.draw(nilpotent_algebras(F5))
+    assume(A.dim <= 4 and h2(A).h2_dim <= 6)
+    assert has_nontrivial_1dim_extension(A) == census_extension_verdict(A)
+
+
+def test_extension_scan_decides_the_zero_algebra_where_p_is_dim_ann():
+    # a = p = 5: the witness (a nondegenerate form) lies inside the lattice
+    assert has_nontrivial_1dim_extension(zero_algebra(F5, 5))
 
 
 @pytest.mark.parametrize("field", (QQ, F5, Field(7)), ids=repr)

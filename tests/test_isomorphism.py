@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from nilj.algebra import (
 from nilj.cohomology import is_automorphism, parse_cocycle
 from nilj.errors import (
     CaseNotCoveredError,
+    DimensionMismatchError,
+    FieldMismatchError,
     NiljError,
     NotNilpotentError,
     RootNotInFieldError,
@@ -63,6 +66,22 @@ def test_sigma_free_phi2_is_not_rational():
     src, dst, mat = catalog.PHI2_VERBATIM_Q.resolve()
     assert not is_homomorphism(Morphism(src, dst, mat))
     assert not verify_isomorphism(Morphism(src, dst, mat))
+
+
+def test_a_claimed_map_over_another_field_is_refused():
+    """Over F_5, phi(a) = a/2, phi(b) = b/3 gives phi(a)^2 = 4b but phi(b) = 2b:
+    the rational entries are not residues, so every check refuses the map
+    instead of reading it in int64."""
+    A = reduce_mod(catalog.instantiate("J2,2"), 5)
+    M = Matrix.from_rows(QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    for check in (lambda: verify_isomorphism(Morphism(A, A, M)),
+                  lambda: is_homomorphism(Morphism(A, A, M)),
+                  lambda: is_automorphism(A, M)):
+        with pytest.raises(FieldMismatchError):
+            check()
+    assert not verify_isomorphism(Morphism(A, A, Matrix.from_rows(F5, [[3, 0], [0, 2]])))
+    with pytest.raises(DimensionMismatchError):
+        verify_isomorphism(Morphism(A, A, Matrix.identity(F5, 3)))
 
 
 def test_identity_is_isomorphism():
