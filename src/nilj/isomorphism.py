@@ -14,11 +14,11 @@ multiplicativity.  For speed the enumeration is staged along the power
 filtration: leading (graded) digits first with table-driven pruning, then the
 lower digits, solved linearly on quotients where two corrections cannot
 multiply (a level K with 2K < m modulo the levels >= K + 2, as 2K >= K + 2;
-the levels with 2K >= m together).  There the forced map and its defect are
-affine in the digits: the constant term is the candidate's own forced map,
-and the slopes come from the closure's linearisation (``_linearisation``),
-compiled once per model pair and quotient with the defect entries each digit
-can reach, so only those entries are solved.
+the levels with 2K >= m together, none when m <= 3).  There the forced map and
+its defect are affine in the digits: one walk of the closure on dual numbers
+(``_run``; dx dy = 0) gives the constant term, the candidate's own forced map,
+and the digits' slopes, and the same walk on dual supports (``_supports``)
+finds the defect entries each digit can reach, so only those are solved.
 Digits too deep to influence any product are factored out of the search and
 re-attached combinatorially, so automorphism counts are exact.
 
@@ -44,11 +44,11 @@ The forced closure is compiled once per source quotient and generator count
 basis vector over words in the generators.  It runs on blocks of candidate
 generator images as int64 contractions over the target's tensor, and the
 candidates are accepted or rejected in batch (multiplicativity on all basis
-pairs, full rank mod p) by ``_forced_isomorphisms``, or at the digit levels
-by ``_linear_stage``'s solve.  The defects are evaluated only at the entries
-that some forced map can make nonzero: ``_supports`` runs the program once
-on the tensors' nonzero patterns, and every other entry vanishes for all
-candidates.  The graded leaves take the test on the associated graded tensors
+pairs, full rank mod p) by ``_forced_isomorphisms`` at the graded leaves, and
+by ``_linear_stage``'s solve in the lift.  The defects are evaluated only at
+the entries that some forced map can make nonzero: ``_supports`` runs the
+program on the tensors' nonzero patterns, and every other entry vanishes for
+all candidates.  The graded leaves take the test on the associated graded tensors
 (``_graded``: C keeps the components of level(k) = level(i) + level(j)).
 
 Every enumeration is one parent-major stream of (parent, child) pairs from
@@ -269,41 +269,54 @@ def _products(X, Y, C, p: int):
     return (Y[..., None, :] @ _mult(X, C, p))[..., 0, :] % p
 
 
-def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens, tangents=None):
+def _run(prog: _Closure, words, times):
+    """Walk the compiled closure: each round sets its words to ``times(words[left], words[right])``.
+
+    ``words`` holds one value per independent word along its first axis, the generators' filled in.
+    A value is a dual number: the value, then its first-order changes, along the second-to-last axis.
+    """
+    found = len(words) - sum(len(left) for left, _ in prog.rounds)
+    for left, right in prog.rounds:
+        words[found:found + len(left)] = times(words[left], words[right])
+        found += len(left)
+
+
+def _dual_products(X, Y, C, p: int):
+    """[x, dx] [y, dy] = [x y, dx y + x dy] of dual (..., 1 + T, n) residue arrays, as dx dy = 0."""
+    out = X @ _mult(Y[..., 0, :], C, p) % p
+    if X.shape[-2] > 1:
+        out[..., 1:, :] = (out[..., 1:, :] + Y[..., 1:, :] @ _mult(X[..., 0, :], C, p)) % p
+    return out
+
+
+def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens, slots=None):
     """The maps forced by multiplicativity from generator images, and their
-    defects, or with ``tangents`` their first-order changes.
+    defects, or with ``slots`` their first-order changes.
 
     ``gens`` is a (k, s, d) array: candidate images of the first s coordinates
     in the quotients C[:d, :d, :d] of both models.  Runs MA's compiled closure
-    through MB's tensor; phis[b] has the forced images of the quotient's
-    basis as columns.  The defects are ``_defects_at`` the entries that a
-    forced map can make nonzero (``_supports``); every other entry of
-    ``_product_defects`` vanishes for all candidates.  ``tangents`` is a
-    (T, s, d) array of changes to every candidate's generator images; the
-    closure's linearisation at gens[b] carries change t to the (d, d) change
-    [b, t] of phis[b], which is exact when no two changes multiply to a
-    nonzero product (see ``_linear_stage``).
+    (``_run``) through MB's tensor on dual numbers; phis[b] has the forced
+    images of the quotient's basis as columns.  The defects are
+    ``_defects_at`` the entries that a forced map can make nonzero
+    (``_supports``); every other entry of ``_product_defects`` vanishes for
+    all candidates.  ``slots`` are the (generator, coordinate) index arrays
+    of T digits (``_slots``); the slopes [b, t] are the (d, d) changes of
+    phis[b] along a unit change of digit t, exact when no two changes
+    multiply to a nonzero product (see ``_linear_stage``).
     """
     k, s, d = gens.shape
     prog = _closure(MA, d, s)
     p, CA, CB = MA.p, MA.C[:d, :d, :d], MB.C[:d, :d, :d]
-    imgs = np.empty((k, d, d), dtype=np.int64)  # images of the independent words
-    imgs[:, :s] = gens
-    if tangents is not None:
-        moves = np.zeros((k, d, len(tangents), d), dtype=np.int64)  # [b, word, t]: their changes
-        moves[:, :s] = tangents.transpose(1, 0, 2)
-    found = s
-    for left, right in prog.rounds:
-        new = slice(found, found + len(left))
-        if tangents is not None:  # (x + dx)(y + dy) = x y + dx y + x dy, as dx dy = 0
-            moves[:, new] = (moves[:, left] @ _mult(imgs[:, right], CB, p)
-                             + moves[:, right] @ _mult(imgs[:, left], CB, p)) % p
-        imgs[:, new] = _products(imgs[:, left], imgs[:, right], CB, p)
-        found = new.stop
-    phis = imgs.transpose(0, 2, 1) @ prog.basis.T % p
-    if tangents is not None:
-        return phis, moves.transpose(0, 2, 3, 1) @ prog.basis.T % p
-    return phis, _defects_at(CA, CB, phis, _supports(MA, MB, d, s)[2], p)
+    gs, cs = _slots(MB, s, ()) if slots is None else slots
+    words = np.zeros((d, k, 1 + len(gs), d), dtype=np.int64)  # [word, b, value | changes, coordinate]
+    words[:s, :, 0] = gens.transpose(1, 0, 2)
+    words[gs, :, 1 + np.arange(len(gs)), cs] = 1
+    _run(prog, words, lambda X, Y: _dual_products(X, Y, CB, p))
+    duals = words.transpose(1, 2, 3, 0) @ prog.basis.T % p  # [b, value | changes, coordinate, e_i]
+    phis = duals[:, 0]
+    if slots is not None:
+        return phis, duals[:, 1:]
+    return phis, _defects_at(CA, CB, phis, _supports(MA, MB, d, s)[1], p)
 
 
 def _times(CB, phis, c, i, p: int):
@@ -324,6 +337,13 @@ def _meets(X, Y, S, spec="...a,...c,acr->...r"):
     return np.einsum(spec, X, Y, S) > 0
 
 
+def _dual_meets(X, Y, S):
+    """The supports of [x, dx] [y, dy] = [x y, dx y + x dy] for dual (..., 2, n) supports."""
+    out = _meets(X, Y[..., :1, :], S)
+    out[..., 1:, :] |= _meets(X[..., :1, :], Y[..., 1:, :], S)
+    return out
+
+
 def _reaches(MA: _FilteredModel, MB: _FilteredModel, d: int, X, images):
     """[c, i, j] where X(e_i e_j)[c], (X(e_i) phi(e_j))[c] or (phi(e_i) X(e_j))[c] may be nonzero for
     maps phi and X whose images of the basis of the quotient C[:d, :d, :d] are supported on images and X."""
@@ -333,20 +353,27 @@ def _reaches(MA: _FilteredModel, MB: _FilteredModel, d: int, X, images):
 
 
 @lru_cache(maxsize=None)
-def _supports(MA: _FilteredModel, MB: _FilteredModel, d: int, s: int):
-    """Where a forced map of the quotients C[:d, :d, :d] can be nonzero, whatever its s generator
-    images: MA's closure program run on supports, a product being nonzero where MB's tensor can make
-    it so.  Returns (words, images, entries): the coordinates of the independent words' and of the
-    basis' images, and the (c, i, j) index arrays of the defect entries with i <= j that can be nonzero."""
+def _supports(MA: _FilteredModel, MB: _FilteredModel, d: int, s: int, levels: tuple = ()):
+    """Where the forced maps of the quotients C[:d, :d, :d] and their changes along the digits of
+    ``levels`` can be nonzero, whatever the s generator images: MA's closure ``_run`` on dual
+    supports, a product being nonzero where MB's tensor can make it so.  Returns (images, entries,
+    moved, reached): ``images`` and ``moved``, the [e_i, coordinate] masks of the maps and of their
+    changes, the (c, i, j) index arrays of the defect entries with i <= j that can be nonzero, and
+    the mask of those the digits can move.  Raises if two changes can multiply to a nonzero product,
+    which otherwise makes the forced maps and their defects affine in the digits."""
     prog = _closure(MA, d, s)
     SB = (MB.C[:d, :d, :d] != 0).astype(np.int64)
-    words = np.ones((d, d), dtype=bool)
-    found = s
-    for left, right in prog.rounds:
-        words[found:found + len(left)] = _meets(words[left], words[right], SB)
-        found += len(left)
-    images = (prog.basis != 0).astype(np.int64) @ words > 0  # [e_i, coordinate]
-    return words, images, np.nonzero(np.triu(_reaches(MA, MB, d, images, images)))
+    words = np.zeros((d, 2, d), dtype=bool)  # [word, value | changes, coordinate]
+    words[:s, 0] = True
+    gs, cs = _slots(MB, s, levels)
+    words[gs, 1, cs] = True
+    _run(prog, words, lambda X, Y: _dual_meets(X, Y, SB))
+    span = words[:, 1].any(axis=0)
+    if SB[span][:, span].any():
+        raise NiljError("two digit changes multiply: the linear stage does not apply")
+    images, moved = (prog.basis != 0).astype(np.int64) @ words.transpose(1, 0, 2) > 0  # [e_i, coordinate]
+    entries = np.nonzero(np.triu(_reaches(MA, MB, d, images, images)))
+    return images, entries, moved, _reaches(MA, MB, d, moved, images)[entries]
 
 
 def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
@@ -527,21 +554,18 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
     are the images of A's basis, leaf by leaf and within a leaf in
     ``iproduct`` order of its digits.  ``_linear_stage`` solves each level K
     with 2K < m modulo the levels >= K + 2, streaming every solution on as a
-    candidate, then the levels with 2K >= m together, where ``find_all`` decides.
+    candidate, then the levels with 2K >= m together, where ``find_all``
+    decides; with nilpotency index m <= 3 that last group has no digit.
     """
     n, s, m = MA.A.dim, MA.n1, MA.m
     relevant = [k for k in range(2, m - 1) if MB.block[k][0] != MB.block[k][1]]
 
     def stage(k_idx, gens):
-        if k_idx >= len(relevant):
-            phis, ok = _forced_isomorphisms(MA, MB, gens)
-            yield from phis[ok]
-            return
-        K = relevant[k_idx]
-        if 2 * K >= m:
+        if k_idx >= len(relevant) or 2 * relevant[k_idx] >= m:
             for maps in _linear_stage(MA, MB, gens, relevant[k_idx:], n, find_all):
                 yield from maps
             return
+        K = relevant[k_idx]
         d = MB.block[K + 1][1]  # the quotient by the levels >= K + 2
         for maps in _linear_stage(MA, MB, gens, [K], d, True):
             cand = np.zeros((len(maps), s, n), dtype=np.int64)
@@ -567,50 +591,16 @@ def _combos(p: int, width: int):
         yield _digits(codes, p, width)[:, ::-1]
 
 
-@lru_cache(maxsize=None)
-def _linearisation(MA: _FilteredModel, MB: _FilteredModel, levels: tuple, d: int):
-    """The linear stage's digit slots for ``levels`` in C[:d, :d, :d], compiled: (tangents, moved, reached).
-
-    ``tangents[t]`` is the (s, d) unit change of the generator images at slot
-    t.  MA's closure program runs on supports, as in ``_supports``, and the
-    product rule carries the unit changes into the words' changes.  So forced
-    maps change only at the (coordinate, basis vector) index arrays
-    ``moved``, and a defect entry of ``_supports`` moves with the digits only
-    where ``reached``.  Raises if two changes can multiply to a nonzero
-    product, which otherwise makes the forced maps and their defects affine
-    in the digits.
-    """
-    s = MA.n1
-    prog = _closure(MA, d, s)
-    words, images, entries = _supports(MA, MB, d, s)
-    gs, cs = _slots(MB, s, levels)
-    SB = (MB.C[:d, :d, :d] != 0).astype(np.int64)
-    moved = np.zeros((d, d), dtype=bool)
-    moved[gs, cs] = True
-    found = s
-    for left, right in prog.rounds:
-        new = slice(found, found + len(left))
-        moved[new] = _meets(moved[left], words[right], SB) | _meets(words[left], moved[right], SB)
-        found = new.stop
-    span = moved.any(axis=0)
-    if SB[span][:, span].any():
-        raise NiljError("two digit changes multiply: the linear stage does not apply")
-    moved = (prog.basis != 0).astype(np.int64) @ moved > 0  # [e_i, coordinate]
-    tangents = np.zeros((len(gs), s, d), dtype=np.int64)
-    tangents[np.arange(len(gs)), gs, cs] = 1
-    return tangents, np.nonzero(moved.T), _reaches(MA, MB, d, moved, images)[entries]
-
-
 def _linear_stage(MA, MB, gens, levels, d, find_all):
     """Solve the digits of ``levels`` at once on the quotient C[:d, :d, :d].
 
     Valid exactly when no two corrections multiply to a nonzero product on
-    the quotient (``_linearisation`` checks it): then the forced map and its
-    multiplicativity defect are affine in the digits.  One run of the closure
-    and of its linearisation (compiled once per model pair, levels and d)
-    gives each candidate's forced map, the constant term, and the slopes of
-    its digits.  The defect is evaluated at the entries that can be nonzero
-    (``_supports``; pairs i <= j, as both tensors are symmetric): those no digit
+    the quotient (``_supports`` checks it): then the forced map and its
+    multiplicativity defect are affine in the digits.  One dual-number run of
+    the closure (``_forced_maps``) gives each candidate's forced map, the
+    constant term, and the slopes of its digits.  The defect is evaluated at
+    the entries that can be nonzero (``_supports``, compiled once per model
+    pair, d and levels; pairs i <= j, as both tensors are symmetric): those no digit
     moves must vanish already, a mask, and only the moved ones go into one
     batched RREF.  Its rows span the full system's row space, so the solution
     set and the particular solution (free digits zero) are those of the full
@@ -619,12 +609,15 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
     streamed in that order from the RREF of its null space.  A solution's map
     is the constant plus the slopes, multiplicative by construction; blocks
     of at most AUT_BLOCK (d, d) maps are yielded, the ones of full rank d.
+    With no digit (``levels`` empty) the solutions are the candidates whose
+    forced maps are isomorphisms.
     """
     p = MA.p
     CA, CB = MA.C[:d, :d, :d], MB.C[:d, :d, :d]
-    tangents, (xs, ys), reached = _linearisation(MA, MB, tuple(levels), d)
-    phis, slopes = _forced_maps(MA, MB, gens[:, :, :d], tangents)  # slopes[b, t]: the (d, d) change along slot t
-    entries = _supports(MA, MB, d, MA.n1)[2]
+    slots = _slots(MB, MA.n1, levels)
+    _, entries, moved, reached = _supports(MA, MB, d, MA.n1, tuple(levels))
+    xs, ys = np.nonzero(moved.T)
+    phis, slopes = _forced_maps(MA, MB, gens[:, :, :d], slots)  # slopes[b, t]: the (d, d) change along slot t
     defects = _defects_at(CA, CB, phis, entries, p)
     live = ~defects[:, ~reached].any(axis=1)  # the entries no digit moves vanish already
     defects, (c, i, j) = defects[:, reached], (index[reached] for index in entries)
@@ -635,7 +628,7 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
     change = slopes[:, :, xs, ys] @ (weights % p)  # [b, t, entry]
     # rows (defect slopes | -constant); a pivot in the last column is inconsistent
     reduced, ranks = _rref_mod_p(np.concatenate([change.transpose(0, 2, 1), -defects[:, :, None]], axis=2), p)
-    T = len(tangents)
+    T = len(slots[0])
     lead = (reduced != 0).argmax(axis=2)
     pivot = np.arange(len(c)) < ranks[:, None]
     consistent = live & ~(pivot & (lead == T)).any(axis=1)
@@ -643,7 +636,7 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
     b, r = np.nonzero(pivot)
     x0 = np.zeros((len(reduced), T), dtype=np.int64)
     x0[b, lead[b, r]] = reduced[b, r, T]
-    if find_all:
+    if find_all and T:
         # null vectors e_f - sum_r reduced[r, f] e_lead(r), zero where f is a pivot column; in RREF
         # their coordinates order the solutions lexicographically from the one that vanishes at
         # their leading columns
@@ -655,7 +648,7 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
 
     def solutions():
         start = 0
-        for at in np.flatnonzero(nullity) if find_all else ():
+        for at in np.flatnonzero(nullity) if find_all and T else ():
             yield base[start:at]
             for y in _combos(p, nullity[at]):
                 yield np.concatenate([np.full((len(y), 1), at), (x0[at] + y @ null[at, :nullity[at]]) % p], axis=1)

@@ -327,3 +327,18 @@ def test_truth_catalog_overlaps_have_witness_maps():
         parent, cocycles = catalog.lineage(name, binding)
         meets = radical(cocycles).intersect(annihilator(parent))
         assert not meets.is_zero(), name
+
+
+def test_truth_j541_is_the_j530_member_at_alpha_beta_minus_one():
+    """J5,41 is isomorphic over Q to J5,30 at alpha = beta = -1, a binding the
+    report does not sample, so no report row sees this overlap.  The columns
+    of the map are the images of a, b, c, d and e; the map the other way
+    round is not multiplicative."""
+    from nilj.linalg import Matrix
+
+    A = catalog.instantiate("J5,41")
+    B = catalog.instantiate("J5,30", {"alpha": "-1", "beta": "-1"})
+    mat = Matrix.from_rows(QQ, [[-1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, -1, 0, 1],
+                                [0, 0, 1, 0, 1], [0, 0, 0, -4, 0]])
+    assert verify_isomorphism(Morphism(A, B, mat))
+    assert not verify_isomorphism(Morphism(B, A, mat))

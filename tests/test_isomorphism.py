@@ -495,9 +495,9 @@ def test_signature_prune_keeps_the_budget_errors():
 def _linear_cases():
     """(source, target, p) of searches whose candidates reach the linear stage:
     J5,13 -> J5,16 (no map) and onto the pinned J5,13 basis over F_7, two
-    J5,17 bindings onto themselves over F_5 and F_7, and J4,6 and J4,7 onto
-    themselves over F_5, in the catalog basis and in one seeded basis.  (J4,12
-    has nilpotency index 3, so no digit is left for the stage to solve.)"""
+    J5,17 bindings onto themselves over F_5 and F_7, and J4,6, J4,7 and J4,12
+    onto themselves over F_5, in the catalog basis and in one seeded basis.
+    J4,12 has nilpotency index 3, so its stage runs with no digit to solve."""
     J513 = reduce_mod(catalog.instantiate("J5,13"), 7)
     cases = {
         "J5,13-J5,16": (J513, reduce_mod(catalog.instantiate("J5,16"), 7), 7),
@@ -507,7 +507,7 @@ def _linear_cases():
         for p in (5, 7):
             A = reduce_mod(catalog.instantiate("J5,17", {"alpha": alpha}), p)
             cases[f"J5,17[{alpha}]-F{p}"] = (A, A, p)
-    for name in ("J4,6", "J4,7"):
+    for name in ("J4,6", "J4,7", "J4,12"):
         A = reduce_mod(catalog.instantiate(name), 5)
         cases[name] = (A, A, 5)
         cases[f"{name}-basis"] = (A, change_basis(A, _random_basis(F5, A.dim, random.Random(f"linear:{name}"))), 5)
@@ -585,9 +585,9 @@ def test_linear_stage_matches_digit_enumeration(case, block, monkeypatch, every_
 
 def test_linear_stage_evaluates_one_defect_row_per_candidate(monkeypatch):
     """Every linear-stage call, on a level's quotient or on the whole algebra, takes each
-    candidate's constant term from its own forced map and its slopes from the compiled
-    linearisation, so it runs the closure (``_forced_maps``) and computes the product defects
-    of at most one map per candidate.  Checked at every digit level of two searches over F_7:
+    candidate's constant term and its slopes from one dual-number run of the closure
+    (``_forced_maps``), so it runs the closure and computes the product defects of at most
+    one map per candidate.  Checked at every digit level of two searches over F_7:
     J5,13 -> J5,16, whose 10,584 candidates all reach its one group of levels and none lifts,
     and J5,17 onto itself, whose level 2 is solved modulo the levels >= 4 first.  Rows are
     counted, so the block size does not matter."""
@@ -633,7 +633,7 @@ def _digit_groups(M):
 
 
 def test_every_digit_level_is_affine_on_its_quotient():
-    """The exactness guard of the lift: ``_linearisation`` compiles without its "two digit
+    """The exactness guard of the lift: ``_supports`` compiles without its "two digit
     changes multiply" error for every group of digit levels the lift solves, for every
     catalog instance at its sample bindings over F_5 and F_7, in the catalog basis and in one
     seeded random basis.  Two level-K corrections multiply into level 2K, which is >= K + 2
@@ -648,8 +648,43 @@ def test_every_digit_level_is_affine_on_its_quotient():
                 for X in (A, change_basis(A, _random_basis(F, A.dim, rng))):
                     M = _model(X)
                     for levels, d in _digit_groups(M):
-                        tangents, _, _ = isomorphism._linearisation(M, M, levels, d)
-                        assert tangents.shape == (M.n1 * sum(M.block_dims()[K - 1] for K in levels), M.n1, d)
+                        isomorphism._supports(M, M, d, M.n1, levels)
+                        gs, _ = isomorphism._slots(M, M.n1, levels)
+                        assert len(gs) == M.n1 * sum(M.block_dims()[K - 1] for K in levels)
                         if d < X.dim:
                             quotients.add(name)
     assert quotients == {"J4,11", "J5,2", "J5,3", "J5,17", "J5,24"}
+
+
+def test_supports_bound_every_forced_map_slope_and_defect():
+    """``_supports`` is sound: for every catalog instance at its sample bindings over F_5 and
+    F_7, in the catalog basis and in one seeded random basis, at every group of digit levels
+    the lift solves and with no digit on the whole algebra, the forced maps of 16 random
+    generator images are nonzero only inside ``images``, their slopes only inside ``moved``,
+    and their product defects only at ``entries`` or at their (c, j, i) mirrors.  Adding
+    random digits (the forced map plus the slopes) changes the defects only at the entries
+    ``reached``."""
+    for name in catalog.names():
+        for binding in catalog.sample_bindings(name):
+            for F in (F5, F7):
+                A = reduce_mod(catalog.instantiate(name, binding), F.p)
+                rng = random.Random(f"supports:{name}:{sorted(binding.items())}:{F.p}")
+                for X in (A, change_basis(A, _random_basis(F, A.dim, rng))):
+                    M = _model(X)
+                    p, s = F.p, M.n1
+                    draw = np.random.default_rng(rng.randrange(2**32))
+                    for levels, d in _digit_groups(M) + [((), X.dim)]:
+                        images, (c, i, j), moved, reached = isomorphism._supports(M, M, d, s, levels)
+                        slots = isomorphism._slots(M, s, levels)
+                        phis, slopes = _forced_maps(M, M, draw.integers(0, p, (16, s, d)), slots)
+                        assert not phis[:, ~images.T].any() and not slopes[:, :, ~moved.T].any()
+                        C = M.C[:d, :d, :d]
+                        at = np.zeros((d, d, d), dtype=bool)
+                        at[c, i, j] = at[c, j, i] = True
+                        defects = isomorphism._product_defects(C, C, phis, p)
+                        assert not defects[:, ~at].any(), (name, levels, d)
+                        at[c[reached], i[reached], j[reached]] = at[c[reached], j[reached], i[reached]] = False
+                        x = draw.integers(0, p, (16, len(slots[0])))
+                        moved_phis = (phis + np.einsum("bt,btij->bij", x, slopes)) % p
+                        changed = (isomorphism._product_defects(C, C, moved_phis, p) - defects) % p
+                        assert not changed[:, at].any(), (name, levels, d)
