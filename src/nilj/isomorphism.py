@@ -11,8 +11,8 @@ Three evidence grades live here:
 The search enumerates images of a generating set (a basis complement of the
 square ideal); images of all other basis vectors are forced by
 multiplicativity.  For speed the enumeration is staged along the power
-filtration: leading (graded) digits first with table-driven pruning, then the
-lower digits, solved linearly on quotients where two corrections cannot
+filtration: leading (graded) digits first, typed by their signature rows, then
+the lower digits, solved linearly on quotients where two corrections cannot
 multiply (a level K with 2K < m modulo the levels >= K + 2, as 2K >= K + 2;
 the levels with 2K >= m together, none when m <= 3).  There the forced map and
 its defect are affine in the digits: one walk of the closure on dual numbers
@@ -36,7 +36,7 @@ Each algebra is modelled by one F_p array (``_FilteredModel.C``): its
 structure tensor in a basis adapted to the power filtration and sorted by
 level, computed by one contraction of ``structure_tensor`` over the basis
 change.  The quotient by the coordinates of level >= L is the prefix
-C[:d, :d, :d], so the closure, the graded tables and every lift stage read
+C[:d, :d, :d], so the closure, the graded stage and every lift stage read
 slices of C, and no stage rebuilds an algebra.
 
 The forced closure is compiled once per source quotient and generator count
@@ -53,11 +53,13 @@ all candidates.  The graded leaves take the test on the associated graded tensor
 
 Every enumeration is one parent-major stream of (parent, child) pairs from
 ``_blocks``, at most AUT_BLOCK at a time: the graded stage extends partial
-level-1 codes by one generator and filters each block with array masks; free
-digits and candidate subspaces have one parent.  A digit level enumerates
-nothing: it streams each candidate's solutions in ``iproduct`` order of its
-digits.  Candidates keep their enumeration order, so the first hit is the one
-a candidate-by-candidate search finds.
+level-1 codes by one of the next generator's typed codes (those with its
+``_level1_rows`` row) and keeps the extensions whose level-(1,1) products are
+zero or nonzero as in the source; free digits and candidate subspaces have
+one parent.  A digit level enumerates nothing: it streams each candidate's
+solutions in ``iproduct`` order of its digits.  Candidates keep their
+enumeration order, so the first hit is the one a candidate-by-candidate
+search finds.
 
 The engine works in filtration coordinates.  ``search_isomorphism`` maps
 ``_search``'s first lift back to the original bases and re-verifies it with
@@ -391,12 +393,11 @@ def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
 
 
 @lru_cache(maxsize=None)
-def _graded_signature(M: _FilteredModel) -> tuple:
-    """The distinct rows, with counts, of the level-1 vectors x of ``_graded(M)``:
-    the rank of y -> x y on each level block, then which of the right powers x,
-    x x, (x x) x, ... vanish.  An isomorphism induces a graded one, which maps
-    level 1 onto level 1 and keeps every row, so unequal signatures certify
-    non-isomorphism over F_p."""
+def _level1_rows(M: _FilteredModel):
+    """The row of every level-1 vector x of ``_graded(M)``, indexed by x's code (its base-p
+    digits, least significant first): the rank of y -> x y on each level block, then which of
+    the right powers x, x x, (x x) x, ... vanish.  An isomorphism induces a graded one, which
+    maps level 1 onto level 1 and keeps every row.  Cached, so read-only."""
     p, s, n, C = M.p, M.n1, M.A.dim, _graded(M).C
     x = _digits(np.arange(p**s, dtype=np.int64), p, s) @ np.eye(s, n, dtype=np.int64)
     cols = [_rref_mod_p((x @ C[:, lo:hi].reshape(n, -1) % p).reshape(len(x), hi - lo, n), p)[1]
@@ -405,31 +406,17 @@ def _graded_signature(M: _FilteredModel) -> tuple:
     for _ in range(1, M.m):
         cols.append(~power.any(axis=1))
         power = _products(power, x, C, p)
-    rows, counts = np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+    rows = np.stack(cols, axis=1)
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _graded_signature(M: _FilteredModel) -> tuple:
+    """The distinct ``_level1_rows`` of M with their counts: unequal signatures
+    certify non-isomorphism over F_p."""
+    rows, counts = np.unique(_level1_rows(M), axis=0, return_counts=True)
     return tuple(zip(map(tuple, rows.tolist()), counts.tolist()))
-
-
-class _GradedTables:
-    """numpy lookup tables for the target's graded pairings."""
-
-    def __init__(self, M: _FilteredModel):
-        p, s = M.p, M.n1
-        self.digits1 = _digits(np.arange(p**s, dtype=np.int64), p, s)
-        lo2, hi2 = M.block.get(2, (0, 0))
-        lo3, hi3 = M.block.get(3, (0, 0))
-        n2, n3 = hi2 - lo2, hi3 - lo3
-        if n2:
-            prod = np.einsum("ua,vb,abt->uvt", self.digits1, self.digits1, M.C[:s, :s, lo2:hi2]) % p
-            self.digits2 = _digits(np.arange(p**n2, dtype=np.int64), p, n2)
-            self.p2code = prod @ p ** np.arange(n2, dtype=np.int64)
-        else:
-            self.digits2 = None
-            self.p2code = np.zeros((p**s, p**s), dtype=np.int64)
-        if n2 and n3:
-            prod = np.einsum("ua,vb,abt->uvt", self.digits1, self.digits2, M.C[:s, lo2:hi2, lo3:hi3]) % p
-            self.p12code = prod @ p ** np.arange(n3, dtype=np.int64)
-        else:
-            self.p12code = None
 
 
 def _digits(codes, p: int, width: int):
@@ -466,73 +453,48 @@ def _regroup(arrays, size: int):
         yield np.concatenate(pending)
 
 
-@lru_cache(maxsize=None)
-def _tables(A: Algebra) -> _GradedTables:
-    return _GradedTables(_model(A))
-
-
 def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
     """Yield blocks of candidate level-1 assignments as (k, s, s) arrays of image vectors.
 
-    A partial assignment gives codes (into the target's graded tables) to the
-    generators along ``order``; each block of (partial, code) extensions from
-    ``_blocks`` is filtered by array masks on necessary conditions (graded
-    products at levels 2 and 3 zero or nonzero as in A, independent block-2
-    images), so the leaves come out lexicographically along ``order``.
-    The leaves pass ``_forced_isomorphisms`` on the graded tensors in
-    ``_lift_candidates``, a full check, so the filters cannot cost
-    completeness.
+    The candidates are typed: generator g's images are the level-1 codes of B whose
+    ``_level1_rows`` row is A's row of e_g (code p^g), in code order.  A partial assignment
+    gives codes to the generators along ``order`` (the generators that feed block 2 first,
+    then by their number of nonzero products, then by index); each block of (partial, code)
+    extensions from ``_blocks`` keeps those whose level-(1,1) products are zero or nonzero as
+    in A, so the leaves come out lexicographically along ``order``.  Both filters are
+    necessary conditions, and the leaves pass ``_forced_isomorphisms`` on the graded tensors
+    in ``_lift_candidates``, a full check, so the filters cannot cost completeness.
     """
     p, s = MA.p, MA.n1
-    TB = _tables(MB.A)
     lo2, hi2 = MA.block.get(2, (0, 0))
-    n2 = hi2 - lo2
     feed2 = ()
-    if n2:
-        # block-2 coordinates over the independent products of two generators
+    if hi2 > lo2:
+        # the generators in the products of two that block 2's coordinates are written over
         prog = _closure(MA, hi2, s)
-        coef = prog.basis[lo2:hi2, s:]
-        used = coef.any(axis=0)
-        left, right = (side[used] for side in prog.rounds[0])
-        coef = coef[:, used]
-        feed2 = set(left.tolist()) | set(right.tolist())
+        used = prog.basis[lo2:hi2, s:].any(axis=0)
+        feed2 = set(np.concatenate([side[used] for side in prog.rounds[0]]).tolist())
     density = MA.C[:s].any(axis=2).sum(axis=1)  # nonzero products of each generator
     order = sorted(range(s), key=lambda i: (i not in feed2, -density[i], i))
     at = np.argsort(order)  # the position of each generator along order
-    pair_nonzero = MA.C[:s, :s, lo2:hi2].any(axis=2)  # graded level-(1,1) statuses
-    # level-(1,2) graded statuses: gen g against each block-2 coordinate
-    status12 = None
-    if n2 and TB.p12code is not None:
-        lo3, hi3 = MA.block[3]
-        status12 = MA.C[:s, lo2:hi2, lo3:hi3].any(axis=2)
-
-    def block2_ok(cand):
-        """Mask of the partials, with every block-2 feeder assigned, whose
-        block-2 images are independent (tested once, when the last feeder is
-        assigned) and whose products with them pass the level-(1,2) statuses."""
-        imgs = coef @ TB.digits2[TB.p2code[cand[:, at[left]], cand[:, at[right]]]] % p
-        ok = np.ones(len(cand), dtype=bool)
-        if cand.shape[1] == len(feed2):
-            ok = _rref_mod_p(imgs, p)[1] == n2
-        if status12 is not None:
-            enc = imgs @ p ** np.arange(n2, dtype=np.int64)
-            vals = TB.p12code[cand[:, :, None], enc[:, None, :]] != 0
-            ok &= (vals == status12[order[:cand.shape[1]]]).all(axis=(1, 2))
-        return ok
+    rows_a, rows_b = _level1_rows(MA), _level1_rows(MB)
+    typed = [np.flatnonzero((rows_b == rows_a[p**g]).all(axis=1)) for g in range(s)]
+    # level-(1,1) statuses: of A's generators, and of B's level-1 vectors x_u by code u
+    # (by_gen[u, b] is x_u e_b at block 2, and pair_b[u, v] says whether x_u x_v is nonzero)
+    pair_a = MA.C[:s, :s, lo2:hi2].any(axis=2)
+    digits = _digits(np.arange(p**s, dtype=np.int64), p, s)
+    by_gen = (digits @ MB.C[:s, :s, lo2:hi2].reshape(s, -1) % p).reshape(len(digits), s, hi2 - lo2)
+    pair_b = (digits @ by_gen % p).any(axis=2)
 
     def extend(parts):
         depth = parts.shape[1]
         if depth == s:
-            yield TB.digits1[parts[:, at]]
+            yield digits[parts[:, at]]
             return
         g = order[depth]
-        for parent, code in _blocks(len(parts), p**s):
-            cand = np.concatenate([parts[parent], code[:, None]], axis=1)
+        for parent, child in _blocks(len(parts), len(typed[g])):
+            cand = np.concatenate([parts[parent], typed[g][child, None]], axis=1)
             # g's level-(1,1) statuses with the generators before it and itself
-            prods = TB.p2code[cand, code[:, None]] != 0
-            cand = cand[(prods == pair_nonzero[order[:depth + 1], g]).all(axis=1)]
-            if n2 and depth + 1 >= len(feed2):
-                cand = cand[block2_ok(cand)]
+            cand = cand[(pair_b[cand, cand[:, -1:]] == pair_a[order[:depth + 1], g]).all(axis=1)]
             if len(cand):
                 yield from extend(cand)
 
@@ -555,7 +517,8 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
     ``iproduct`` order of its digits.  ``_linear_stage`` solves each level K
     with 2K < m modulo the levels >= K + 2, streaming every solution on as a
     candidate, then the levels with 2K >= m together, where ``find_all``
-    decides; with nilpotency index m <= 3 that last group has no digit.
+    decides; with nilpotency index m <= 3 that last group has no digit, and
+    its check on C, which is graded then, is the graded one.
     """
     n, s, m = MA.A.dim, MA.n1, MA.m
     relevant = [k for k in range(2, m - 1) if MB.block[k][0] != MB.block[k][1]]
@@ -574,9 +537,11 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
 
     gens = np.zeros((len(leaves), s, n), dtype=np.int64)
     gens[:, :, :s] = leaves
-    _, ok = _forced_isomorphisms(_graded(MA), _graded(MB), gens)
-    if ok.any():
-        yield from stage(0, gens[ok])
+    if m > 3:
+        # with J^3 = 0, C is graded already, and the zero-slot stage below is the graded check
+        gens = gens[_forced_isomorphisms(_graded(MA), _graded(MB), gens)[1]]
+    if len(gens):
+        yield from stage(0, gens)
 
 
 def _slots(MB: _FilteredModel, s: int, levels):

@@ -67,7 +67,18 @@ def every_isomorphism():
 
 @pytest.fixture(scope="session")
 def report_5_7():
-    """``reports.build_report((5, 7))``, built once per session, and its build time in seconds."""
-    t0 = time.time()
-    doc = reports.build_report((5, 7))
-    return doc, time.time() - t0
+    """``reports.build_report((5, 7))``, built once per session, its build time in seconds, and
+    the result of each of its ``search_isomorphism`` calls in order: the map's data or None."""
+    searches, reports_search = [], reports.search_isomorphism
+
+    def search(*args):
+        m = reports_search(*args)
+        searches.append(None if m is None else m.mat.data)
+        return m
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "search_isomorphism", search)
+        t0 = time.time()
+        doc = reports.build_report((5, 7))
+        elapsed = time.time() - t0
+    return doc, elapsed, searches

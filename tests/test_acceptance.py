@@ -121,7 +121,7 @@ def test_criterion_06_isomorphism_maps():
 
 def test_criterion_07_separation(report_5_7):
     # the budget holds for the whole report, which includes this section
-    doc, elapsed = report_5_7
+    doc, elapsed, _ = report_5_7
     section = doc.section("separation")
     bad = [r for r in section.rows if not r["ok"]]
     counts = {}

@@ -32,6 +32,7 @@ from nilj.isomorphism import (
     _graded,
     _graded_level1_solutions,
     _graded_signature,
+    _level1_rows,
     _model,
     _search,
     enumerate_automorphisms,
@@ -432,13 +433,23 @@ def test_first_hit_through_a_digit_level_is_pinned(name, p, basis, first):
 
 def test_graded_signature_survives_a_random_change_of_basis():
     """Metamorphic: every dimension-5 instance at its sample bindings has the
-    signature over F_7 of one seeded random rewriting of it."""
+    signature over F_7 of one seeded random rewriting of it, and the known map
+    between the two types every level-1 vector: in both models' filtration
+    coordinates, its level-1 block sends each level-1 code x of A to a code of
+    the rewriting with A's ``_level1_rows`` row of x."""
     for name in catalog.dim5_names():
         for binding in catalog.sample_bindings(name):
             A = reduce_mod(catalog.instantiate(name, binding), 7)
             P = _random_basis(F7, A.dim, random.Random(f"signature:{name}:{sorted(binding.items())}"))
             B = change_basis(A, P)
-            assert _graded_signature(_model(A)) == _graded_signature(_model(B)), (name, binding)
+            MA, MB = _model(A), _model(B)
+            assert _graded_signature(MA) == _graded_signature(MB), (name, binding)
+            # B is written on the columns of P, so P^-1 maps A onto B
+            s = MA.n1
+            phi = np.array(MB.to_new.mul(P.inverse()).mul(MA.to_old).row_list(), dtype=np.int64)
+            digits = isomorphism._digits(np.arange(7**s), 7, s)
+            images = (digits @ phi[:s, :s].T % 7) @ 7 ** np.arange(s)
+            assert (_level1_rows(MB)[images] == _level1_rows(MA)).all(), (name, binding)
 
 
 def test_isomorphic_pairs_have_equal_graded_signatures():
@@ -461,16 +472,13 @@ SIGNATURE_PRUNED = [("J5,12", "J5,19"), ("J5,15", "J5,18"), ("J5,12", "J5,21")]
 
 @pytest.mark.parametrize("src, dst", SIGNATURE_PRUNED)
 def test_signature_prune_skips_the_graded_stage(src, dst, monkeypatch):
-    """The search returns None before it enumerates a level-1 image, and
-    every leaf the unpruned graded stage yields fails the graded leaf test."""
+    """The search returns None before it enumerates a level-1 image, and the
+    typed graded stage, run anyway, yields no leaf."""
     A, B = (reduce_mod(catalog.instantiate(name), 7) for name in (src, dst))
     assert invariant_vector(A) == invariant_vector(B)
     MA, MB = _model(A), _model(B)
     assert _graded_signature(MA) != _graded_signature(MB)
-    leaves = np.concatenate(list(_graded_level1_solutions(MA, MB)))
-    gens = np.zeros((len(leaves), MA.n1, A.dim), dtype=np.int64)
-    gens[:, :, :MA.n1] = leaves
-    assert len(leaves) and not _forced_isomorphisms(_graded(MA), _graded(MB), gens)[1].any()
+    assert not list(_graded_level1_solutions(MA, MB))
 
     def refuse(*args):
         raise AssertionError("the graded stage ran")
@@ -588,9 +596,9 @@ def test_linear_stage_evaluates_one_defect_row_per_candidate(monkeypatch):
     candidate's constant term and its slopes from one dual-number run of the closure
     (``_forced_maps``), so it runs the closure and computes the product defects of at most
     one map per candidate.  Checked at every digit level of two searches over F_7:
-    J5,13 -> J5,16, whose 10,584 candidates all reach its one group of levels and none lifts,
-    and J5,17 onto itself, whose level 2 is solved modulo the levels >= 4 first.  Rows are
-    counted, so the block size does not matter."""
+    J5,13 -> J5,16, whose 10,584 graded leaves all reach its one group of levels as
+    candidates and none lifts, and J5,17 onto itself, whose level 2 is solved modulo the
+    levels >= 4 first.  Rows are counted, so the block size does not matter."""
     seen, inside = {}, []
     kernels = {"_forced_maps": "maps", "_defects_at": "defect rows", "_product_defects": "defect rows"}
     stage = isomorphism._linear_stage
@@ -612,16 +620,42 @@ def test_linear_stage_evaluates_one_defect_row_per_candidate(monkeypatch):
     for name, key in kernels.items():
         monkeypatch.setattr(isomorphism, name, counting(getattr(isomorphism, name), key))
     monkeypatch.setattr(isomorphism, "_linear_stage", count_stage)
+    leaves, lift = [], isomorphism._lift_candidates
+
+    def count_leaves(MA, MB, block, find_all):
+        leaves.append(len(block))
+        return lift(MA, MB, block, find_all)
+
+    monkeypatch.setattr(isomorphism, "_lift_candidates", count_leaves)
     J513, J516 = (reduce_mod(catalog.instantiate(name), 7) for name in ("J5,13", "J5,16"))
     J517 = reduce_mod(catalog.instantiate("J5,17", {"alpha": "1"}), 7)
     for A, B, hit in ((J513, J516, False), (J517, J517, True)):
         seen.clear()
+        leaves.clear()
         assert (search_isomorphism(A, B, F7) is not None) == hit
         M = _model(A)
         assert set(seen) == {M.block[K + 1][1] for K in range(2, M.m - 1) if 2 * K < M.m} | {A.dim}, seen
         for counts in seen.values():
             assert 0 < counts["maps"] <= counts["candidates"], seen
             assert 0 < counts["defect rows"] <= counts["candidates"], seen
+        if A is J513:
+            # the typed graded stage yields no leaf that the graded check drops
+            assert sum(leaves) == seen[A.dim]["candidates"] == 10_584, (leaves, seen)
+
+
+def test_index_three_skips_the_graded_leaf_check(monkeypatch):
+    """With nilpotency index m <= 3, J^3 = 0 leaves C graded already, so the whole-algebra
+    check of the zero-slot linear stage is the graded one: the automorphism cosets of J2,2
+    and J4,12 over F_5 never call ``_forced_isomorphisms``."""
+    def refuse(*args):
+        raise AssertionError("the graded leaf check ran")
+
+    monkeypatch.setattr(isomorphism, "_forced_isomorphisms", refuse)
+    for name in ("J2,2", "J4,12"):
+        A = reduce_mod(catalog.instantiate(name), 5)
+        assert _model(A).m <= 3
+        T, K = isomorphism._automorphism_cosets(A, F5)
+        assert len(T) and len(K)
 
 
 def _digit_groups(M):
