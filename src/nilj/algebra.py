@@ -306,9 +306,8 @@ def power_filtration(A: Algebra):
     n, B = A.dim, _magnitude(T)
 
     def basis_rows(S):
-        ints = S.echelon().ints
-        big = p is None and n * n * max((abs(x) for row in ints for x in row), default=0) ** 2 * B >= 2**63
-        return np.array(ints, dtype=object if big else T.dtype).reshape(-1, n)
+        big = p is None and n * n * max((abs(x) for row in S.rows for x in row), default=0) ** 2 * B >= 2**63
+        return np.array(S.rows, dtype=object if big else T.dtype).reshape(-1, n)
 
     powers = [Subspace.full(A.field, n)]
     rows = [basis_rows(powers[0])]
@@ -340,6 +339,12 @@ def derivation_algebra(A: Algebra) -> Subspace:
     D is flattened row-major: unknown (r, c) = entry r*n + c of the ambient
     coordinates (columns of D are images of basis vectors).
     """
+    return Subspace.kernel(A.field, A.dim * A.dim, _derivation_rows(A))
+
+
+def _derivation_rows(A: Algebra):
+    """The nonzero rows of the derivation constraints, over n^2 coordinates as in
+    ``derivation_algebra``."""
     T, _ = structure_tensor(A)
     n = A.dim
     i, j = (np.repeat(t, n) for t in np.triu_indices(n))
@@ -350,22 +355,24 @@ def derivation_algebra(A: Algebra) -> Subspace:
     rows[q, k] = T[i, j]
     rows[q, :, i] -= T[j, :, k]
     rows[q, :, j] -= T[i, :, k]
-    return Subspace.kernel(A.field, n * n, rows.reshape(len(k), n * n))
+    rows = rows.reshape(len(k), n * n)
+    return rows[(rows != 0).any(axis=1)]
 
 
 @lru_cache(maxsize=None)
 def invariant_vector(A: Algebra) -> InvariantVector:
-    """The fingerprint of A, computed once per algebra."""
-    powers = power_filtration(A)
+    """The fingerprint of A, computed once per algebra; the derivation dimension is
+    n^2 - rank of the derivation rows, dim(Ann meet J^2) = dim Ann + dim J^2 - dim(Ann + J^2)."""
+    n, powers = A.dim, power_filtration(A)
     ann = annihilator(A)
-    sq = powers[1] if len(powers) > 1 else Subspace.zero(A.field, A.dim)
+    sq = powers[1] if len(powers) > 1 else Subspace.zero(A.field, n)
     return InvariantVector(
-        dim=A.dim,
+        dim=n,
         power_dims=tuple(s.dim for s in powers[1:]),
         nil_index=len(powers),
         ann_dim=ann.dim,
-        ann_meet_sq_dim=ann.intersect(sq).dim,
-        der_dim=derivation_algebra(A).dim,
+        ann_meet_sq_dim=ann.dim + sq.dim - ann.add(sq).dim,
+        der_dim=n * n - Subspace.span(A.field, n * n, _derivation_rows(A)).dim,
         assoc=is_associative(A),
     )
 

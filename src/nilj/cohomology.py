@@ -191,10 +191,16 @@ def h2(A: Algebra) -> CocycleSpaces:
     Representatives extend a basis of the coboundary space through the cocycle
     space, greedily in the fixed upper-triangle pivot order, so repeated runs
     produce identical output.
+
+    The associativity-constrained cocycles are the whole associativity
+    constraint space: a symmetric theta with theta(x o y, z) = theta(x, y o z)
+    has theta(e_x, e_d (e_y e_z)) = theta(e_x e_d, e_y e_z), so the three
+    positive terms of each linearized-identity row equal its three negative
+    ones, and the cocycle rows vanish on that space.
     """
     z2 = cocycle_space(A)
     b2 = coboundary_space(A)
-    assoc = associativity_constraint_space(A).intersect(z2)
+    assoc = associativity_constraint_space(A)
 
     def extend_b2(space):
         return tuple(Cocycle.from_upper(A, v) for v in b2.extend(space.vectors()))

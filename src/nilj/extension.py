@@ -104,8 +104,8 @@ def reconstruct(M: Algebra):
 def section_morphism_matrix(M: Algebra, base: Algebra) -> Matrix:
     """Block map from central_extend(reconstruct(M)) back to M's coordinates."""
     ann = annihilator(M)
-    pivots = ann.echelon().pivots
+    pivots = ann.pivots
     comp = [j for j in range(M.dim) if j not in pivots]
     cols = [tuple(M.field.one if k == i else M.field.zero for k in range(M.dim)) for i in comp]
-    cols += [ann.basis.row(r) for r in range(ann.dim)]
+    cols += ann.vectors()
     return Matrix.from_rows(M.field, [[col[r] for col in cols] for r in range(M.dim)])

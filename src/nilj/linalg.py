@@ -1,11 +1,12 @@
 """Exact linear algebra: matrices, subspaces and one elimination kernel.
 
-Matrices and subspaces are immutable and pure.  Subspaces are always stored
-with a reduced row echelon basis, so two equal subspaces compare equal
-structurally.  ``Echelon`` is the one scalar elimination: every RREF, rank,
-kernel, solution, determinant, inverse, span, membership test and
-intersection here runs on it.  Over Q it runs fraction-free on Python ints;
-``Fraction`` values are built only where results are read.
+Matrices and subspaces are immutable and pure.  ``Echelon`` is the one scalar
+elimination: every RREF, rank, kernel, solution, determinant, inverse, span,
+membership test and intersection here runs on it.  Over Q it runs
+fraction-free on Python ints, and a ``Subspace`` keeps the int rows its
+``Echelon`` left.  ``Fraction`` values are built only where results are read:
+``Subspace.vectors``, ``Echelon.rows``, ``residual``, ``reduce`` and
+``solution``, and the matrices of ``rref``, ``solve`` and ``inverse``.
 """
 
 from __future__ import annotations
@@ -163,50 +164,56 @@ def _dot(F: Field, u, v):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^n, stored via an RREF basis with no zero rows."""
+    """A subspace of F^n: ``rows`` holds its reduced row echelon basis as tuples of
+    ints, in the canonical form of ``Echelon.ints`` (residues over F_p, primitive
+    rows with positive leads over Q), so equal subspaces compare and hash equal."""
 
+    field: Field
     ambient: int
-    basis: Matrix
+    rows: tuple
 
     @staticmethod
     def span(field: Field, ambient: int, vectors) -> "Subspace":
         """The span of vectors: ints or Fractions over Q, anything ``field.of`` takes
         over F_p, or the rows of an integer array."""
-        ech = _echelon(field, ambient, vectors)
-        data = tuple(x for row in ech.rows for x in row)
-        return Subspace(ambient, Matrix(ech.rank, ambient, data, field))
+        return _subspace(_add_all(Echelon(field, ambient), vectors))
 
     @staticmethod
     def kernel(field: Field, ambient: int, rows) -> "Subspace":
         """{x : r . x = 0 for every row r}, rows given as for ``span``."""
-        null = _echelon(field, ambient, rows).null_vectors()
-        return Subspace.span(field, ambient, np.array(null, dtype=object).reshape(-1, ambient))
+        return _kernel(_add_all(Echelon(field, ambient), rows))
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix(0, ambient, (), field))
+        return Subspace(field, ambient, ())
 
     @staticmethod
     def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.identity(field, ambient))
-
-    @property
-    def field(self) -> Field:
-        return self.basis.field
+        return Subspace(field, ambient, tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple:
+        """The pivot column of each row."""
+        return tuple(next(t for t, x in enumerate(row) if x) for row in self.rows)
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.rows
 
-    def vectors(self):
-        return [self.basis.row(i) for i in range(self.dim)]
+    def vectors(self) -> list:
+        """The reduced basis rows as tuples of scalars: Fractions over Q, residues over F_p."""
+        if self.field.p is not None:
+            return list(self.rows)
+        zero = self.field.zero
+        return [tuple(Fraction(x, row[pc]) if x else zero for x in row)
+                for pc, row in zip(self.pivots, self.rows)]
 
     def echelon(self) -> "Echelon":
-        """An Echelon seeded with this subspace's RREF basis."""
-        return Echelon(self.field, self.ambient, rref=self.vectors())
+        """An Echelon seeded with this subspace's rows."""
+        return Echelon(self.field, self.ambient, rref=self.rows)
 
     def extend(self, vectors) -> list:
         """The vectors, in order, independent of this subspace and of those kept before them."""
@@ -219,22 +226,22 @@ class Subspace:
         return kept
 
     def contains(self, vec) -> bool:
-        return self.contains_subspace(Subspace.span(self.field, self.ambient, [vec]))
+        return not self.extend([vec])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
         ech = self.echelon()
-        return not any(any(ech._reduce(v)[0]) for v in other.vectors())
+        return not any(any(ech._reduce(row, True)[0]) for row in other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.span(self.field, self.ambient, self.vectors() + other.vectors())
+        return _subspace(_add_ints(self.echelon(), other.rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """The vectors orthogonal to the null vectors of both bases."""
         self._check(other)
         null = self.echelon().null_vectors() + other.echelon().null_vectors()
-        return Subspace.kernel(self.field, self.ambient, null)
+        return _kernel(_add_ints(Echelon(self.field, self.ambient), null))
 
     def _check(self, other: "Subspace"):
         same_field(self.field, other.field)
@@ -242,10 +249,11 @@ class Subspace:
             raise DimensionMismatchError("ambient dimension mismatch")
 
 
-def _echelon(field: Field, width: int, vectors) -> "Echelon":
-    """An Echelon of the vectors, each checked for length and, over F_p, coerced entry by entry; an
-    integer array is reduced mod p in one step instead, and over Q skips the scan for denominators."""
-    ech, coerce, ints = Echelon(field, width), field.p is not None, isinstance(vectors, np.ndarray)
+def _add_all(ech: "Echelon", vectors) -> "Echelon":
+    """ech with the vectors added, each checked for length and, over F_p, coerced entry by entry;
+    an integer array is reduced mod p in one step instead, and over Q skips the scan for denominators."""
+    field, width = ech.field, ech.key
+    coerce, ints = field.p is not None, isinstance(vectors, np.ndarray)
     if ints:
         vectors, coerce = (vectors if field.p is None else vectors % field.p).tolist(), False
     for v in vectors:
@@ -253,6 +261,23 @@ def _echelon(field: Field, width: int, vectors) -> "Echelon":
             raise DimensionMismatchError("vector length mismatch")
         ech.add([field.of(x) for x in v] if coerce else v, ints)
     return ech
+
+
+def _add_ints(ech: "Echelon", rows) -> "Echelon":
+    """ech with rows of Python ints added as they are: residues over F_p, unchecked."""
+    for row in rows:
+        ech.add(row, True)
+    return ech
+
+
+def _subspace(ech: "Echelon") -> Subspace:
+    """The row space of an Echelon with no ride-along columns."""
+    return Subspace(ech.field, ech.key, tuple(map(tuple, ech.ints)))
+
+
+def _kernel(ech: "Echelon") -> Subspace:
+    """The kernel of an Echelon with no ride-along columns."""
+    return _subspace(_add_ints(Echelon(ech.field, ech.key), ech.null_vectors()))
 
 
 class Echelon:
@@ -267,7 +292,8 @@ class Echelon:
     of the reduced rows with positive leads.  A vector's denominators are
     cleared once, and each step cross-multiplies by a lead and divides out the
     content; ``rows``, ``residual``, ``reduce`` and ``solution`` build their
-    Fractions when read.  ``rref`` seeds rows already fully reduced.
+    Fractions when read.  ``rref`` seeds rows already fully reduced, in the form
+    of ``ints``.
     """
 
     __slots__ = ("field", "key", "ints", "pivots", "_sparse", "_res")
@@ -275,7 +301,7 @@ class Echelon:
     def __init__(self, field: Field, width: int, key: int | None = None, rref=()):
         self.field = field
         self.key = width if key is None else key
-        self.ints = [self._clear(row)[0] for row in rref]
+        self.ints = [list(row) for row in rref]
         self.pivots = [next(t for t, x in enumerate(row) if x) for row in self.ints]
         self._sparse = [[(t, x) for t, x in enumerate(row) if x] for row in self.ints]  # nonzero (column, value)
         self._res = None  # (v, num, den): the last added vector reduced to v * den / num
@@ -378,15 +404,15 @@ class Echelon:
 
     def null_vectors(self) -> list:
         """Per free key column, its unit vector minus its reduced row entries at
-        the pivots, scaled to ints by the lcm of the leads it meets."""
-        out = []
+        the pivots, scaled to ints by the lcm of the leads it meets; residues over F_p."""
+        p, out = self.field.p, []
         for fc in (t for t in range(self.key) if t not in self.pivots):
             hit = [(pc, row) for pc, row in zip(self.pivots, self.ints) if row[fc]]
             scale = lcm(*(row[pc] for pc, row in hit))
             vec = [0] * self.key
             vec[fc] = scale
             for pc, row in hit:
-                vec[pc] = -row[fc] * (scale // row[pc])
+                vec[pc] = -row[fc] * (scale // row[pc]) if p is None else -row[fc] % p
             out.append(vec)
         return out
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nilj import catalog
-from nilj.algebra import annihilator, change_basis, reduce_mod, zero_algebra
+from nilj.algebra import (
+    annihilator,
+    change_basis,
+    derivation_algebra,
+    invariant_vector,
+    power_filtration,
+    reduce_mod,
+    zero_algebra,
+)
 from nilj.cohomology import (
     Cocycle,
     associativity_constraint_space,
@@ -367,3 +375,43 @@ def test_cocycle_value_and_delta():
     assert theta.value([0, 1], [1, 0]) == 1
     assert theta.value([1, 0], [1, 0]) == 0
     assert sym_dim(A.dim) == 3
+
+
+@pytest.mark.parametrize("field", (QQ, F5, Field(7)), ids=repr)
+def test_rank_shortcuts_and_the_associative_cocycles_match_the_subspaces(field):
+    """The fingerprint's derivation and Ann-meet-J^2 dimensions, read off ranks,
+    and h2's associativity-constrained cocycles, the associativity constraint
+    space without an intersection with Z2, agree with the subspaces they stand
+    for on every catalog instance and on one seeded change of basis of each."""
+    rng = random.Random(f"shortcuts:{field!r}")
+    for name in catalog.names():
+        for binding in catalog.sample_bindings(name):
+            A = catalog.instantiate(name, binding)
+            A = reduce_mod(A, field.p) if field.p else A
+            while True:
+                P = Matrix.from_rows(field, [[rng.randrange(-3, 4) for _ in range(A.dim)]
+                                             for _ in range(A.dim)])
+                if P.is_invertible():
+                    break
+            for B in (A, change_basis(A, P)):
+                inv, powers = invariant_vector(B), power_filtration(B)
+                sq = powers[1] if len(powers) > 1 else Subspace.zero(field, B.dim)
+                assert inv.der_dim == derivation_algebra(B).dim, name
+                assert inv.ann_meet_sq_dim == annihilator(B).intersect(sq).dim, name
+                sp, z2, b2 = h2(B), cocycle_space(B), coboundary_space(B)
+                assoc = associativity_constraint_space(B).intersect(z2)
+                assert assoc == associativity_constraint_space(B), name
+                assert sp.z2 == z2 and sp.b2 == b2, name
+                reps = tuple(Cocycle.from_upper(B, v) for v in b2.extend(z2.vectors()))
+                assoc_reps = tuple(Cocycle.from_upper(B, v) for v in b2.extend(assoc.vectors()))
+                assert (sp.h2_reps, sp.h2_assoc_reps) == (reps, assoc_reps), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_associative_forms_are_cocycles_of_any_commutative_algebra(any_field, nilpotent_algebras, data):
+    """theta(x, d(yz)) = theta(xd, yz) pairs the three positive terms of each
+    linearized-identity row with its three negative ones, so Z2 contains the
+    associativity constraint space even where the Jordan identity fails."""
+    A = data.draw(nilpotent_algebras(any_field))
+    assert cocycle_space(A).contains_subspace(associativity_constraint_space(A))

@@ -152,3 +152,87 @@ def test_integer_array_rows_span_as_their_list(any_field, data):
     if rows:
         with pytest.raises(DimensionMismatchError):
             Subspace.span(any_field, n + 1, array)
+
+
+def _reference_rref(F, vectors, width):
+    """Plain Gauss-Jordan on the field's own scalars (Fractions over Q, residues
+    over F_p): the nonzero reduced rows as tuples, each lead 1."""
+    rows, out = [[F.of(x) for x in v] for v in vectors], []
+    for c in range(width):
+        lead = next((r for r in rows if r[c]), None)
+        if lead is None:
+            continue
+        rows.remove(lead)
+        inv = F.inv(lead[c])
+        lead = [F.mul(inv, x) for x in lead]
+        rows = [[F.sub(x, F.mul(r[c], y)) for x, y in zip(r, lead)] if r[c] else r for r in rows]
+        out = [[F.sub(x, F.mul(r[c], y)) for x, y in zip(r, lead)] if r[c] else r for r in out]
+        out.append(lead)
+    return [tuple(r) for r in out]
+
+
+def _reference_kernel(F, rref, width):
+    """Per free column of reduced rows, its unit vector minus the rows' entries there."""
+    pivots = [next(t for t, x in enumerate(r) if x) for r in rref]
+    out = []
+    for fc in (t for t in range(width) if t not in pivots):
+        vec = [F.zero] * width
+        vec[fc] = F.one
+        for pc, r in zip(pivots, rref):
+            vec[pc] = F.neg(r[fc])
+        out.append(vec)
+    return out
+
+
+def _reference_intersect(F, u, w, width):
+    """sum a_i u_i over the solutions (a, b) of sum a_i u_i = sum b_j w_j."""
+    cols = list(u) + [[F.neg(x) for x in v] for v in w]
+    system = [[c[r] for c in cols] for r in range(width)]
+    solutions = _reference_kernel(F, _reference_rref(F, system, len(cols)), len(cols))
+    meet = [[sum((F.mul(a, x) for a, x in zip(s, col)), F.zero) for col in zip(*u)] for s in solutions]
+    return _reference_rref(F, meet, width)
+
+
+def _reference_rank(F, vectors, width):
+    return len(_reference_rref(F, vectors, width))
+
+
+@st.composite
+def _spanning_sets(draw):
+    field = draw(st.sampled_from((QQ, F5)))
+    n = draw(st.integers(1, 5))
+    entries = _ENTRIES | st.integers(-10**20, 10**20)
+    vectors = st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5)
+    return field, n, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spanning_sets(), st.data())
+def test_int_rows_agree_with_a_fraction_rref_reference(case, data):
+    """A Subspace keeps integer rows, yet reads, compares and combines exactly as
+    the plain Fraction (or residue) RREF of what spans it."""
+    F, n, us, ws = case
+    U, W = Subspace.span(F, n, us), Subspace.span(F, n, ws)
+    ref_u, ref_w = _reference_rref(F, us, n), _reference_rref(F, ws, n)
+    assert U.vectors() == ref_u and U.dim == len(ref_u)
+    assert all(type(x) is int for row in U.rows for x in row)
+    # another spanning set: rows scaled by nonzero scalars, plus a combination, shuffled
+    scale = st.sampled_from([1, -1, 2, 3, Fraction(-2, 3), 7])  # nonzero over Q and F_5
+    scales = data.draw(st.lists(scale, min_size=len(us), max_size=len(us)))
+    other = [[F.mul(F.of(c), F.of(x)) for x in v] for c, v in zip(scales, us)]
+    if us:
+        other.append([F.add(F.of(x), F.of(y)) for x, y in zip(us[0], us[-1])])
+    other = data.draw(st.permutations(other))
+    assert Subspace.span(F, n, other) == U and hash(Subspace.span(F, n, other)) == hash(U)
+    assert Subspace.span(F, n, ref_u) == U
+    for v in ws:
+        assert U.contains(v) == (_reference_rank(F, us + [v], n) == len(ref_u))
+    assert U.contains_subspace(W) == (_reference_rank(F, us + ws, n) == len(ref_u))
+    kept, basis = [], list(us)
+    for v in ws:  # greedily, each vector that raises the rank
+        if _reference_rank(F, basis + [v], n) > _reference_rank(F, basis, n):
+            kept.append(v)
+            basis.append(v)
+    assert U.extend(ws) == kept
+    assert U.add(W).vectors() == _reference_rref(F, us + ws, n)
+    assert U.intersect(W).vectors() == _reference_intersect(F, ref_u, ref_w, n)
