@@ -73,7 +73,8 @@ and re-verifies them (multiplicativity on all basis pairs, full rank mod p);
 images under T's actions, then under K's: the admissibility rank test, the
 induced actions on H2 class coordinates and the orbit images are batched
 numpy contractions over int64 residues, reduced mod p after each (no floating
-point), and ``_check_int64`` refuses moduli whose sums could overflow.
+point), and ``_check_int64`` refuses moduli whose sums could overflow.  The
+orbit stage makes no echelon forms: images are named by ``_plucker_keys``.
 """
 
 from __future__ import annotations
@@ -937,7 +938,9 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     Automorphisms keep B2 and t k acts on class coordinates as X_k X_t
     (``_induced_actions``), so the orbit of V is every X_k (X_t V): the images
     under T's actions, then the images of those under K's.  The induced group
-    {X_k X_t} is never formed.
+    {X_k X_t} is never formed.  The admissible bases are keyed once by
+    ``_plucker_keys``; an image with another key (the zero key of a singular
+    image included) comes from a map that is no automorphism, and is refused.
     """
     if r < 1:
         raise NiljError(f"census needs r >= 1, got {r}")
@@ -945,17 +948,14 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     spaces = h2(Ap)
     T, K = _automorphism_cosets(Ap, field)
     admissible = _admissible_subspaces(spaces, annihilator(Ap), r)
-    admissible_set = set(admissible)
-    XT, XK = _induced_actions(spaces, T, K) if admissible else (None, None)
-    unseen = set(admissible_set)
-    orbits = []
+    p, unseen, orbits = field.p, set(admissible), []
+    if admissible:
+        XT, XK = _induced_actions(spaces, T, K)
+        keyed = dict(zip(map(tuple, _plucker_keys(np.array(admissible, dtype=np.int64), p).tolist()), admissible))
     for rows in admissible:
         if rows not in unseen:
             continue
-        orbit = _orbit_images(XK, _orbit_images(XT, [rows], field.p), field.p)
-        for moved in orbit:
-            if moved not in admissible_set:
-                raise NiljError("orbit left the admissible census")
+        orbit = set(_orbit_images(XK, _orbit_images(XT, [rows], keyed, p), keyed, p))
         if rows not in orbit:
             raise NiljError("orbit image lost its own representative")
         unseen -= orbit
@@ -1014,19 +1014,50 @@ def _induced_actions(spaces, *groups):
     return tuple(actions)
 
 
-def _orbit_images(actions, bases, p: int) -> set:
-    """Canonical bases of X V for every action X and every V in ``bases``
-    (canonical bases of subspaces of one dimension), at most AUT_BLOCK
-    (base, action) pairs per batched echelon form."""
+@lru_cache(maxsize=None)
+def _laplace(h: int, k: int):
+    """(cols, subs, signs): minor S of rows 0..k-1 of an h-column M, in ``combinations``
+    order, is sum_j signs[j] M[k-1, cols[S, j]] (minor subs[S, j] of rows 0..k-2)."""
+    index = {S: i for i, S in enumerate(combinations(range(h), k - 1))}
+    combos = list(combinations(range(h), k))
+    subs = [[index[S[:j] + S[j + 1:]] for j in range(k)] for S in combos]
+    cols, subs = (np.array(t, dtype=np.int64).reshape(-1, k) for t in (combos, subs))
+    return cols, subs, (-1) ** (k - 1 + np.arange(k))
+
+
+def _plucker_keys(mats, p: int):
+    """One int64 key row per (r, h) residue matrix: its r x r minors in ``combinations``
+    order (the Plücker vector), scaled to a leading 1 and packed as base-p digits, d to
+    a word, d the largest with p^d < 2^63 (so no word overflows).
+
+    The Plücker embedding is injective over a field, so full-rank matrices have
+    equal keys exactly when their row spaces are equal; a rank-deficient one has
+    the zero key.  A minor sums k <= r <= h products of two residues, inside the
+    bound that ``_check_int64(p, max(n, h))`` checks in ``_admissible_subspaces``.
+    """
+    b, r, h = mats.shape
+    minors = np.ones((b, 1), dtype=np.int64)  # the one 0 x 0 minor
+    for k in range(1, r + 1):
+        cols, subs, signs = _laplace(h, k)
+        minors = (mats[:, k - 1, cols] * minors[:, subs] * signs).sum(axis=2) % p
+    lead = minors[np.arange(b), (minors != 0).argmax(axis=1)]
+    minors = minors * _inv_mod(lead, p)[:, None] % p  # the inverse of 0 is 0
+    d = next(d for d in range(1, 64) if p ** (d + 1) >= 2**63)
+    place = np.arange(minors.shape[1])
+    return np.add.reduceat(minors * p ** (place % d), place[::d], axis=1)
+
+
+def _orbit_images(actions, bases, keyed: dict, p: int) -> list:
+    """The distinct X V for every action X and every canonical basis V in ``bases``,
+    as the bases that ``keyed`` maps their ``_plucker_keys`` to, at most
+    AUT_BLOCK (base, action) pairs per batch; an image with no key there is refused."""
     R = np.array(list(bases), dtype=np.int64)
-    r, h = R.shape[1:]
-    images = []
-    for i, k in _blocks(len(R), len(actions)):
-        moved = R[i] @ actions[k].transpose(0, 2, 1) % p
-        reduced, _ = _rref_mod_p(moved, p)
-        images.append(_unique_rows(reduced.reshape(len(moved), -1)))
-    distinct = _unique_rows(np.concatenate(images)).reshape(-1, r, h)
-    return {tuple(tuple(row) for row in mat if any(row)) for mat in distinct.tolist()}
+    keys = np.concatenate([_plucker_keys(R[i] @ actions[k].transpose(0, 2, 1) % p, p)
+                           for i, k in _blocks(len(R), len(actions))])
+    try:
+        return [keyed[key] for key in map(tuple, _unique_rows(keys).tolist())]
+    except KeyError:
+        raise NiljError("orbit left the admissible census") from None
 
 
 def class_line(spaces, theta: Cocycle, field: Field):

@@ -4,6 +4,7 @@ invariance under changes of basis, and the exact F_p array kernels under it."""
 import random
 from functools import lru_cache
 from itertools import product as iproduct
+from math import comb
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from nilj.isomorphism import (
     _automorphism_cosets,
     _canonicalize,
     _induced_actions,
+    _plucker_keys,
     _rref_mod_p,
     _subspace_blocks,
     _tuples,
@@ -160,6 +162,54 @@ def test_batched_rref_matches_matrix_rref():
             ref, ref_rank, _ = Matrix.from_rows(F7, m).rref()
             assert k == ref_rank
             assert red == ref.row_list()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+@pytest.mark.parametrize("r, h", [(1, 4), (2, 4), (2, 6), (3, 5), (3, 7)])
+def test_plucker_keys_agree_with_the_batched_rref(p, r, h):
+    """Keys are equal exactly when the canonical echelon forms are, and every
+    rank-deficient matrix has the zero key; 13^35 (r = 3, h = 7) takes three
+    words of 13^17 < 2^63, and 5^35 two of 5^27."""
+    rng = np.random.default_rng([p, r, h])
+    mats = rng.integers(0, p, (200, r, h))
+    mats[::7, -1] = mats[::7, 0] * 2 % p  # rank-deficient for r >= 2
+    mats[::11] = 0
+    mixed = rng.integers(0, p, (200, r, r)) @ mats % p  # other bases of the same spaces, some singular
+    mats = np.concatenate([mats, mixed, mats[:, ::-1]])
+    keys = _plucker_keys(mats, p)
+    digits = next(d for d in range(1, 64) if p ** (d + 1) >= 2**63)
+    assert keys.shape == (len(mats), -(-comb(h, r) // digits))
+    assert (p, r, h) != (13, 3, 7) or keys.shape[1] == 3
+    reduced, rank = _rref_mod_p(mats, p)
+    full = rank == r
+    assert (keys[~full] == 0).all() and (keys[full] != 0).any(axis=1).all()
+    assert (~full).any() and full.any()
+    pairs = {(k, red) for k, red in zip(map(tuple, keys[full].tolist()), map(np.ndarray.tobytes, reduced[full]))}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({red for _, red in pairs}) < full.sum()
+
+
+def test_every_plane_of_f5_4_has_its_own_plucker_key():
+    bases = np.concatenate(list(_subspace_blocks(5, 4, 2)))
+    keys = _plucker_keys(bases, 5)
+    assert len(bases) == len(_unique_rows(keys)) == 806
+    assert (keys != 0).any(axis=1).all()
+
+
+def test_orbit_census_refuses_an_image_outside_the_admissible_census(monkeypatch):
+    """A K action that is no automorphism's (the zero matrix) sends a line
+    to the zero key, which no admissible subspace has."""
+    A = reduce_mod(catalog.instantiate("J4,4"), 5)
+    induced = isomorphism._induced_actions
+
+    def broken(spaces, *groups):
+        XT, XK = induced(spaces, *groups)
+        XK = XK.copy()
+        XK[-1] = 0
+        return XT, XK
+
+    monkeypatch.setattr(isomorphism, "_induced_actions", broken)
+    with pytest.raises(NiljError, match="orbit left the admissible census"):
+        orbit_census(A, F5, 1)
 
 
 def test_int64_guard_refuses_large_moduli():
@@ -385,19 +435,19 @@ def test_two_pass_orbits_are_the_whole_groups_images(name):
             assert sum(map(len, want)) == rep.total_admissible == len(frozenset().union(*want))
 
 
-def test_orbit_stage_echelon_rows_stay_within_the_two_pass_bound(monkeypatch):
-    """J4,4 at r=2: the orbit stage reduces at most one representative per
+def test_orbit_stage_keyed_rows_stay_within_the_two_pass_bound(monkeypatch):
+    """J4,4 at r=2: the orbit stage keys at most one representative per
     T action and one admissible subspace per K action, never the |T| |K|
     actions of the whole group."""
     A = reduce_mod(catalog.instantiate("J4,4"), 5)
     A = change_basis(A, _random_invertible(F5, A.dim, random.Random("orbit-rows:J4,4")))
-    rref, images = isomorphism._rref_mod_p, isomorphism._orbit_images
+    keys, images = isomorphism._plucker_keys, isomorphism._orbit_images
     counted, inside = [0], [False]
 
-    def counting_rref(mats, p):
+    def counting_keys(mats, p):
         if inside[0]:
             counted[0] += len(mats)
-        return rref(mats, p)
+        return keys(mats, p)
 
     def tracked_images(*args):
         inside[0] = True
@@ -406,7 +456,7 @@ def test_orbit_stage_echelon_rows_stay_within_the_two_pass_bound(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(isomorphism, "_rref_mod_p", counting_rref)
+    monkeypatch.setattr(isomorphism, "_plucker_keys", counting_keys)
     monkeypatch.setattr(isomorphism, "_orbit_images", tracked_images)
     rep = orbit_census(A, F5, 2)
     XT, XK = _induced_actions(h2(A), *_automorphism_cosets(A, F5))
