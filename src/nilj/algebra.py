@@ -293,7 +293,13 @@ def jordan_identity_holds(A: Algebra) -> bool:
 
 
 def power_filtration(A: Algebra):
-    """[J^1, J^2, ...] with ideal powers J^k = sum_{i+j=k} J^i o J^j.
+    """[J^1, J^2, ...] with ideal powers J^k = sum_{i+j=k} J^i o J^j (``_power_filtration``)."""
+    return list(_power_filtration(A))
+
+
+@lru_cache(maxsize=None)
+def _power_filtration(A: Algebra) -> tuple:
+    """(J^1, J^2, ...) with ideal powers J^k = sum_{i+j=k} J^i o J^j, computed once per algebra.
 
     Each J^i o J^j is one contraction of the integer basis rows of J^i and
     J^j with the structure tensor.  Stops at (and includes) the first zero
@@ -321,7 +327,7 @@ def power_filtration(A: Algebra):
         rows.append(basis_rows(powers[-1]))
         if len(powers) > A.dim + 1:
             raise NotNilpotentError("algebra is not nilpotent")
-    return powers
+    return tuple(powers)
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +369,7 @@ def _derivation_rows(A: Algebra):
 def invariant_vector(A: Algebra) -> InvariantVector:
     """The fingerprint of A, computed once per algebra; the derivation dimension is
     n^2 - rank of the derivation rows, dim(Ann meet J^2) = dim Ann + dim J^2 - dim(Ann + J^2)."""
-    n, powers = A.dim, power_filtration(A)
+    n, powers = A.dim, _power_filtration(A)
     ann = annihilator(A)
     sq = powers[1] if len(powers) > 1 else Subspace.zero(A.field, n)
     return InvariantVector(

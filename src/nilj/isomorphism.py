@@ -44,8 +44,14 @@ The forced closure is compiled once per source quotient and generator count
 basis vector over words in the generators.  It runs on blocks of candidate
 generator images as int64 contractions over the target's tensor, and the
 candidates are accepted or rejected in batch (multiplicativity on all basis
-pairs, full rank mod p) by ``_forced_isomorphisms`` at the graded leaves, and
-by ``_linear_stage``'s solve in the lift.  The defects are evaluated only at
+pairs) by ``_forced_isomorphisms`` at the graded leaves, and by
+``_linear_stage``'s solve in the lift.  Full rank is decided once per graded
+leaf, by one determinant: a multiplicative forced map is block lower
+triangular in filtration coordinates with the leaf as its level-1 block, and
+onto when that block is invertible, so ``_lift_candidates`` drops the
+singular leaves and no stage computes a rank per map.  ``_rref_mod_p`` runs
+only where an echelon form is needed: the linear stage's systems and null
+spaces, ``_level1_rows`` and admissibility.  The defects are evaluated only at
 the entries that some forced map can make nonzero: ``_supports`` runs the
 program on the tensors' nonzero patterns, and every other entry vanishes for
 all candidates.  The graded leaves take the test on the associated graded tensors
@@ -55,17 +61,17 @@ Every enumeration is one parent-major stream of (parent, child) pairs from
 ``_blocks``, at most AUT_BLOCK at a time: the graded stage extends partial
 level-1 codes by one of the next generator's typed codes (those with its
 ``_level1_rows`` row) and keeps the extensions whose level-(1,1) products are
-zero or nonzero as in the source; free digits and candidate subspaces have
-one parent.  A digit level enumerates nothing: it streams each candidate's
-solutions in ``iproduct`` order of its digits.  Candidates keep their
-enumeration order, so the first hit is the one a candidate-by-candidate
-search finds.
+zero or nonzero as in the source; the free digits extend a block of cores
+by every digit setting; candidate subspaces have one parent.  A digit level
+enumerates nothing: it streams each candidate's solutions in ``iproduct``
+order of its digits.  Candidates keep their enumeration order, so the first
+hit is the one a candidate-by-candidate search finds.
 
 The engine works in filtration coordinates.  ``search_isomorphism`` maps
 ``_search``'s first lift back to the original bases and re-verifies it with
 ``verify_isomorphism``.  Automorphisms have one path: ``_automorphism_cosets``
 maps T (a lift per graded leaf) and K (the lifts of the identity leaf) back
-and re-verifies them (multiplicativity on all basis pairs, full rank mod p);
+and re-verifies them (multiplicativity on all basis pairs, det != 0 mod p);
 ``_automorphism_array`` is their products t k, re-verified block by block.
 
 ``orbit_census`` verifies and acts with the |T| + |K| maps of
@@ -89,10 +95,10 @@ import numpy as np
 from .algebra import (
     Algebra,
     _check_int64,
+    _power_filtration,
     annihilator,
     invariant_vector,
     is_multiplicative,
-    power_filtration,
     reduce_mod,
     structure_tensor,
 )
@@ -154,7 +160,7 @@ class _FilteredModel:
         self.A = A
         F = A.field
         n = A.dim
-        powers = power_filtration(A)
+        powers = _power_filtration(A)
         self.m = len(powers)  # nilpotency index: J^m = 0
         levels = []
         rows = []
@@ -381,11 +387,21 @@ def _supports(MA: _FilteredModel, MB: _FilteredModel, d: int, s: int, levels: tu
 
 def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
     """The forced maps of ``gens`` and the mask of those that are isomorphisms
-    between the quotients C[:d, :d, :d], d = gens.shape[2]."""
+    between the quotients C[:d, :d, :d], d = gens.shape[2]: zero defects and an
+    invertible level-1 block gens[:, :, :s].
+
+    A forced map phi with zero defects is a homomorphism, and it is an
+    isomorphism exactly when that s x s block is invertible.  The generator
+    images lie in level >= 1, so phi maps the words of length k, which span
+    level >= k, into level >= k: in filtration coordinates phi is block lower
+    triangular with the level-1 block first.  If that block is singular, so is
+    phi.  If it is invertible, phi's image S is a subalgebra with S + J_B^2 =
+    J_B; then J_B = S + J_B^k for every k (J_B^2 = (S + J_B^2)^2 lies in
+    S + J_B^3, and so on), and J_B is nilpotent, so S = J_B and phi is onto.
+    """
     phis, defects = _forced_maps(MA, MB, gens)
-    ok = ~defects.reshape(len(phis), -1).any(axis=1)
-    ok[ok] = _rref_mod_p(phis[ok], MA.p)[1] == gens.shape[2]
-    return phis, ok
+    s = gens.shape[1]
+    return phis, ~defects.any(axis=1) & (_minors(gens[:, :, :s], MA.p)[:, 0] != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,18 +526,22 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
 def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
     """Complete level-1 images to verified maps in filtration coordinates.
 
-    ``leaves`` is a (k, s, s) array of graded level-1 solutions.  A leaf is
+    ``leaves`` is a (k, s, s) array of graded level-1 solutions.  Singular
+    leaves are dropped first, once: every lift of a leaf is block lower
+    triangular with the leaf as its level-1 block (``_forced_isomorphisms``),
+    so it is an isomorphism exactly when it is multiplicative.  A leaf is
     kept when it passes ``_forced_isomorphisms`` on the graded tensors
-    (``_graded``): its forced images are block-diagonal, multiplicative at
-    every level sum and of full rank.  Yields (n, n) matrices whose columns
-    are the images of A's basis, leaf by leaf and within a leaf in
-    ``iproduct`` order of its digits.  ``_linear_stage`` solves each level K
+    (``_graded``): its forced images are block-diagonal and multiplicative at
+    every level sum.  Yields (n, n) matrices whose columns are the images of
+    A's basis, leaf by leaf and within a leaf in ``iproduct`` order of its
+    digits.  ``_linear_stage`` solves each level K
     with 2K < m modulo the levels >= K + 2, streaming every solution on as a
     candidate, then the levels with 2K >= m together, where ``find_all``
     decides; with nilpotency index m <= 3 that last group has no digit, and
     its check on C, which is graded then, is the graded one.
     """
     n, s, m = MA.A.dim, MA.n1, MA.m
+    leaves = leaves[_minors(leaves, MA.p)[:, 0] != 0]
     relevant = [k for k in range(2, m - 1) if MB.block[k][0] != MB.block[k][1]]
 
     def stage(k_idx, gens):
@@ -574,9 +594,12 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
     particular one alone unless ``find_all``; a candidate's solution set is
     streamed in that order from the RREF of its null space.  A solution's map
     is the constant plus the slopes, multiplicative by construction; blocks
-    of at most AUT_BLOCK (d, d) maps are yielded, the ones of full rank d.
-    With no digit (``levels`` empty) the solutions are the candidates whose
-    forced maps are isomorphisms.
+    of at most AUT_BLOCK (d, d) maps are yielded.  The digits leave the
+    candidates' level-1 block alone, and ``_lift_candidates`` hands on only
+    invertible ones, so every map yielded has full rank d
+    (``_forced_isomorphisms``) and no rank is computed.  With no digit
+    (``levels`` empty) the solutions are the candidates whose forced maps
+    are homomorphisms.
     """
     p = MA.p
     CA, CB = MA.C[:d, :d, :d], MB.C[:d, :d, :d]
@@ -623,20 +646,22 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
 
     for block in _regroup(solutions(), AUT_BLOCK):
         at, x = block[:, 0], block[:, 1:]
-        maps = (phis[at] + np.einsum("bt,btij->bij", x, slopes[at])) % p
-        yield maps[_rref_mod_p(maps, p)[1] == d]
+        yield (phis[at] + np.einsum("bt,btij->bij", x, slopes[at])) % p
 
 
-def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, core):
+def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, cores):
     """Re-attach digits that cannot influence any product (levels k with J^{k+1} = 0).
 
-    Yields (k, n, n) arrays of engine-coordinate matrices, at most AUT_BLOCK at
-    a time: the core with every setting of the free digits.
+    ``cores`` is a (c, n, n) block of engine-coordinate matrices.  Yields (k, n, n)
+    arrays, at most AUT_BLOCK at a time: every core with every setting of the free
+    digits, one ``_blocks`` stream of (core, setting) pairs, core-major, the settings
+    in ``iproduct`` order.
     """
+    p = MA.p
     gs, cs = _slots(MB, MA.n1, range(max(2, MA.m - 1), MA.m))
-    for digits in _combos(MA.p, len(gs)):
-        out = np.repeat(core[None], len(digits), axis=0)
-        out[:, cs, gs] = (out[:, cs, gs] + digits) % MA.p
+    for core, code in _blocks(len(cores), p ** len(gs)):
+        out = cores[core]
+        out[:, cs, gs] = (out[:, cs, gs] + _digits(code, p, len(gs))[:, ::-1]) % p
         yield out
 
 
@@ -768,13 +793,12 @@ def _verify_automorphism_block(C, phis, p: int):
     """Raise unless every phis[b] (columns are basis images) is an automorphism.
 
     Multiplicativity phi(e_i e_j) = phi(e_i) phi(e_j) is compared for all
-    basis pairs at once; invertibility is a full rank mod p.
+    basis pairs at once; invertibility is det phi != 0 mod p, from ``_minors``
+    of the whole (n, n) map, so the check uses nothing the search derived.
     """
-    n = phis.shape[1]
     if _product_defects(C, C, phis, p).any():
         raise NiljError("enumerated automorphism is not multiplicative")
-    _, rank = _rref_mod_p(phis, p)
-    if (rank < n).any():
+    if not _minors(phis, p).all():
         raise NiljError("enumerated automorphism is singular")
 
 
@@ -812,8 +836,8 @@ def _automorphism_cosets(A: Algebra, field: Field):
 
     cores = (core for block in _regroup(_leaf_stream(M, M), AUT_BLOCK) for core in _lift_candidates(M, M, block, False))
     firsts = (next(lifts)[None] for _, lifts in groupby(cores, key=lambda core: core[:g, :g].tobytes()))
-    kernel = (out for core in _lift_candidates(M, M, np.eye(g, dtype=np.int64)[None], True)
-              for out in _free_digit_expansion(M, M, core))
+    identity = (core[None] for core in _lift_candidates(M, M, np.eye(g, dtype=np.int64)[None], True))
+    kernel = (out for cores in _regroup(identity, AUT_BLOCK) for out in _free_digit_expansion(M, M, cores))
     T, K = (np.concatenate([np.zeros((0, n, n), dtype=dtype), *map(convert, _regroup(stream, AUT_BLOCK))])
             for stream in (firsts, kernel))
     K = _unique_rows(K.reshape(-1, n * n)).reshape(-1, n, n)
@@ -1025,22 +1049,33 @@ def _laplace(h: int, k: int):
     return cols, subs, (-1) ** (k - 1 + np.arange(k))
 
 
+def _minors(mats, p: int):
+    """Every r x r minor mod p of each (r, h) residue matrix, in ``combinations`` order of
+    its columns, as a (b, C(h, r)) int64 array; for square matrices the one column is the
+    determinant.  Laplace expansion along the last row, one row at a time (``_laplace``);
+    a minor sums k <= r products of two residues, so int64 holds it whenever p^2 h does.
+    The input is promoted to int64, as the automorphism arrays are int16."""
+    mats = np.asarray(mats, dtype=np.int64)
+    b, r, h = mats.shape
+    minors = np.ones((b, 1), dtype=np.int64)  # the one 0 x 0 minor
+    for k in range(1, r + 1):
+        cols, subs, signs = _laplace(h, k)
+        minors = (mats[:, k - 1, cols] * minors[:, subs] * signs).sum(axis=2) % p
+    return minors
+
+
 def _plucker_keys(mats, p: int):
-    """One int64 key row per (r, h) residue matrix: its r x r minors in ``combinations``
-    order (the Plücker vector), scaled to a leading 1 and packed as base-p digits, d to
-    a word, d the largest with p^d < 2^63 (so no word overflows).
+    """One int64 key row per (r, h) residue matrix: its ``_minors`` (the Plücker vector),
+    scaled to a leading 1 and packed as base-p digits, d to a word, d the largest with
+    p^d < 2^63 (so no word overflows).
 
     The Plücker embedding is injective over a field, so full-rank matrices have
     equal keys exactly when their row spaces are equal; a rank-deficient one has
     the zero key.  A minor sums k <= r <= h products of two residues, inside the
     bound that ``_check_int64(p, max(n, h))`` checks in ``_admissible_subspaces``.
     """
-    b, r, h = mats.shape
-    minors = np.ones((b, 1), dtype=np.int64)  # the one 0 x 0 minor
-    for k in range(1, r + 1):
-        cols, subs, signs = _laplace(h, k)
-        minors = (mats[:, k - 1, cols] * minors[:, subs] * signs).sum(axis=2) % p
-    lead = minors[np.arange(b), (minors != 0).argmax(axis=1)]
+    minors = _minors(mats, p)
+    lead = minors[np.arange(len(minors)), (minors != 0).argmax(axis=1)]
     minors = minors * _inv_mod(lead, p)[:, None] % p  # the inverse of 0 is 0
     d = next(d for d in range(1, 64) if p ** (d + 1) >= 2**63)
     place = np.arange(minors.shape[1])

@@ -14,11 +14,11 @@ from itertools import combinations
 
 from . import catalog
 from .algebra import (
+    _power_filtration,
     annihilator,
     invariant_vector,
     is_associative,
     jordan_identity_holds,
-    power_filtration,
 )
 from .cohomology import h2, parse_cocycle
 from .errors import InvalidCocycleError, NiljError
@@ -193,7 +193,7 @@ def verify_catalog(extra_params=None) -> ReportSection:
                 problems.append("dimension mismatch")
             if not jordan_identity_holds(A):
                 problems.append("fails the Jordan identity")
-            powers = power_filtration(A)
+            powers = _power_filtration(A)
             if len(powers) > 6 or not powers[-1].is_zero():
                 problems.append("not nilpotent within six powers")
             if entry.dim <= 4:

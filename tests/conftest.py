@@ -56,7 +56,7 @@ def _every_isomorphism(A, B):
     MA, MB = isomorphism._model(A), isomorphism._model(B)
     for leaves in isomorphism._regroup(isomorphism._leaf_stream(MA, MB), 1):
         for core in isomorphism._lift_candidates(MA, MB, leaves, True):
-            yield from isomorphism._free_digit_expansion(MA, MB, core)
+            yield from isomorphism._free_digit_expansion(MA, MB, core[None])
 
 
 @pytest.fixture(scope="session")

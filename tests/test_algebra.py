@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilj import catalog
+from nilj import algebra, catalog, isomorphism
 from nilj.algebra import (
     Algebra,
     annihilator,
@@ -216,6 +216,21 @@ def test_power_filtration_examples():
     sq = power_filtration(catalog.instantiate("J5,2"))[1]
     for idx in (1, 3, 4):  # b, d, e
         assert sq.contains([1 if k == idx else 0 for k in range(5)])
+
+
+def test_power_filtration_is_computed_once_per_algebra():
+    """The fingerprint, the search model and ``power_filtration`` read one cached filtration
+    per algebra; each ``power_filtration`` call returns a fresh list."""
+    A = Algebra(Field(7), "abcd", {(0, 0): {1: 3}, (0, 1): {2: 5}, (1, 1): {3: 2}, (0, 2): {3: 4}})
+    before = algebra._power_filtration.cache_info()
+    first = power_filtration(A)
+    invariant_vector(A)
+    isomorphism._model(A)
+    first.append(None)
+    assert power_filtration(A) == list(algebra._power_filtration(A)) == first[:-1]
+    assert [S.dim for S in first[:-1]] == [4, 3, 2, 1, 0]
+    after = algebra._power_filtration.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 4)
 
 
 def test_annihilator_examples():

@@ -26,6 +26,7 @@ from nilj.isomorphism import (
     _automorphism_cosets,
     _canonicalize,
     _induced_actions,
+    _minors,
     _plucker_keys,
     _rref_mod_p,
     _subspace_blocks,
@@ -186,6 +187,51 @@ def test_plucker_keys_agree_with_the_batched_rref(p, r, h):
     assert (~full).any() and full.any()
     pairs = {(k, red) for k, red in zip(map(tuple, keys[full].tolist()), map(np.ndarray.tobytes, reduced[full]))}
     assert len(pairs) == len({k for k, _ in pairs}) == len({red for _, red in pairs}) < full.sum()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_minors_decide_full_rank_like_the_batched_rref(p):
+    """A square residue matrix has a nonzero ``_minors`` determinant exactly when
+    ``_rref_mod_p`` gives it full rank, at n = 1..6, int16 input included, with
+    singular members forced in (a repeated row, a zero row, a combination)."""
+    rng = np.random.default_rng([p, 25])
+    for n in range(1, 7):
+        mats = rng.integers(0, p, (300, n, n))
+        mats[::5, -1] = mats[::5, 0] * 3 % p
+        mats[::7, 0] = 0
+        mats[::11, -1] = (mats[::11, :-1].sum(axis=1)) % p
+        rank = _rref_mod_p(mats, p)[1]
+        assert (rank < n).any() and (rank == n).any()
+        for block in (mats, mats.astype(np.int16)):
+            det = _minors(block, p)
+            assert det.shape == (len(mats), 1)
+            assert np.array_equal(det[:, 0] != 0, rank == n), n
+
+
+@pytest.mark.parametrize("block", [isomorphism.AUT_BLOCK, 7])
+@pytest.mark.parametrize("name", ["J2,2", "J4,12", "J5,13"])
+def test_free_digits_stream_every_core_and_setting_in_order(name, block, monkeypatch):
+    """``_free_digit_expansion`` of a block of cores is, block for block joined, the
+    concatenation of the one-core expansions, and each of those is the core with every
+    setting of its free digits added in ``iproduct`` order; no block exceeds AUT_BLOCK."""
+    monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
+    M = isomorphism._model(reduce_mod(catalog.instantiate(name), 5))
+    n = M.A.dim
+    cores = np.random.default_rng(3).integers(0, 5, (9, n, n))
+    gs, cs = isomorphism._slots(M, M.n1, range(max(2, M.m - 1), M.m))
+    blocks = list(isomorphism._free_digit_expansion(M, M, cores))
+    assert all(0 < len(b) <= block for b in blocks)
+    singles = [list(isomorphism._free_digit_expansion(M, M, core[None])) for core in cores]
+    assert all(0 < len(b) <= block for one in singles for b in one)
+    got = np.concatenate(blocks)
+    assert np.array_equal(got, np.concatenate([b for one in singles for b in one]))
+    want = []
+    for core in cores:
+        for digits in iproduct(range(5), repeat=len(gs)):
+            out = core.copy()
+            out[cs, gs] = (out[cs, gs] + digits) % 5
+            want.append(out)
+    assert np.array_equal(got, np.array(want))
 
 
 def test_every_plane_of_f5_4_has_its_own_plucker_key():

@@ -722,3 +722,68 @@ def test_supports_bound_every_forced_map_slope_and_defect():
                         moved_phis = (phis + np.einsum("bt,btij->bij", x, slopes)) % p
                         changed = (isomorphism._product_defects(C, C, moved_phis, p) - defects) % p
                         assert not changed[:, at].any(), (name, levels, d)
+
+
+def _generator_blocks(X, draw):
+    """64 generator blocks (k, s, n) for the model X: 16 uniformly random; the generator images
+    of up to 16 automorphisms of X, the first lifts of the identity leaf and of X's first 32
+    typed graded leaves (repeated when there are fewer); those with the last generator's image
+    replaced by a multiple of the first's, a singular level-1 block; and 16 that send every
+    generator to a multiple of one random vector, the last of them the zero map."""
+    p, s, n = X.p, X.n1, X.A.dim
+    leaves = np.concatenate([np.eye(s, dtype=np.int64)[None], next(iter(_graded_level1_solutions(X, X)))[:32]])
+    autos = np.array(list(itertools.islice(isomorphism._lift_candidates(X, X, leaves, False), 16)))
+    autos = np.resize(autos[:, :, :s].transpose(0, 2, 1), (16, s, n))
+    singular = autos.copy()
+    singular[:, -1] = singular[:, 0] * draw.integers(0, p, (16, 1)) % p
+    lines = draw.integers(0, p, (16, s, 1)) * draw.integers(0, p, (16, 1, n)) % p
+    lines[-1] = 0
+    return np.concatenate([draw.integers(0, p, (16, s, n)), autos, singular, lines])
+
+
+def test_forced_isomorphisms_read_full_rank_from_the_level1_determinant():
+    """The mask of ``_forced_isomorphisms`` is "zero defects and full rank d", with the rank
+    from ``_rref_mod_p``, for every catalog instance at its sample bindings over F_5 and F_7,
+    in the catalog basis and one seeded random basis, on the model and on its associated
+    graded model, each on 64 generator blocks (``_generator_blocks``).  Over all of them
+    some multiplicative blocks are isomorphisms and some are singular."""
+    seen = {"isomorphism": 0, "singular homomorphism": 0}
+    for name in catalog.names():
+        for binding in catalog.sample_bindings(name):
+            for F in (F5, F7):
+                A = reduce_mod(catalog.instantiate(name, binding), F.p)
+                rng = random.Random(f"level1-det:{name}:{sorted(binding.items())}:{F.p}")
+                for Y in (A, change_basis(A, _random_basis(F, A.dim, rng))):
+                    draw = np.random.default_rng(rng.randrange(2**32))
+                    for X in (_model(Y), _graded(_model(Y))):
+                        gens = _generator_blocks(X, draw)
+                        phis, defects = _forced_maps(X, X, gens)
+                        homomorphism = ~defects.any(axis=1)
+                        full = isomorphism._rref_mod_p(phis, F.p)[1] == Y.dim
+                        _, ok = _forced_isomorphisms(X, X, gens)
+                        assert np.array_equal(ok, homomorphism & full), (name, binding, F.p)
+                        seen["isomorphism"] += (homomorphism & full).sum()
+                        seen["singular homomorphism"] += (homomorphism & ~full).sum()
+    assert all(seen.values()), seen
+
+
+def test_every_stage_takes_an_empty_block():
+    """A block of no candidates goes through every stage and yields nothing: the forced
+    maps and their check, the lift, each linear stage, the free digits, the automorphism
+    check and the minors."""
+    A = reduce_mod(catalog.instantiate("J5,13"), 7)
+    M = _model(A)
+    s, n, p = M.n1, A.dim, M.p
+    gens = np.zeros((0, s, n), dtype=np.int64)
+    for X in (M, _graded(M)):
+        phis, ok = _forced_isomorphisms(X, X, gens)
+        assert phis.shape == (0, n, n) and ok.shape == (0,)
+    assert list(isomorphism._lift_candidates(M, M, np.zeros((0, s, s), dtype=np.int64), True)) == []
+    # singular leaves only: dropped before the graded check
+    assert list(isomorphism._lift_candidates(M, M, np.zeros((3, s, s), dtype=np.int64), True)) == []
+    for levels, d in _digit_groups(M) + [((), n)]:
+        for find_all in (True, False):
+            assert list(isomorphism._linear_stage(M, M, gens, list(levels), d, find_all)) == []
+    assert list(isomorphism._free_digit_expansion(M, M, np.zeros((0, n, n), dtype=np.int64))) == []
+    isomorphism._verify_automorphism_block(structure_tensor(A)[0], np.zeros((0, n, n), dtype=np.int64), p)
+    assert isomorphism._minors(np.zeros((0, n, n), dtype=np.int16), p).shape == (0, 1)
