@@ -44,7 +44,7 @@ The forced closure is compiled once per source quotient and generator count
 basis vector over words in the generators.  It runs on blocks of candidate
 generator images as int64 contractions over the target's tensor, and the
 candidates are accepted or rejected in batch (multiplicativity on all basis
-pairs) by ``_forced_isomorphisms`` at the graded leaves, and by
+pairs) by their product defects at the graded leaves, and by
 ``_linear_stage``'s solve in the lift.  Full rank is decided once per graded
 leaf, by one determinant: a multiplicative forced map is block lower
 triangular in filtration coordinates with the leaf as its level-1 block, and
@@ -57,15 +57,19 @@ program on the tensors' nonzero patterns, and every other entry vanishes for
 all candidates.  The graded leaves take the test on the associated graded tensors
 (``_graded``: C keeps the components of level(k) = level(i) + level(j)).
 
-Every enumeration is one parent-major stream of (parent, child) pairs from
-``_blocks``, at most AUT_BLOCK at a time: the graded stage extends partial
-level-1 codes by one of the next generator's typed codes (those with its
-``_level1_rows`` row) and keeps the extensions whose level-(1,1) products are
-zero or nonzero as in the source; the free digits extend a block of cores
-by every digit setting; candidate subspaces have one parent.  A digit level
-enumerates nothing: it streams each candidate's solutions in ``iproduct``
-order of its digits.  Candidates keep their enumeration order, so the first
-hit is the one a candidate-by-candidate search finds.
+Every stream moves in blocks of at most AUT_BLOCK rows.  Every enumeration is
+one parent-major stream of (parent, child) pairs from ``_blocks``: the graded
+stage extends partial level-1 codes by one of the next generator's typed
+codes (those with its ``_level1_rows`` row) and keeps the extensions whose
+level-(1,1) products are zero or nonzero as in the source; the free digits
+extend a block of cores by every digit setting; candidate subspaces have one
+parent.  A digit level enumerates nothing: it streams each candidate's
+solutions in ``iproduct`` order of its digits.  ``_regroup`` packs the graded
+leaves, each digit level's solutions and the automorphisms to be verified
+into full blocks, so the lift takes and yields (k, n, n) blocks and a search
+that hits early has lifted one block of leaves.  Candidates keep their
+enumeration order, so the first hit is the one a candidate-by-candidate
+search finds.
 
 The engine works in filtration coordinates.  ``search_isomorphism`` maps
 ``_search``'s first lift back to the original bases and re-verifies it with
@@ -110,7 +114,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fields import Field, same_field
-from .linalg import Echelon, Matrix, _dot
+from .linalg import Echelon, Matrix, Subspace, _dot
 
 AUT_CANDIDATE_BUDGET = 10**8
 GRADED_TABLE_LIMIT = 2500  # max p^(level-1 dim); the pairing table is quadratic in this
@@ -385,25 +389,6 @@ def _supports(MA: _FilteredModel, MB: _FilteredModel, d: int, s: int, levels: tu
     return images, entries, moved, _reaches(MA, MB, d, moved, images)[entries]
 
 
-def _forced_isomorphisms(MA: _FilteredModel, MB: _FilteredModel, gens):
-    """The forced maps of ``gens`` and the mask of those that are isomorphisms
-    between the quotients C[:d, :d, :d], d = gens.shape[2]: zero defects and an
-    invertible level-1 block gens[:, :, :s].
-
-    A forced map phi with zero defects is a homomorphism, and it is an
-    isomorphism exactly when that s x s block is invertible.  The generator
-    images lie in level >= 1, so phi maps the words of length k, which span
-    level >= k, into level >= k: in filtration coordinates phi is block lower
-    triangular with the level-1 block first.  If that block is singular, so is
-    phi.  If it is invertible, phi's image S is a subalgebra with S + J_B^2 =
-    J_B; then J_B = S + J_B^k for every k (J_B^2 = (S + J_B^2)^2 lies in
-    S + J_B^3, and so on), and J_B is nilpotent, so S = J_B and phi is onto.
-    """
-    phis, defects = _forced_maps(MA, MB, gens)
-    s = gens.shape[1]
-    return phis, ~defects.any(axis=1) & (_minors(gens[:, :, :s], MA.p)[:, 0] != 0)
-
-
 # ---------------------------------------------------------------------------
 # graded stage
 # ---------------------------------------------------------------------------
@@ -454,18 +439,16 @@ def _blocks(k: int, c: int):
         yield flat // c, flat % c
 
 
-def _regroup(arrays, size: int):
-    """The rows of a stream of arrays in arrays of ``size`` rows, the size
-    doubling after each up to AUT_BLOCK; the last one may be shorter."""
+def _regroup(arrays):
+    """The rows of a stream of arrays in arrays of AUT_BLOCK rows; the last one may be shorter."""
     pending, count = [], 0
     for rows in arrays:
         pending.append(rows)
         count += len(rows)
-        while count >= size:
+        while count >= AUT_BLOCK:
             stack = np.concatenate(pending)
-            yield stack[:size]
-            pending, count = [stack[size:]], count - size
-            size = min(2 * size, AUT_BLOCK)
+            yield stack[:AUT_BLOCK]
+            pending, count = [stack[AUT_BLOCK:]], count - AUT_BLOCK
     if count:
         yield np.concatenate(pending)
 
@@ -479,8 +462,8 @@ def _graded_level1_solutions(MA: _FilteredModel, MB: _FilteredModel):
     then by their number of nonzero products, then by index); each block of (partial, code)
     extensions from ``_blocks`` keeps those whose level-(1,1) products are zero or nonzero as
     in A, so the leaves come out lexicographically along ``order``.  Both filters are
-    necessary conditions, and the leaves pass ``_forced_isomorphisms`` on the graded tensors
-    in ``_lift_candidates``, a full check, so the filters cannot cost completeness.
+    necessary conditions, and ``_lift_candidates`` checks the leaves in full (an invertible
+    level-1 block, zero defects on the graded tensors), so the filters cannot cost completeness.
     """
     p, s = MA.p, MA.n1
     lo2, hi2 = MA.block.get(2, (0, 0))
@@ -527,14 +510,22 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
     """Complete level-1 images to verified maps in filtration coordinates.
 
     ``leaves`` is a (k, s, s) array of graded level-1 solutions.  Singular
-    leaves are dropped first, once: every lift of a leaf is block lower
-    triangular with the leaf as its level-1 block (``_forced_isomorphisms``),
-    so it is an isomorphism exactly when it is multiplicative.  A leaf is
-    kept when it passes ``_forced_isomorphisms`` on the graded tensors
-    (``_graded``): its forced images are block-diagonal and multiplicative at
-    every level sum.  Yields (n, n) matrices whose columns are the images of
-    A's basis, leaf by leaf and within a leaf in ``iproduct`` order of its
-    digits.  ``_linear_stage`` solves each level K
+    leaves are dropped first, once, by one s x s determinant each
+    (``_minors``): a lift phi of a leaf with zero product defects is a
+    homomorphism, and it is an isomorphism exactly when the leaf is
+    invertible.  The generator images lie in level >= 1, so phi maps the words
+    of length k, which span level >= k, into level >= k: in filtration
+    coordinates phi is block lower triangular with the leaf as its level-1
+    block.  If the leaf is singular, so is phi.  If it is invertible, phi's
+    image S is a subalgebra with S + J_B^2 = J_B; then J_B = S + J_B^k for
+    every k (J_B^2 = (S + J_B^2)^2 lies in S + J_B^3, and so on), and J_B is
+    nilpotent, so S = J_B and phi is onto.  So no stage computes a rank, and a
+    kept leaf needs only zero defects on the graded tensors (``_graded``): its
+    forced images are block-diagonal and multiplicative at every level sum.
+
+    Yields (k, n, n) blocks, 0 < k <= AUT_BLOCK, of matrices whose columns
+    are the images of A's basis, leaf by leaf and within a leaf in
+    ``iproduct`` order of its digits.  ``_linear_stage`` solves each level K
     with 2K < m modulo the levels >= K + 2, streaming every solution on as a
     candidate, then the levels with 2K >= m together, where ``find_all``
     decides; with nilpotency index m <= 3 that last group has no digit, and
@@ -546,8 +537,7 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
 
     def stage(k_idx, gens):
         if k_idx >= len(relevant) or 2 * relevant[k_idx] >= m:
-            for maps in _linear_stage(MA, MB, gens, relevant[k_idx:], n, find_all):
-                yield from maps
+            yield from _linear_stage(MA, MB, gens, relevant[k_idx:], n, find_all)
             return
         K = relevant[k_idx]
         d = MB.block[K + 1][1]  # the quotient by the levels >= K + 2
@@ -560,7 +550,7 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
     gens[:, :, :s] = leaves
     if m > 3:
         # with J^3 = 0, C is graded already, and the zero-slot stage below is the graded check
-        gens = gens[_forced_isomorphisms(_graded(MA), _graded(MB), gens)[1]]
+        gens = gens[~_forced_maps(_graded(MA), _graded(MB), gens)[1].any(axis=1)]
     if len(gens):
         yield from stage(0, gens)
 
@@ -596,8 +586,8 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
     is the constant plus the slopes, multiplicative by construction; blocks
     of at most AUT_BLOCK (d, d) maps are yielded.  The digits leave the
     candidates' level-1 block alone, and ``_lift_candidates`` hands on only
-    invertible ones, so every map yielded has full rank d
-    (``_forced_isomorphisms``) and no rank is computed.  With no digit
+    invertible ones, so every map yielded has full rank d (the lemma in
+    ``_lift_candidates``) and no rank is computed.  With no digit
     (``levels`` empty) the solutions are the candidates whose forced maps
     are homomorphisms.
     """
@@ -644,7 +634,7 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
             start = at + 1
         yield base[start:]
 
-    for block in _regroup(solutions(), AUT_BLOCK):
+    for block in _regroup(solutions()):
         at, x = block[:, 0], block[:, 1:]
         yield (phis[at] + np.einsum("bt,btij->bij", x, slopes[at])) % p
 
@@ -666,7 +656,8 @@ def _free_digit_expansion(MA: _FilteredModel, MB: _FilteredModel, cores):
 
 
 def _leaf_stream(MA: _FilteredModel, MB: _FilteredModel):
-    """``_search``'s refusals, then its graded leaf blocks (none when shapes or signatures differ)."""
+    """``_search``'s refusals, then its graded leaves in blocks of AUT_BLOCK, the last one
+    possibly shorter (none when shapes or signatures differ)."""
     if MA.m != MB.m or MA.block_dims() != MB.block_dims():
         return ()
     p, s = MA.p, MA.n1
@@ -677,7 +668,7 @@ def _leaf_stream(MA: _FilteredModel, MB: _FilteredModel):
         raise SearchBudgetExceededError(f"graded table of size {p}^{s} exceeds the supported budget")
     if MA is not MB and _graded_signature(MA) != _graded_signature(MB):
         return ()
-    return _graded_level1_solutions(MA, MB)
+    return _regroup(_graded_level1_solutions(MA, MB))
 
 
 def _search(A: Algebra, B: Algebra):
@@ -687,10 +678,8 @@ def _search(A: Algebra, B: Algebra):
     bases.
     """
     MA, MB = _model(A), _model(B)
-    # leaves are lifted in blocks that double up to AUT_BLOCK, so a search
-    # that hits early completes few graded leaves it does not need
-    blocks = _regroup(_leaf_stream(MA, MB), 1)
-    return next((core for leaves in blocks for core in _lift_candidates(MA, MB, leaves, False)), None)
+    lifts = (maps for leaves in _leaf_stream(MA, MB) for maps in _lift_candidates(MA, MB, leaves, False))
+    return next((maps[0] for maps in lifts), None)
 
 
 def _prepare_pair(A: Algebra, B: Algebra, field: Field):
@@ -834,11 +823,11 @@ def _automorphism_cosets(A: Algebra, field: Field):
         _verify_automorphism_block(C, phis, p)
         return phis.astype(dtype)
 
-    cores = (core for block in _regroup(_leaf_stream(M, M), AUT_BLOCK) for core in _lift_candidates(M, M, block, False))
+    cores = (core for leaves in _leaf_stream(M, M) for maps in _lift_candidates(M, M, leaves, False) for core in maps)
     firsts = (next(lifts)[None] for _, lifts in groupby(cores, key=lambda core: core[:g, :g].tobytes()))
-    identity = (core[None] for core in _lift_candidates(M, M, np.eye(g, dtype=np.int64)[None], True))
-    kernel = (out for cores in _regroup(identity, AUT_BLOCK) for out in _free_digit_expansion(M, M, cores))
-    T, K = (np.concatenate([np.zeros((0, n, n), dtype=dtype), *map(convert, _regroup(stream, AUT_BLOCK))])
+    identity = _lift_candidates(M, M, np.eye(g, dtype=np.int64)[None], True)
+    kernel = (out for cores in identity for out in _free_digit_expansion(M, M, cores))
+    T, K = (np.concatenate([np.zeros((0, n, n), dtype=dtype), *map(convert, _regroup(stream))])
             for stream in (firsts, kernel))
     K = _unique_rows(K.reshape(-1, n * n)).reshape(-1, n, n)
     if not (K == np.eye(n, dtype=K.dtype)).all(axis=(1, 2)).any():
@@ -910,11 +899,6 @@ def _subspace_blocks(p: int, h: int, r: int):
 def _tuples(block) -> list:
     """The (K, r, h) residue block as a list of bases, each a tuple of row tuples."""
     return [tuple(map(tuple, rows)) for rows in block.tolist()]
-
-
-def _canonicalize(field: Field, rows):
-    red, rank, _ = Matrix.from_rows(field, [list(r) for r in rows]).rref()
-    return tuple(red.row(i) for i in range(rank))
 
 
 def _admissible_subspaces(spaces, ann, r: int) -> list:
@@ -1096,11 +1080,13 @@ def _orbit_images(actions, bases, keyed: dict, p: int) -> list:
 
 
 def class_line(spaces, theta: Cocycle, field: Field):
-    """Canonical line of theta's cohomology class, for census lookups."""
+    """Canonical line of theta's cohomology class over F_p, for census lookups."""
     coords = spaces.class_coords(theta)
-    if coords is None or not any(coords):
+    if coords is None:
+        raise NiljError("not a cocycle")
+    if not any(coords):
         raise NiljError("cocycle has trivial class")
-    return _canonicalize(field, [coords])
+    return Subspace.span(field, len(coords), [coords]).rows
 
 
 # ---------------------------------------------------------------------------

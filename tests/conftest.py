@@ -54,9 +54,9 @@ def _every_isomorphism(A, B):
     of the free digits, as engine-coordinate (k, n, n) arrays: the whole-group
     search that the automorphism cosets replaced, kept as their reference."""
     MA, MB = isomorphism._model(A), isomorphism._model(B)
-    for leaves in isomorphism._regroup(isomorphism._leaf_stream(MA, MB), 1):
-        for core in isomorphism._lift_candidates(MA, MB, leaves, True):
-            yield from isomorphism._free_digit_expansion(MA, MB, core[None])
+    for leaves in isomorphism._leaf_stream(MA, MB):
+        for maps in isomorphism._lift_candidates(MA, MB, leaves, True):
+            yield from isomorphism._free_digit_expansion(MA, MB, maps)
 
 
 @pytest.fixture(scope="session")

@@ -17,14 +17,13 @@ from nilj.algebra import (
     reduce_mod,
     structure_tensor,
 )
-from nilj.cohomology import Cocycle, h2, is_automorphism, radical as joint_radical
+from nilj.cohomology import Cocycle, h2, is_automorphism, parse_cocycle, radical as joint_radical
 from nilj.errors import NiljError
 from nilj.fields import Field
 from nilj.isomorphism import (
     _admissible_subspaces,
     _automorphism_array,
     _automorphism_cosets,
-    _canonicalize,
     _induced_actions,
     _minors,
     _plucker_keys,
@@ -33,10 +32,11 @@ from nilj.isomorphism import (
     _tuples,
     _unique_rows,
     _verify_automorphism_block,
+    class_line,
     enumerate_automorphisms,
     orbit_census,
 )
-from nilj.linalg import Matrix
+from nilj.linalg import Matrix, Subspace
 
 F5, F7 = Field(5), Field(7)
 
@@ -51,7 +51,7 @@ def _canonical_subspaces(field, h, r):
 def reference_census(A, field, r):
     """The census the slow way: every automorphism as a Matrix, the congruence
     phi^T R phi with Matrix products, class coordinates by solving against the
-    H2 basis, and one _canonicalize per (orbit, action) pair."""
+    H2 basis, and one ``Subspace.span`` per (orbit, action) pair."""
     Ap = reduce_mod(A, field.p)
     spaces = h2(Ap)
     hdim = len(spaces.h2_reps)
@@ -62,7 +62,7 @@ def reference_census(A, field, r):
         for rows in _canonical_subspaces(field, hdim, r):
             thetas = [spaces.cocycle_from_class(row) for row in rows]
             if joint_radical(thetas).intersect(ann).is_zero():
-                admissible.append(_canonicalize(field, rows))
+                admissible.append(Subspace.span(field, hdim, rows).rows)
     coords = {}
     actions = set()
     for phi in autos:
@@ -85,7 +85,7 @@ def reference_census(A, field, r):
                 tuple(sum(M[i][t] * v[t] for t in range(hdim)) % field.p for i in range(hdim))
                 for v in rows
             ]
-            orbit.add(_canonicalize(field, moved))
+            orbit.add(Subspace.span(field, hdim, moved).rows)
         unseen -= orbit
         orbits.append((min(orbit), len(orbit), frozenset(orbit)))
     orbits.sort(key=lambda o: o[0])
@@ -135,6 +135,21 @@ def test_automorphism_array_is_sorted_and_verified():
     assert keys == sorted(set(keys))
     assert all(is_automorphism(A5, m) for m in autos[::37])
     assert _automorphism_array(A5, F5).shape == (len(autos), 3, 3)
+
+
+def test_class_line_tells_a_non_cocycle_from_a_trivial_class():
+    """On J4,6 over F_5, d(b,d) is not a cocycle and d(a,a) is a coboundary, and
+    ``class_line`` says which; d(c,c) gets its class coordinates scaled to a leading 1."""
+    A = reduce_mod(catalog.instantiate("J4,6"), 5)
+    spaces = h2(A)
+    with pytest.raises(NiljError, match="^not a cocycle$"):
+        class_line(spaces, parse_cocycle(A, "d(b,d)"), F5)
+    with pytest.raises(NiljError, match="^cocycle has trivial class$"):
+        class_line(spaces, parse_cocycle(A, "d(a,a)"), F5)
+    theta = parse_cocycle(A, "d(c,c)")
+    coords = spaces.class_coords(theta)
+    lead = next(x for x in coords if x)
+    assert class_line(spaces, theta, F5) == (tuple(x * pow(lead, -1, 5) % 5 for x in coords),)
 
 
 def test_block_check_rejects_a_corrupted_automorphism():
@@ -305,7 +320,7 @@ def test_subspaces_of_every_dimension_are_distinct_rref_bases(field, h):
     for r in range(1, h + 1):
         bases = list(_canonical_subspaces(field, h, r))
         assert len(bases) == len(set(bases)) == _gaussian_binomial(h, r, field.p)
-        assert all(_canonicalize(field, rows) == rows for rows in bases)
+        assert all(Subspace.span(field, h, rows).rows == rows for rows in bases)
 
 
 def test_census_runs_above_planes_and_refuses_r_below_one():
@@ -445,11 +460,11 @@ def test_cosets_reject_a_corrupted_automorphism(monkeypatch, find_all):
     lift = isomorphism._lift_candidates
 
     def corrupted(MA, MB, leaves, all_lifts):
-        for k, core in enumerate(lift(MA, MB, leaves, all_lifts)):
+        for k, maps in enumerate(lift(MA, MB, leaves, all_lifts)):
             if k == 0 and all_lifts == find_all:
-                core = core.copy()
-                core[0, 0] = (core[0, 0] + 1) % 5  # e_0 moves, its products do not
-            yield core
+                maps = maps.copy()
+                maps[0, 0, 0] = (maps[0, 0, 0] + 1) % 5  # e_0 moves, its products do not
+            yield maps
 
     monkeypatch.setattr(isomorphism, "_lift_candidates", corrupted)
     with pytest.raises(NiljError, match="enumerated automorphism"):

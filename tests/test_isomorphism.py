@@ -27,12 +27,12 @@ from nilj.errors import (
 from nilj.fields import QQ, Field
 from nilj.isomorphism import (
     Morphism,
-    _forced_isomorphisms,
     _forced_maps,
     _graded,
     _graded_level1_solutions,
     _graded_signature,
     _level1_rows,
+    _minors,
     _model,
     _search,
     enumerate_automorphisms,
@@ -346,7 +346,7 @@ def test_compiled_closure_rebuilds_every_automorphism(name, every_isomorphism):
     gens = np.random.default_rng(5).integers(0, 5, (64, s, M.A.dim))
     forced, defects = _forced_maps(M, M, gens)
     assert np.array_equal(forced[:, :, :s].transpose(0, 2, 1), gens)
-    _, ok = _forced_isomorphisms(M, M, gens)
+    ok = ~defects.any(axis=1) & (_minors(gens[:, :, :s], 5)[:, 0] != 0)
     full = change_basis(M.A, M.to_old)  # the algebra in filtration coordinates
     expected = [is_automorphism(full, Matrix.from_rows(F5, f.tolist())) for f in forced]
     assert np.array_equal(ok, expected)
@@ -369,12 +369,13 @@ def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name, eve
     gens = graded[:, :, :M.n1].transpose(0, 2, 1).copy()
     forced, defects = _forced_maps(_graded(M), _graded(M), gens)
     assert np.array_equal(forced, graded) and not defects.any()
-    assert _forced_isomorphisms(_graded(M), _graded(M), gens)[1].all()
+    assert _minors(gens[:, :, :M.n1], 5).all()
     n, C = M.A.dim, _graded(M).C
     G = Algebra(F5, M.A.names, {(i, j): dict(enumerate(C[i, j].tolist())) for i in range(n) for j in range(i, n)})
     gens = np.zeros((64, M.n1, n), dtype=np.int64)
     gens[:, :, :M.n1] = np.random.default_rng(11).integers(0, 5, (64, M.n1, M.n1))
-    forced, ok = _forced_isomorphisms(_graded(M), _graded(M), gens)
+    forced, defects = _forced_maps(_graded(M), _graded(M), gens)
+    ok = ~defects.any(axis=1) & (_minors(gens[:, :, :M.n1], 5)[:, 0] != 0)
     assert np.array_equal(ok, [is_automorphism(G, Matrix.from_rows(F5, f.tolist())) for f in forced])
 
 
@@ -578,7 +579,7 @@ def test_linear_stage_matches_digit_enumeration(case, block, monkeypatch, every_
             cand = np.repeat(g[None, :, :d], len(digits), axis=0)
             cand[:, gs, cs] = digits
             phis, defects = _forced_maps(MA, MB, cand)
-            _, ok = _forced_isomorphisms(MA, MB, cand)
+            ok = ~defects.any(axis=1) & (_minors(cand[:, :, :MA.n1], p)[:, 0] != 0)
             every += list(phis[ok])
             solved = np.flatnonzero(~defects.reshape(len(cand), -1).any(axis=1))
             if len(solved):
@@ -646,15 +647,18 @@ def test_linear_stage_evaluates_one_defect_row_per_candidate(monkeypatch):
 def test_index_three_skips_the_graded_leaf_check(monkeypatch):
     """With nilpotency index m <= 3, J^3 = 0 leaves C graded already, so the whole-algebra
     check of the zero-slot linear stage is the graded one: the automorphism cosets of J2,2
-    and J4,12 over F_5 never call ``_forced_isomorphisms``."""
+    and J4,12 over F_5 never build the graded model.  The leaf types (``_level1_rows``)
+    read it, so they are cached before it is refused."""
     def refuse(*args):
         raise AssertionError("the graded leaf check ran")
 
-    monkeypatch.setattr(isomorphism, "_forced_isomorphisms", refuse)
     for name in ("J2,2", "J4,12"):
         A = reduce_mod(catalog.instantiate(name), 5)
         assert _model(A).m <= 3
-        T, K = isomorphism._automorphism_cosets(A, F5)
+        _level1_rows(_model(A))
+        with monkeypatch.context() as patch:
+            patch.setattr(isomorphism, "_graded", refuse)
+            T, K = isomorphism._automorphism_cosets(A, F5)
         assert len(T) and len(K)
 
 
@@ -732,7 +736,7 @@ def _generator_blocks(X, draw):
     generator to a multiple of one random vector, the last of them the zero map."""
     p, s, n = X.p, X.n1, X.A.dim
     leaves = np.concatenate([np.eye(s, dtype=np.int64)[None], next(iter(_graded_level1_solutions(X, X)))[:32]])
-    autos = np.array(list(itertools.islice(isomorphism._lift_candidates(X, X, leaves, False), 16)))
+    autos = np.concatenate(list(isomorphism._lift_candidates(X, X, leaves, False)))[:16]
     autos = np.resize(autos[:, :, :s].transpose(0, 2, 1), (16, s, n))
     singular = autos.copy()
     singular[:, -1] = singular[:, 0] * draw.integers(0, p, (16, 1)) % p
@@ -742,8 +746,9 @@ def _generator_blocks(X, draw):
 
 
 def test_forced_isomorphisms_read_full_rank_from_the_level1_determinant():
-    """The mask of ``_forced_isomorphisms`` is "zero defects and full rank d", with the rank
-    from ``_rref_mod_p``, for every catalog instance at its sample bindings over F_5 and F_7,
+    """The lift's isomorphism test, zero product defects (``_forced_maps``) and a nonzero
+    ``_minors`` determinant of the level-1 block, is "zero defects and full rank d", with the
+    rank from ``_rref_mod_p``, for every catalog instance at its sample bindings over F_5 and F_7,
     in the catalog basis and one seeded random basis, on the model and on its associated
     graded model, each on 64 generator blocks (``_generator_blocks``).  Over all of them
     some multiplicative blocks are isomorphisms and some are singular."""
@@ -760,7 +765,7 @@ def test_forced_isomorphisms_read_full_rank_from_the_level1_determinant():
                         phis, defects = _forced_maps(X, X, gens)
                         homomorphism = ~defects.any(axis=1)
                         full = isomorphism._rref_mod_p(phis, F.p)[1] == Y.dim
-                        _, ok = _forced_isomorphisms(X, X, gens)
+                        ok = homomorphism & (_minors(gens[:, :, :X.n1], F.p)[:, 0] != 0)
                         assert np.array_equal(ok, homomorphism & full), (name, binding, F.p)
                         seen["isomorphism"] += (homomorphism & full).sum()
                         seen["singular homomorphism"] += (homomorphism & ~full).sum()
@@ -769,15 +774,15 @@ def test_forced_isomorphisms_read_full_rank_from_the_level1_determinant():
 
 def test_every_stage_takes_an_empty_block():
     """A block of no candidates goes through every stage and yields nothing: the forced
-    maps and their check, the lift, each linear stage, the free digits, the automorphism
+    maps and their defects, the lift, each linear stage, the free digits, the automorphism
     check and the minors."""
     A = reduce_mod(catalog.instantiate("J5,13"), 7)
     M = _model(A)
     s, n, p = M.n1, A.dim, M.p
     gens = np.zeros((0, s, n), dtype=np.int64)
     for X in (M, _graded(M)):
-        phis, ok = _forced_isomorphisms(X, X, gens)
-        assert phis.shape == (0, n, n) and ok.shape == (0,)
+        phis, defects = _forced_maps(X, X, gens)
+        assert phis.shape == (0, n, n) and len(defects) == 0
     assert list(isomorphism._lift_candidates(M, M, np.zeros((0, s, s), dtype=np.int64), True)) == []
     # singular leaves only: dropped before the graded check
     assert list(isomorphism._lift_candidates(M, M, np.zeros((3, s, s), dtype=np.int64), True)) == []
@@ -787,3 +792,41 @@ def test_every_stage_takes_an_empty_block():
     assert list(isomorphism._free_digit_expansion(M, M, np.zeros((0, n, n), dtype=np.int64))) == []
     isomorphism._verify_automorphism_block(structure_tensor(A)[0], np.zeros((0, n, n), dtype=np.int64), p)
     assert isomorphism._minors(np.zeros((0, n, n), dtype=np.int16), p).shape == (0, 1)
+
+
+@pytest.mark.parametrize("block", [3, 7, 1024])
+def test_every_stream_moves_in_full_blocks(block, monkeypatch):
+    """``_leaf_stream`` yields the graded leaves of J5,18 over F_7 in order, in blocks of exactly
+    AUT_BLOCK leaves but the last, where the graded stage's own blocks are not full;
+    ``_lift_candidates`` yields (k, n, n) blocks with 0 < k <= AUT_BLOCK, at every digit level of
+    the J5,17 lifts and for every lift of the identity leaf of J4,6."""
+    monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
+    M = _model(reduce_mod(catalog.instantiate("J5,18"), 7))
+    leaves, raw = list(isomorphism._leaf_stream(M, M)), list(_graded_level1_solutions(M, M))
+    assert not all(len(b) == block for b in raw[:-1])
+    assert all(len(b) == block for b in leaves[:-1]) and 0 < len(leaves[-1]) <= block
+    assert np.array_equal(np.concatenate(leaves), np.concatenate(raw))
+    J517, J46 = (_model(reduce_mod(catalog.instantiate(*case), 5)) for case in (("J5,17", {"alpha": "1"}), ("J4,6",)))
+    for M, leaves, find_all in ((J517, next(iter(isomorphism._leaf_stream(J517, J517))), False),
+                                (J46, np.eye(J46.n1, dtype=np.int64)[None], True)):
+        n = M.A.dim
+        lifts = list(isomorphism._lift_candidates(M, M, leaves, find_all))
+        assert lifts and all(maps.shape[1:] == (n, n) and 0 < len(maps) <= block for maps in lifts)
+
+
+HIT_PAIRS = [("J5,17", {"alpha": "0"}, {"alpha": "0"}), ("J5,13", {}, {}), ("J5,16", {}, {}),
+             ("J5,30", {"alpha": "1", "beta": "2"}, {"alpha": "2", "beta": "1"}),
+             ("J5,44", {"alpha": "2"}, {"alpha": "1/2"})]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name, a, b", HIT_PAIRS, ids=[c[0] for c in HIT_PAIRS])
+def test_block_size_moves_no_early_hit(name, a, b, p, monkeypatch):
+    """A search that hits within its first leaves returns the same map at AUT_BLOCK 1, 3 and
+    1024: leaves are lifted in enumeration order, whatever the blocks."""
+    A, B = (reduce_mod(catalog.instantiate(name, binding), p) for binding in (a, b))
+    found = []
+    for block in (1, 3, 1024):
+        monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
+        found.append(search_isomorphism(A, B, Field(p)))
+    assert found[0] is not None and found[0].mat == found[1].mat == found[2].mat
