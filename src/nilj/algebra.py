@@ -386,18 +386,6 @@ def invariant_vector(A: Algebra) -> InvariantVector:
 # -- constructions ----------------------------------------------------------------
 
 
-def direct_sum(A: Algebra, B: Algebra) -> Algebra:
-    same_field(A.field, B.field)
-    names = list(A.names)
-    for nm in B.names:
-        names.append(_fresh_name(nm, names))
-    products = {pair: dict(terms) for pair, terms in A._sc.items()}
-    off = A.dim
-    for (i, j), terms in B._sc.items():
-        products[(i + off, j + off)] = {k + off: c for k, c in terms.items()}
-    return Algebra(A.field, names, products)
-
-
 def zero_algebra(field: Field, dim: int, names=None) -> Algebra:
     if names is None:
         names = tuple(string.ascii_lowercase[:dim])
@@ -437,18 +425,6 @@ def reduce_mod(A: Algebra, p: int) -> Algebra:
                 raise FieldReductionError(str(exc)) from exc
         products[(i, j)] = row
     return Algebra(Fp, A.names, products)
-
-
-def _fresh_name(base: str, taken) -> str:
-    if base not in taken:
-        return base
-    for ch in string.ascii_lowercase:
-        if ch not in taken:
-            return ch
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
 
 
 def next_names(A: Algebra, count: int):

@@ -1,4 +1,4 @@
-"""Jordan cocycles, coboundaries, second cohomology and the automorphism test.
+"""Jordan cocycles, coboundaries and second cohomology.
 
 A scalar cocycle is a symmetric n x n matrix; vector-valued cocycles are plain
 lists of scalar ones.  Cocycle coordinates flatten the upper triangle in the
@@ -8,7 +8,7 @@ fixed order (0,0), (0,1), ..., (0,n-1), (1,1), ..., (n-1,n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -18,7 +18,6 @@ from .algebra import (
     _compose,
     _mod,
     annihilator,
-    is_multiplicative,
     structure_tensor,
 )
 from .errors import (
@@ -91,13 +90,37 @@ class Cocycle:
 
 @dataclass(frozen=True)
 class CocycleSpaces:
-    """All cocycle data of one algebra, in upper-triangle coordinates."""
+    """All cocycle data of one algebra, in upper-triangle coordinates.
+
+    ``h2`` computes z2 and b2 at once; ``h2_reps`` and ``h2_assoc_reps`` are
+    computed on first read and then kept.  Equality and hashing compare
+    (algebra, z2, b2) alone, which determine the representatives.
+    """
 
     algebra: Algebra
     z2: Subspace
     b2: Subspace
-    h2_reps: tuple  # Cocycles extending b2 to z2
-    h2_assoc_reps: tuple  # sub-basis of the associativity-constrained part
+
+    @cached_property
+    def h2_reps(self) -> tuple:
+        """Cocycles extending b2 to z2."""
+        return self._extend_b2(self.z2)
+
+    @cached_property
+    def h2_assoc_reps(self) -> tuple:
+        """Cocycles extending b2 through the associativity constraint space.
+
+        The associativity-constrained cocycles are that whole space, which lies
+        in Z^2: a symmetric theta with theta(x o y, z) = theta(x, y o z) has
+        theta(e_x, e_d (e_y e_z)) = theta(e_x e_d, e_y e_z), so the three
+        positive terms of each linearized-identity row equal its three negative
+        ones, and the cocycle rows vanish on that space.
+        """
+        return self._extend_b2(associativity_constraint_space(self.algebra))
+
+    def _extend_b2(self, space: Subspace) -> tuple:
+        """b2's extension through space, greedily in the fixed upper-triangle pivot order."""
+        return tuple(Cocycle.from_upper(self.algebra, v) for v in self.b2.extend(space.vectors()))
 
     @property
     def h2_dim(self) -> int:
@@ -186,26 +209,14 @@ def _symmetric_solutions(A: Algebra, theta, p) -> Subspace:
 
 @lru_cache(maxsize=None)
 def h2(A: Algebra) -> CocycleSpaces:
-    """Cocycles, coboundaries and deterministic cohomology representatives.
+    """Cocycles and coboundaries of A, with deterministic cohomology representatives.
 
-    Representatives extend a basis of the coboundary space through the cocycle
-    space, greedily in the fixed upper-triangle pivot order, so repeated runs
-    produce identical output.
-
-    The associativity-constrained cocycles are the whole associativity
-    constraint space: a symmetric theta with theta(x o y, z) = theta(x, y o z)
-    has theta(e_x, e_d (e_y e_z)) = theta(e_x e_d, e_y e_z), so the three
-    positive terms of each linearized-identity row equal its three negative
-    ones, and the cocycle rows vanish on that space.
+    Z^2 and B^2 are computed at once.  ``h2_reps`` and ``h2_assoc_reps`` extend
+    a basis of B^2 greedily in the fixed upper-triangle pivot order, so
+    repeated runs produce identical output; each is computed on first read,
+    the associativity constraint space only for ``h2_assoc_reps``.
     """
-    z2 = cocycle_space(A)
-    b2 = coboundary_space(A)
-    assoc = associativity_constraint_space(A)
-
-    def extend_b2(space):
-        return tuple(Cocycle.from_upper(A, v) for v in b2.extend(space.vectors()))
-
-    return CocycleSpaces(A, z2, b2, extend_b2(z2), extend_b2(assoc))
+    return CocycleSpaces(A, cocycle_space(A), coboundary_space(A))
 
 
 def radical(thetas) -> Subspace:
@@ -218,11 +229,6 @@ def radical(thetas) -> Subspace:
         if t.algebra != A:
             raise FieldMismatchError("cocycles on different algebras")
     return Subspace.kernel(A.field, A.dim, [t.mat.row(i) for t in thetas for i in range(A.dim)])
-
-
-def is_automorphism(A: Algebra, phi: Matrix) -> bool:
-    """True iff phi is invertible and multiplicative (columns are basis images)."""
-    return is_multiplicative(A, A, phi) and phi.is_invertible()
 
 
 def has_nontrivial_1dim_extension(A: Algebra) -> bool:

@@ -1,6 +1,8 @@
-"""Fixtures shared by the tests: the report built once, and the property
-tests that compare tensor code with loops."""
+"""Fixtures shared by the tests: the report built once, the property
+tests that compare tensor code with loops, and the helpers that only tests
+call (the whole-group search, the automorphism test, direct sums)."""
 
+import string
 import time
 from fractions import Fraction
 
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from nilj import isomorphism, reports
-from nilj.algebra import Algebra
-from nilj.fields import QQ, Field
+from nilj.algebra import Algebra, is_multiplicative
+from nilj.fields import QQ, Field, same_field
 
 # above the int64 guard at every width, so the structure tensor holds Python ints
 BIG_P = 3037000507
@@ -63,6 +65,48 @@ def _every_isomorphism(A, B):
 def every_isomorphism():
     """``_every_isomorphism``: every isomorphism A -> B in filtration coordinates."""
     return _every_isomorphism
+
+
+def _is_automorphism(A, phi):
+    """True iff phi is invertible and multiplicative (columns are basis images)."""
+    return is_multiplicative(A, A, phi) and phi.is_invertible()
+
+
+@pytest.fixture(scope="session")
+def is_automorphism():
+    """``_is_automorphism``: whether a matrix is an automorphism of A."""
+    return _is_automorphism
+
+
+def _fresh_name(base, taken):
+    if base not in taken:
+        return base
+    for ch in string.ascii_lowercase:
+        if ch not in taken:
+            return ch
+    i = 1
+    while f"{base}{i}" in taken:
+        i += 1
+    return f"{base}{i}"
+
+
+def _direct_sum(A, B):
+    """A + B on A's basis names then B's, a name A already uses renamed to a free one."""
+    same_field(A.field, B.field)
+    names = list(A.names)
+    for nm in B.names:
+        names.append(_fresh_name(nm, names))
+    products = {pair: dict(terms) for pair, terms in A._sc.items()}
+    off = A.dim
+    for (i, j), terms in B._sc.items():
+        products[(i + off, j + off)] = {k + off: c for k, c in terms.items()}
+    return Algebra(A.field, names, products)
+
+
+@pytest.fixture(scope="session")
+def direct_sum():
+    """``_direct_sum``: the direct sum of two algebras over one field."""
+    return _direct_sum
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from nilj.algebra import (
     annihilator,
     change_basis,
     derivation_algebra,
-    direct_sum,
     invariant_vector,
     is_associative,
     is_multiplicative,
@@ -165,7 +164,7 @@ def reference_is_multiplicative(A, B, phi):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_is_multiplicative_matches_the_reference_loop(any_field, nilpotent_algebras, data):
+def test_is_multiplicative_matches_the_reference_loop(any_field, nilpotent_algebras, data, direct_sum):
     """Isomorphisms onto a random basis, an inclusion into a direct sum and the
     zero map, each also with one entry moved, against the per-pair loop."""
     A = data.draw(nilpotent_algebras(any_field))
@@ -291,7 +290,7 @@ def test_invariant_vector_examples():
     assert invariant_vector(catalog.instantiate("J5,4")).power_dims == (2, 1, 0)
 
 
-def test_direct_sum_examples():
+def test_direct_sum_examples(direct_sum):
     one = zero_algebra(QQ, 1, ("e",))
     assert direct_sum(catalog.instantiate("J4,8"), one) == catalog.instantiate("J5,4")
     assert direct_sum(catalog.instantiate("J4,6"), one) == catalog.instantiate("J5,1")
@@ -324,7 +323,7 @@ def test_invariants_stable_under_base_change():
         assert invariant_vector(change_basis(A, P)) == base
 
 
-def test_associativity_survives_central_component():
+def test_associativity_survives_central_component(direct_sum):
     one = zero_algebra(QQ, 1, ("z",))
     for name in catalog.dim_le4_names():
         A = catalog.instantiate(name)

@@ -17,7 +17,7 @@ from nilj.algebra import (
     reduce_mod,
     structure_tensor,
 )
-from nilj.cohomology import Cocycle, h2, is_automorphism, parse_cocycle, radical as joint_radical
+from nilj.cohomology import Cocycle, h2, parse_cocycle, radical as joint_radical
 from nilj.errors import NiljError
 from nilj.fields import Field
 from nilj.isomorphism import (
@@ -128,7 +128,7 @@ def test_census_is_invariant_under_change_of_basis(name):
         assert summary(change_basis(A5, _random_invertible(F5, A5.dim, rng))) == base
 
 
-def test_automorphism_array_is_sorted_and_verified():
+def test_automorphism_array_is_sorted_and_verified(is_automorphism):
     A5 = reduce_mod(catalog.instantiate("J3,2"), 5)
     autos = enumerate_automorphisms(A5, F5)
     keys = [m.data for m in autos]
@@ -152,7 +152,7 @@ def test_class_line_tells_a_non_cocycle_from_a_trivial_class():
     assert class_line(spaces, theta, F5) == (tuple(x * pow(lead, -1, 5) % 5 for x in coords),)
 
 
-def test_block_check_rejects_a_corrupted_automorphism():
+def test_block_check_rejects_a_corrupted_automorphism(is_automorphism):
     A5 = reduce_mod(catalog.instantiate("J3,2"), 5)
     C, _ = structure_tensor(A5)
     block = _automorphism_array(A5, F5)[:16].astype(np.int64)

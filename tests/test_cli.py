@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilj import catalog, isomorphism, reports
+from nilj.algebra import change_basis
 from nilj.cli import main
+from nilj.fields import QQ
+from nilj.linalg import Matrix
 
 
 def test_tables_center(capsys):
@@ -30,6 +34,54 @@ def test_cohomology_command(capsys):
     assert main(["cohomology", "J3,2", "--assoc"]) == 0
     out = capsys.readouterr().out
     assert "dim H2 = 4" in out and "dim H2_assoc = 3" in out
+
+
+PINNED_COHOMOLOGY = [
+    (["J3,2", "--assoc"], """\
+dim Z2 = 5
+dim B2 = 1
+dim H2 = 4
+  rep: d(a,b)
+  rep: d(a,c)
+  rep: d(b,c)
+  rep: d(c,c)
+dim H2_assoc = 3
+  assoc rep: d(a,b)
+  assoc rep: d(a,c)
+  assoc rep: d(c,c)
+"""),
+    (["J4,6", "--field", "p:5", "--assoc"], """\
+dim Z2 = 5
+dim B2 = 2
+dim H2 = 3
+  rep: d(a,b)
+  rep: d(a,c)
+  rep: d(c,c)
+dim H2_assoc = 3
+  assoc rep: d(a,b)
+  assoc rep: d(a,c)
+  assoc rep: d(c,c)
+"""),
+    (["J5,17[alpha=2]", "--assoc"], """\
+dim Z2 = 6
+dim B2 = 3
+dim H2 = 3
+  rep: d(a,c)+d(b,b)
+  rep: d(a,d)
+  rep: d(b,d)
+dim H2_assoc = 3
+  assoc rep: d(a,c)+d(b,b)
+  assoc rep: d(a,d)
+  assoc rep: d(d,d)
+"""),
+]
+
+
+@pytest.mark.parametrize("args, out", PINNED_COHOMOLOGY, ids=[args[0] for args, _ in PINNED_COHOMOLOGY])
+def test_cohomology_command_output_is_pinned(capsys, args, out):
+    """The whole output, representatives included, byte for byte."""
+    assert main(["cohomology", *args]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_extend_command(capsys):
@@ -68,6 +120,41 @@ def test_orbits_command(capsys):
     out = capsys.readouterr().out
     assert "admissible 1-subspaces: 1" in out
     assert "|Aut| = 4\n|Aut| = |G1| * |K| = 4 * 1\n" in out
+
+
+def _unimodular(n, rng):
+    """An integer n x n matrix of determinant +-1: shears, then a row shuffle."""
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(3 * n):
+        r, s = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        rows[r] = [x + k * y for x, y in zip(rows[r], rows[s])]
+    rng.shuffle(rows)
+    return Matrix.from_rows(QQ, rows)
+
+
+def _census_summary(argv, capsys):
+    """The admissible count, the orbit sizes as a multiset and the |Aut| lines of ``nilj orbits``."""
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sizes = sorted(json.loads(lines[1].split("sizes: ")[1]))
+    return lines[0], sizes, [line for line in lines if line.startswith("|Aut|")]
+
+
+@pytest.mark.parametrize("name, r", [("J4,4", 1), ("J4,7", 1), ("J3,2", 2)])
+def test_census_of_a_document_in_another_basis_matches_the_catalog_name(tmp_path, capsys, name, r):
+    """A document over Q in a seeded basis of determinant +-1, which stays a
+    basis mod 5, gives the catalog name's census over F_5."""
+    A = catalog.instantiate(name)
+    P = _unimodular(A.dim, random.Random(f"census-doc:{name}"))
+    assert P.det() in (1, -1)
+    B = change_basis(A, P)
+    assert B != A
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(catalog.serialize_algebra(B, name)), encoding="utf-8")
+    flags = ["--field", "p:5", "--grassmann", str(r)]
+    assert _census_summary(["orbits", f"@{doc}", *flags], capsys) == \
+        _census_summary(["orbits", name, *flags], capsys)
 
 
 def test_lemma_a_command(capsys):

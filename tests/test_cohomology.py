@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nilj import catalog
+from nilj import catalog, cohomology
 from nilj.algebra import (
     annihilator,
     change_basis,
@@ -21,7 +21,6 @@ from nilj.cohomology import (
     cocycle_space,
     h2,
     has_nontrivial_1dim_extension,
-    is_automorphism,
     parse_cocycle,
     radical,
     sym_dim,
@@ -256,7 +255,7 @@ def test_act_is_group_action_and_preserves_spaces():
             assert sp.b2.contains(act(phi, theta).upper())
 
 
-def test_is_automorphism_examples():
+def test_is_automorphism_examples(is_automorphism):
     A = catalog.instantiate("J4,6")
     assert is_automorphism(A, Matrix.identity(QQ, 4))
     # the six-parameter family shape fails multiplicativity once a31 != 0:
@@ -405,6 +404,38 @@ def test_rank_shortcuts_and_the_associative_cocycles_match_the_subspaces(field):
                 reps = tuple(Cocycle.from_upper(B, v) for v in b2.extend(z2.vectors()))
                 assoc_reps = tuple(Cocycle.from_upper(B, v) for v in b2.extend(assoc.vectors()))
                 assert (sp.h2_reps, sp.h2_assoc_reps) == (reps, assoc_reps), name
+
+
+@pytest.mark.parametrize("field", (QQ, F5, Field(7)), ids=repr)
+def test_h2_builds_its_representatives_on_first_read(field, monkeypatch):
+    """h2 computes Z2 and B2 only; each representative tuple is built on its
+    first read, one Cocycle per representative and one associativity space,
+    and kept.  Equality compares (algebra, z2, b2) alone."""
+    calls = {"assoc": 0, "cocycles": 0}
+    assoc_space, from_upper = associativity_constraint_space, Cocycle.from_upper
+
+    def counting_assoc(A):
+        calls["assoc"] += 1
+        return assoc_space(A)
+
+    def counting_from_upper(A, coords):
+        calls["cocycles"] += 1
+        return from_upper(A, coords)
+
+    monkeypatch.setattr(cohomology, "associativity_constraint_space", counting_assoc)
+    monkeypatch.setattr(Cocycle, "from_upper", staticmethod(counting_from_upper))
+    for name, binding in (("J3,2", {}), ("J4,6", {}), ("J5,17", {"alpha": "2"})):
+        A = catalog.instantiate(name, binding)
+        A = reduce_mod(A, field.p) if field.p else A
+        calls.update(assoc=0, cocycles=0)
+        sp = h2.__wrapped__(A)  # a fresh object, not the cached one
+        assert sp.h2_dim == sp.z2.dim - sp.b2.dim > 0
+        assert calls == {"assoc": 0, "cocycles": 0}, name
+        assert sp.h2_reps is sp.h2_reps
+        assert calls == {"assoc": 0, "cocycles": sp.h2_dim}, name
+        assert sp.h2_assoc_reps is sp.h2_assoc_reps and sp.h2_assoc_dim == len(sp.h2_assoc_reps)
+        assert calls == {"assoc": 1, "cocycles": sp.h2_dim + sp.h2_assoc_dim}, name
+        assert sp == h2(A) and hash(sp) == hash(h2(A)), name
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,6 @@ from nilj import catalog
 from nilj.algebra import (
     annihilator,
     change_basis,
-    direct_sum,
     is_associative,
     jordan_identity_holds,
     reduce_mod,
@@ -113,7 +112,7 @@ def test_extension_center_dimension_on_lineages():
         assert annihilator(E).dim == len(cocycles)
 
 
-def test_dependent_cocycles_add_central_component():
+def test_dependent_cocycles_add_central_component(direct_sum):
     A = catalog.instantiate("J3,2")
     theta = parse_cocycle(A, "d(b,c)")
     doubled = central_extend(ExtensionSpec.of(A, [theta, theta]))

@@ -14,7 +14,7 @@ from nilj.algebra import (
     structure_tensor,
     zero_algebra,
 )
-from nilj.cohomology import is_automorphism, parse_cocycle
+from nilj.cohomology import parse_cocycle
 from nilj.errors import (
     CaseNotCoveredError,
     DimensionMismatchError,
@@ -69,7 +69,7 @@ def test_sigma_free_phi2_is_not_rational():
     assert not verify_isomorphism(Morphism(src, dst, mat))
 
 
-def test_a_claimed_map_over_another_field_is_refused():
+def test_a_claimed_map_over_another_field_is_refused(is_automorphism):
     """Over F_5, phi(a) = a/2, phi(b) = b/3 gives phi(a)^2 = 4b but phi(b) = 2b:
     the rational entries are not residues, so every check refuses the map
     instead of reading it in int64."""
@@ -133,7 +133,7 @@ def test_search_is_complete_for_known_maps():
     assert m is not None
 
 
-def test_enumerate_automorphisms_counts():
+def test_enumerate_automorphisms_counts(is_automorphism):
     assert len(enumerate_automorphisms(zero_algebra(QQ, 2), F5)) == 480
     auts = enumerate_automorphisms(catalog.instantiate("J2,2"), F5)
     assert len(auts) == 20
@@ -141,7 +141,7 @@ def test_enumerate_automorphisms_counts():
     assert all(is_automorphism(A5, m) for m in auts)
 
 
-def test_aut_j46_corrected_count():
+def test_aut_j46_corrected_count(is_automorphism):
     """The bundled six-parameter family shape is not multiplicative; the true
     group is phi(a) = x1 a + x4 d, phi(c) = z3 c + z4 d with x1 z3 != 0,
     so |Aut| = 4*5*4*5 = 400 over F_5."""
@@ -334,7 +334,7 @@ def test_non_nilpotent_input_raises_the_same_error():
 
 
 @pytest.mark.parametrize("name", ["J2,2", "J3,2", "J4,6", "J4,10"])
-def test_compiled_closure_rebuilds_every_automorphism(name, every_isomorphism):
+def test_compiled_closure_rebuilds_every_automorphism(name, every_isomorphism, is_automorphism):
     """The closure program, fed the generator images of an automorphism,
     forces that automorphism back with zero defects; fed random images it
     keeps them as the generators' columns."""
@@ -353,7 +353,8 @@ def test_compiled_closure_rebuilds_every_automorphism(name, every_isomorphism):
 
 
 @pytest.mark.parametrize("name", ["J4,6", "J4,11", "J5,2", "J5,3"])
-def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(name, every_isomorphism):
+def test_graded_closure_rebuilds_the_graded_part_of_every_automorphism(
+        name, every_isomorphism, is_automorphism):
     """In filtration coordinates the block-diagonal part of an automorphism is
     an automorphism of the associated graded algebra; the graded closure
     forces it back from its level-1 images with zero defects, and the graded
