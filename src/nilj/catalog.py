@@ -287,11 +287,19 @@ def instantiate(name: str, binding=None, field: Field = QQ) -> Algebra:
     return Algebra(field, entry.basis, products)
 
 
-def adhoc(name: str, field: Field = QQ, binding=None) -> Algebra:
+def adhoc(name: str, field: Field = QQ) -> Algebra:
+    """An auxiliary presentation from ``ADHOC``; none has parameters."""
     basis, src = ADHOC[name]
-    if binding:
-        src = _substitute_params(src, {k: QQ.of(v) for k, v in binding.items()})
     return Algebra(field, tuple(basis), _parse_product_table(list(basis), src))
+
+
+def resolve(name: str, binding=None, field: Field = QQ) -> Algebra:
+    """A catalog entry at a binding, or an ``ADHOC`` presentation, which takes none."""
+    if name not in ADHOC:
+        return instantiate(name, binding, field)
+    if binding:
+        raise InadmissibleParameterError(f"{name} takes no parameters, got {tuple(binding)}")
+    return adhoc(name, field)
 
 
 def lineage(name: str, binding=None, field: Field = QQ):
@@ -465,19 +473,13 @@ class IsoMapSpec:
     columns: tuple  # columns[i] = image coordinates of src basis vector i
 
     def resolve(self):
-        src = _resolve_ref(self.src, dict(self.src_binding), self.field)
-        dst = _resolve_ref(self.dst, dict(self.dst_binding), self.field)
+        src = resolve(self.src, dict(self.src_binding), self.field)
+        dst = resolve(self.dst, dict(self.dst_binding), self.field)
         rows = [
             [self.columns[c][r] for c in range(len(self.columns))]
             for r in range(len(self.columns[0]))
         ]
         return src, dst, Matrix.from_rows(self.field, rows)
-
-
-def _resolve_ref(name: str, binding, field: Field) -> Algebra:
-    if name in ADHOC:
-        return adhoc(name, field, binding)
-    return instantiate(name, binding, field)
 
 
 F5 = Field(5)

@@ -14,7 +14,7 @@ from contextlib import ExitStack
 
 from . import catalog, reports
 from .algebra import invariant_vector, reduce_mod
-from .cohomology import h2, parse_cocycle
+from .cohomology import h2, parse_cocycle, sym_pairs
 from .errors import DocumentError, NiljError
 from .extension import ExtensionSpec, central_extend, diagnose
 from .fields import QQ, Field
@@ -79,9 +79,7 @@ def _parse_ref(ref: str, field: Field = QQ):
             raise NiljError(f"bad algebra reference {ref!r}")
         name, inner = ref[:-1].split("[", 1)
         binding = _parse_binding(inner)
-    if name in catalog.ADHOC:
-        return catalog.adhoc(name, field, binding)
-    return catalog.instantiate(name, binding, field)
+    return catalog.resolve(name, binding, field)
 
 
 def _print_algebra(A, name=""):
@@ -123,12 +121,10 @@ def _cmd_cohomology(args) -> int:
 def _cocycle_str(c) -> str:
     A = c.algebra
     terms = []
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            v = c.mat.at(i, j)
-            if v:
-                coef = "" if v == A.field.one else f"{A.field.fmt(v)}*"
-                terms.append(f"{coef}d({A.names[i]},{A.names[j]})")
+    for (i, j), v in zip(sym_pairs(A.dim), c.upper()):
+        if v:
+            coef = "" if v == A.field.one else f"{A.field.fmt(v)}*"
+            terms.append(f"{coef}d({A.names[i]},{A.names[j]})")
     return "+".join(terms) if terms else "0"
 
 

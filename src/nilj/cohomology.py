@@ -1,8 +1,9 @@
 """Jordan cocycles, coboundaries and second cohomology.
 
-A scalar cocycle is a symmetric n x n matrix; vector-valued cocycles are plain
-lists of scalar ones.  Cocycle coordinates flatten the upper triangle in the
-fixed order (0,0), (0,1), ..., (0,n-1), (1,1), ..., (n-1,n-1).
+A scalar cocycle is a symmetric bilinear form, stored as its upper-triangle
+coordinates in the fixed order (0,0), (0,1), ..., (0,n-1), (1,1), ...,
+(n-1,n-1); its symmetric n x n matrix is built only when read.  Vector-valued
+cocycles are plain lists of scalar ones.
 """
 
 from __future__ import annotations
@@ -38,63 +39,46 @@ def sym_dim(n: int) -> int:
 
 @dataclass(frozen=True)
 class Cocycle:
-    """Symmetric bilinear map on an algebra, as a symmetric scalar matrix."""
+    """Symmetric bilinear map on an algebra, by its upper-triangle coordinates."""
 
     algebra: Algebra
-    mat: Matrix
-
-    def __post_init__(self):
-        A, m = self.algebra, self.mat
-        if m.rows != A.dim or m.cols != A.dim:
-            raise DimensionMismatchError("cocycle matrix shape mismatch")
-        if m.field != A.field:
-            raise FieldMismatchError("cocycle field mismatch")
-        for i in range(A.dim):
-            for j in range(i + 1, A.dim):
-                if m.at(i, j) != m.at(j, i):
-                    raise NiljError("cocycle matrix must be symmetric")
+    coords: tuple
 
     @staticmethod
     def from_upper(A: Algebra, coords) -> "Cocycle":
-        n = A.dim
         coords = list(coords)
-        if len(coords) != sym_dim(n):
+        if len(coords) != sym_dim(A.dim):
             raise DimensionMismatchError("upper-triangle coordinate length mismatch")
-        data = [A.field.zero] * (n * n)  # row-major
-        for (i, j), c in zip(sym_pairs(n), coords):
-            data[i * n + j] = data[j * n + i] = A.field.of(c)
-        return Cocycle(A, Matrix(n, n, tuple(data), A.field))
+        return Cocycle(A, tuple(A.field.of(c) for c in coords))
 
     @staticmethod
     def zero(A: Algebra) -> "Cocycle":
         return Cocycle.from_upper(A, [A.field.zero] * sym_dim(A.dim))
 
     def upper(self) -> tuple:
-        return tuple(self.mat.at(i, j) for (i, j) in sym_pairs(self.algebra.dim))
+        return self.coords
 
-    def value(self, x, y):
-        """theta(x, y) for coordinate vectors x, y."""
-        F = self.algebra.field
-        acc = F.zero
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if b:
-                    acc = F.add(acc, F.mul(F.mul(a, b), self.mat.at(i, j)))
-        return acc
+    @cached_property
+    def mat(self) -> Matrix:
+        """The symmetric n x n matrix of the form."""
+        A = self.algebra
+        n = A.dim
+        data = [A.field.zero] * (n * n)  # row-major
+        for (i, j), c in zip(sym_pairs(n), self.coords):
+            data[i * n + j] = data[j * n + i] = c
+        return Matrix(n, n, tuple(data), A.field)
 
     def is_zero(self) -> bool:
-        return self.mat.is_zero()
+        return not any(self.coords)
 
 
 @dataclass(frozen=True)
 class CocycleSpaces:
     """All cocycle data of one algebra, in upper-triangle coordinates.
 
-    ``h2`` computes z2 and b2 at once; ``h2_reps`` and ``h2_assoc_reps`` are
-    computed on first read and then kept.  Equality and hashing compare
-    (algebra, z2, b2) alone, which determine the representatives.
+    ``h2`` computes z2 and b2 at once; ``h2_reps``, ``h2_assoc_reps`` and
+    ``extractor`` are computed on first read and then kept.  Equality and
+    hashing compare (algebra, z2, b2) alone, which determine the rest.
     """
 
     algebra: Algebra
@@ -130,18 +114,25 @@ class CocycleSpaces:
     def h2_assoc_dim(self) -> int:
         return len(self.h2_assoc_reps)
 
+    @cached_property
+    def extractor(self) -> Matrix:
+        """The h x sym_dim(n) matrix that reads class coordinates off a cocycle.
+
+        It is the first h rows of the inverse of [h2_reps | b2 | complement],
+        h = len(h2_reps), with the complement extending z2 + b2 (that is z2,
+        as b2 lies in z2 when A is Jordan) to the whole space.  On z2 + b2 it
+        returns the coordinates on h2_reps and drops the b2 part.
+        """
+        F, width, h = self.algebra.field, self.z2.ambient, len(self.h2_reps)
+        cols = [c.upper() for c in self.h2_reps] + self.b2.vectors()
+        cols += self.z2.add(self.b2).extend(Matrix.identity(F, width).row_list())
+        inverse = Matrix.from_rows(F, cols).transpose().inverse()
+        return Matrix(h, width, inverse.data[:h * width], F)
+
     def class_coords(self, theta: Cocycle):
         """Coordinates of theta's class on the h2_reps basis (None if not in z2)."""
-        F = self.algebra.field
         vec = theta.upper()
-        cols = [c.upper() for c in self.h2_reps] + list(self.b2.vectors())
-        if not cols:
-            return () if self.z2.contains(vec) else None
-        m = Matrix.from_rows(F, [[col[r] for col in cols] for r in range(len(vec))])
-        sol = m.solve(vec)
-        if sol is None:
-            return None
-        return tuple(sol[: len(self.h2_reps)])
+        return self.extractor.apply(vec) if self.z2.contains(vec) else None
 
     def cocycle_from_class(self, coords) -> Cocycle:
         return _combination(self.algebra, coords, [rep.upper() for rep in self.h2_reps])

@@ -917,8 +917,7 @@ def _admissible_subspaces(spaces, ann, r: int) -> list:
     _check_int64(p, max(n, h))
     N = np.array(ann.vectors(), dtype=np.int64).reshape(-1, n)
     a = len(N)
-    reps = np.array([c.mat.row_list() for c in spaces.h2_reps], dtype=np.int64)
-    NR = (N @ reps % p).reshape(h, a * n)  # NR[t] is N R_t, flattened
+    NR = (N @ _forms(spaces) % p).reshape(h, a * n)  # NR[t] is N R_t, flattened
     admissible = []
     for block in _subspace_blocks(p, h, r):
         k = len(block)
@@ -926,6 +925,16 @@ def _admissible_subspaces(spaces, ann, r: int) -> list:
         M = (block @ NR % p).reshape(k, r, a, n).transpose(0, 1, 3, 2).reshape(k, r * n, a)
         admissible += _tuples(block[_rref_mod_p(M, p)[1] == a])
     return admissible
+
+
+def _forms(spaces):
+    """The H2 representatives as an (h, n, n) int64 array of symmetric forms."""
+    n = spaces.algebra.dim
+    i, j = np.triu_indices(n)
+    coords = np.array([c.upper() for c in spaces.h2_reps], dtype=np.int64).reshape(-1, len(i))
+    forms = np.zeros((len(coords), n, n), dtype=np.int64)
+    forms[:, i, j] = forms[:, j, i] = coords
+    return forms
 
 
 def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
@@ -990,23 +999,15 @@ def _induced_actions(spaces, *groups):
     Row t, column h of an action X_phi holds class coordinate t of
     phi^T R_h phi, where R_h is the h-th H2 representative; phi moves the
     class with coordinates c to X_phi c, and (phi psi)^T R (phi psi) =
-    psi^T (phi^T R phi) psi makes X_{phi psi} = X_psi X_phi.  The
-    class-coordinate extractor is built once for all groups.
+    psi^T (phi^T R phi) psi makes X_{phi psi} = X_psi X_phi.  Each class
+    coordinate is read by ``CocycleSpaces.extractor``, built once per algebra.
     """
-    A = spaces.algebra
-    field, n = A.field, A.dim
-    p = field.p
-    hdim = len(spaces.h2_reps)
-    # fixed extractor: invert [h2 reps | b2 basis | complement] once, so each
-    # class-coordinate read is a plain matrix apply
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    _check_int64(p, len(pairs))
-    cols = [list(c.upper()) for c in spaces.h2_reps] + [list(v) for v in spaces.b2.vectors()]
-    cols += spaces.z2.extend(Matrix.identity(field, len(pairs)).row_list())  # reps and b2 span z2
-    T = Matrix.from_rows(field, [[cols[c][r] for c in range(len(cols))] for r in range(len(pairs))])
-    extractor = np.array(T.inverse().row_list()[:hdim], dtype=np.int64)
-    reps = np.array([c.mat.row_list() for c in spaces.h2_reps], dtype=np.int64)
-    upper = np.triu_indices(n)  # row-major, the order of ``pairs``
+    E, p = spaces.extractor, spaces.algebra.field.p
+    hdim = E.rows
+    _check_int64(p, E.cols)
+    extractor = np.array(E.data, dtype=np.int64).reshape(hdim, E.cols)
+    reps = _forms(spaces)
+    upper = np.triu_indices(spaces.algebra.dim)  # row-major, the order of the extractor's columns
     actions = []
     for autos in groups:
         found = []

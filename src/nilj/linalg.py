@@ -91,9 +91,6 @@ class Matrix:
         F = self.field
         return Matrix(self.rows, self.cols, tuple(F.mul(c, x) for x in self.data), F)
 
-    def is_zero(self) -> bool:
-        return all(not x for x in self.data)
-
     def rref(self) -> tuple["Matrix", int, tuple]:
         """Reduced row echelon form; returns (rref, rank, pivot columns)."""
         ech = Echelon(self.field, self.cols)

@@ -98,8 +98,7 @@ def test_lineage_cocycles_belong_to_z2_except_known_defects():
 
 def test_adhoc_presentations_are_jordan():
     for name in catalog.ADHOC:
-        binding = {"alpha": "1"} if name == "V10_1_J33" else None
-        A = catalog.adhoc(name, QQ, binding)
+        A = catalog.adhoc(name, QQ)
         assert jordan_identity_holds(A), name
 
 

@@ -8,6 +8,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilj import catalog, isomorphism
 from nilj.algebra import (
@@ -17,7 +18,7 @@ from nilj.algebra import (
     reduce_mod,
     structure_tensor,
 )
-from nilj.cohomology import Cocycle, h2, parse_cocycle, radical as joint_radical
+from nilj.cohomology import Cocycle, h2, parse_cocycle, radical as joint_radical, sym_pairs
 from nilj.errors import NiljError
 from nilj.fields import Field
 from nilj.isomorphism import (
@@ -48,6 +49,45 @@ def _canonical_subspaces(field, h, r):
         yield from _tuples(block)
 
 
+def reference_class_coords(spaces, theta):
+    """theta's coordinates on h2_reps by solving against [h2_reps | b2], None when
+    theta is outside their span: the solve that ``CocycleSpaces.extractor`` replaced."""
+    F = spaces.algebra.field
+    vec = theta.upper()
+    cols = [c.upper() for c in spaces.h2_reps] + list(spaces.b2.vectors())
+    if not cols:
+        return () if spaces.z2.contains(vec) else None
+    m = Matrix.from_rows(F, [[col[r] for col in cols] for r in range(len(vec))])
+    sol = m.solve(vec)
+    return None if sol is None else tuple(sol[:len(spaces.h2_reps)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_cocycle_is_its_coordinates_and_the_extractor_reads_its_class(any_field, nilpotent_algebras, data):
+    """A cocycle round-trips through its coordinates, its matrix is their symmetric
+    fill, and ``class_coords`` agrees with the solve wherever that reads Z2 (b2
+    need not lie in Z2 when A is not Jordan), None exactly off Z2."""
+    A = data.draw(nilpotent_algebras(any_field))
+    F, spaces = A.field, h2(A)
+    pairs = sym_pairs(A.dim)
+    small = st.integers(-3, 3).map(F.of)
+    vec = [F.zero] * len(pairs)
+    for v in spaces.z2.vectors():
+        c = data.draw(small)
+        vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, v)]
+    if data.draw(st.booleans()):
+        vec = [F.add(x, data.draw(small)) for x in vec]
+    theta = Cocycle.from_upper(A, vec)
+    assert Cocycle.from_upper(A, theta.upper()) == theta
+    assert theta.mat == theta.mat.transpose()
+    assert all(theta.mat.at(i, j) == c for (i, j), c in zip(pairs, theta.upper()))
+    got, in_z2 = spaces.class_coords(theta), spaces.z2.contains(theta.upper())
+    assert (got is None) == (not in_z2)
+    if in_z2 or spaces.z2.contains_subspace(spaces.b2):
+        assert got == reference_class_coords(spaces, theta)
+
+
 def reference_census(A, field, r):
     """The census the slow way: every automorphism as a Matrix, the congruence
     phi^T R phi with Matrix products, class coordinates by solving against the
@@ -68,10 +108,11 @@ def reference_census(A, field, r):
     for phi in autos:
         cols = []
         for rep in spaces.h2_reps:
-            acted = Cocycle(Ap, phi.transpose().mul(rep.mat).mul(phi))
+            M = phi.transpose().mul(rep.mat).mul(phi)
+            acted = Cocycle.from_upper(Ap, [M.at(i, j) for i, j in sym_pairs(Ap.dim)])
             key = acted.upper()
             if key not in coords:
-                coords[key] = spaces.class_coords(acted)
+                coords[key] = reference_class_coords(spaces, acted)
             cols.append(coords[key])
         actions.add(tuple(tuple(col[t] for col in cols) for t in range(hdim)))
     unseen = set(admissible)
