@@ -2,7 +2,9 @@
 
 Algebra references are catalog names with optional parameter bindings, e.g.
 ``J5,30[alpha=1,beta=2]``, or ``@path/to/file.json`` for algebra documents.
-Exit code 0 means every verification run by the invoked command passed.
+Exit code 0 means every verification run by the invoked command passed, 1
+that one failed or a self-check of the engine did, and 2 that the input or a
+budget was refused.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from contextlib import ExitStack
 from . import catalog, reports
 from .algebra import invariant_vector, reduce_mod
 from .cohomology import h2, parse_cocycle, sym_pairs
-from .errors import DocumentError, NiljError
+from .errors import DocumentError, InternalCheckError, NiljError
 from .extension import ExtensionSpec, central_extend, diagnose
 from .fields import QQ, Field
 from .isomorphism import (
@@ -47,10 +49,12 @@ def _parse_binding(text: str) -> dict:
     """``name=value,...`` as a dict of stripped strings."""
     binding = {}
     for item in text.split(","):
-        k, sep, v = item.partition("=")
-        if not sep or not k.strip():
+        k, sep, v = (part.strip() for part in item.partition("="))
+        if not sep or not k:
             raise NiljError(f"bad parameter binding {item!r} (use name=value)")
-        binding[k.strip()] = v.strip()
+        if k in binding:
+            raise NiljError(f"parameter {k!r} is bound twice")
+        binding[k] = v
     return binding
 
 
@@ -286,7 +290,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except NiljError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InternalCheckError) else 2
 
 
 if __name__ == "__main__":

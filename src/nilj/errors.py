@@ -5,6 +5,10 @@ class NiljError(Exception):
     """Base class for all library errors."""
 
 
+class InternalCheckError(NiljError):
+    """A computed result failed its own re-verification: a fault of the engine, not of the input."""
+
+
 class FieldMismatchError(NiljError):
     """Operands live over different scalar fields."""
 

@@ -81,18 +81,19 @@ and re-verifies them (multiplicativity on all basis pairs, det != 0 mod p);
 ``orbit_census`` verifies and acts with the |T| + |K| maps of
 ``_automorphism_cosets``, not the |T| |K| of Aut, and forms each orbit as the
 images under T's actions, then under K's: the admissibility rank test, the
-induced actions on H2 class coordinates and the orbit images are batched
-numpy contractions over int64 residues, reduced mod p after each (no floating
-point), and ``_check_int64`` refuses moduli whose sums could overflow.  The
-orbit stage makes no echelon forms: images are named by ``_plucker_keys``.
+induced actions on H2 class coordinates and the orbit images are batched int64
+contractions, reduced mod p after each (no floating point; ``_check_int64``
+refuses moduli whose sums could overflow).  No echelon form names an image:
+its ``_plucker_keys`` row gives its position among the sorted admissible
+bases, and each position gets an orbit label.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, groupby
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, groupby
 
 import numpy as np
 
@@ -110,6 +111,7 @@ from .cohomology import Cocycle, h2
 from .errors import (
     CaseNotCoveredError,
     FieldMismatchError,
+    InternalCheckError,
     NiljError,
     SearchBudgetExceededError,
 )
@@ -707,7 +709,7 @@ def search_isomorphism(A: Algebra, B: Algebra, field: Field) -> Morphism | None:
     mat = _model(Bp).to_old.mul(Matrix.from_rows(field, engine.tolist())).mul(_model(Ap).to_new)
     m = Morphism(Ap, Bp, mat)
     if not verify_isomorphism(m):
-        raise NiljError("search produced an unverified candidate")
+        raise InternalCheckError("search produced an unverified candidate")
     return m
 
 
@@ -786,9 +788,9 @@ def _verify_automorphism_block(C, phis, p: int):
     of the whole (n, n) map, so the check uses nothing the search derived.
     """
     if _product_defects(C, C, phis, p).any():
-        raise NiljError("enumerated automorphism is not multiplicative")
+        raise InternalCheckError("enumerated automorphism is not multiplicative")
     if not _minors(phis, p).all():
-        raise NiljError("enumerated automorphism is singular")
+        raise InternalCheckError("enumerated automorphism is singular")
 
 
 def _unique_rows(rows):
@@ -831,7 +833,7 @@ def _automorphism_cosets(A: Algebra, field: Field):
             for stream in (firsts, kernel))
     K = _unique_rows(K.reshape(-1, n * n)).reshape(-1, n, n)
     if not (K == np.eye(n, dtype=K.dtype)).all(axis=(1, 2)).any():
-        raise NiljError("the automorphisms trivial mod J^2 miss the identity")
+        raise InternalCheckError("the automorphisms trivial mod J^2 miss the identity")
     return T, K
 
 
@@ -868,8 +870,16 @@ class OrbitReport:
     orbit_representatives: tuple  # canonical RREF bases (tuples of coordinate tuples)
     orbit_sizes: tuple
     aut_group_order: int
-    orbit_members: tuple  # frozensets of canonical bases, aligned with representatives
     aut_kernel_order: int  # |K|, the automorphisms that are the identity mod J^2
+    bases: np.ndarray = dataclass_field(compare=False, repr=False)  # (N, r, h), in lexicographic order
+    labels: np.ndarray = dataclass_field(compare=False, repr=False)  # the orbit index of each of bases
+
+    @cached_property
+    def orbit_members(self) -> tuple:
+        """Frozensets of canonical bases, aligned with the representatives, built on first read."""
+        grouped = self.bases[np.argsort(self.labels, kind="stable")].tolist()
+        return tuple(frozenset(tuple(map(tuple, rows)) for rows in grouped[end - size:end])
+                     for size, end in zip(self.orbit_sizes, accumulate(self.orbit_sizes)))
 
     def orbit_of(self, canonical) -> int:
         for idx, members in enumerate(self.orbit_members):
@@ -896,13 +906,8 @@ def _subspace_blocks(p: int, h: int, r: int):
             yield block
 
 
-def _tuples(block) -> list:
-    """The (K, r, h) residue block as a list of bases, each a tuple of row tuples."""
-    return [tuple(map(tuple, rows)) for rows in block.tolist()]
-
-
-def _admissible_subspaces(spaces, ann, r: int) -> list:
-    """Canonical bases of the admissible r-subspaces of H2, in enumeration order.
+def _admissible_subspaces(spaces, ann, r: int):
+    """The admissible r-subspaces of H2 as one (N, r, h) int64 array of canonical bases, in enumeration order.
 
     The candidate with class-coordinate rows c^1..c^r has the cocycles
     theta_i = sum_h c^i_h R_h, and it is admissible when
@@ -912,19 +917,19 @@ def _admissible_subspaces(spaces, ann, r: int) -> list:
     """
     A = spaces.algebra
     p, n, h = A.field.p, A.dim, len(spaces.h2_reps)
+    admissible = [np.zeros((0, r, h), dtype=np.int64)]
     if h < r:
-        return []
+        return admissible[0]
     _check_int64(p, max(n, h))
     N = np.array(ann.vectors(), dtype=np.int64).reshape(-1, n)
     a = len(N)
     NR = (N @ _forms(spaces) % p).reshape(h, a * n)  # NR[t] is N R_t, flattened
-    admissible = []
     for block in _subspace_blocks(p, h, r):
         k = len(block)
         # the transpose [N theta_i]^T, stacked over i: a columns to eliminate
         M = (block @ NR % p).reshape(k, r, a, n).transpose(0, 1, 3, 2).reshape(k, r * n, a)
-        admissible += _tuples(block[_rref_mod_p(M, p)[1] == a])
-    return admissible
+        admissible.append(block[_rref_mod_p(M, p)[1] == a])
+    return np.concatenate(admissible)
 
 
 def _forms(spaces):
@@ -955,39 +960,36 @@ def orbit_census(A: Algebra, field: Field, r: int) -> OrbitReport:
     Automorphisms keep B2 and t k acts on class coordinates as X_k X_t
     (``_induced_actions``), so the orbit of V is every X_k (X_t V): the images
     under T's actions, then the images of those under K's.  The induced group
-    {X_k X_t} is never formed.  The admissible bases are keyed once by
-    ``_plucker_keys``; an image with another key (the zero key of a singular
+    {X_k X_t} is never formed.  The admissible bases are sorted once and keyed
+    by ``_plucker_keys``; an image with another key (the zero key of a singular
     image included) comes from a map that is no automorphism, and is refused.
+    Walking the positions in order, an unlabelled one starts the next orbit and
+    labels its images; in lexicographic order it is the orbit's least basis.
     """
     if r < 1:
         raise NiljError(f"census needs r >= 1, got {r}")
     Ap, _ = _prepare_pair(A, A, field)
     spaces = h2(Ap)
     T, K = _automorphism_cosets(Ap, field)
-    admissible = _admissible_subspaces(spaces, annihilator(Ap), r)
-    p, unseen, orbits = field.p, set(admissible), []
-    if admissible:
+    bases = _admissible_subspaces(spaces, annihilator(Ap), r)
+    labels, firsts, p = np.full(len(bases), -1), [], field.p
+    if len(bases):
         XT, XK = _induced_actions(spaces, T, K)
-        keyed = dict(zip(map(tuple, _plucker_keys(np.array(admissible, dtype=np.int64), p).tolist()), admissible))
-    for rows in admissible:
-        if rows not in unseen:
+        bases = _unique_rows(bases.reshape(len(bases), -1)).reshape(bases.shape)  # distinct, so only sorted
+        position = dict(zip(map(tuple, _plucker_keys(bases, p).tolist()), range(len(bases))))
+    for first in range(len(bases)):
+        if labels[first] >= 0:
             continue
-        orbit = set(_orbit_images(XK, _orbit_images(XT, [rows], keyed, p), keyed, p))
-        if rows not in orbit:
-            raise NiljError("orbit image lost its own representative")
-        unseen -= orbit
-        orbits.append((min(orbit), len(orbit), frozenset(orbit)))
-    orbits.sort(key=lambda o: o[0])
+        orbit = _orbit_images(XK, bases[_orbit_images(XT, bases[first:first + 1], position, p)], position, p)
+        if first not in orbit:
+            raise InternalCheckError("orbit image lost its own representative")
+        labels[orbit] = len(firsts)
+        firsts.append(first)
     return OrbitReport(
-        field=field,
-        grassmann_r=r,
-        total_admissible=len(admissible),
-        orbit_count=len(orbits),
-        orbit_representatives=tuple(o[0] for o in orbits),
-        orbit_sizes=tuple(o[1] for o in orbits),
-        aut_group_order=len(T) * len(K),
-        orbit_members=tuple(o[2] for o in orbits),
-        aut_kernel_order=len(K),
+        field=field, grassmann_r=r, total_admissible=len(bases), orbit_count=len(firsts),
+        orbit_representatives=tuple(tuple(map(tuple, rows)) for rows in bases[firsts].tolist()),
+        orbit_sizes=tuple(np.bincount(labels).tolist()), aut_group_order=len(T) * len(K), aut_kernel_order=len(K),
+        bases=bases, labels=labels,
     )
 
 
@@ -1067,17 +1069,16 @@ def _plucker_keys(mats, p: int):
     return np.add.reduceat(minors * p ** (place % d), place[::d], axis=1)
 
 
-def _orbit_images(actions, bases, keyed: dict, p: int) -> list:
-    """The distinct X V for every action X and every canonical basis V in ``bases``,
-    as the bases that ``keyed`` maps their ``_plucker_keys`` to, at most
-    AUT_BLOCK (base, action) pairs per batch; an image with no key there is refused."""
-    R = np.array(list(bases), dtype=np.int64)
-    keys = np.concatenate([_plucker_keys(R[i] @ actions[k].transpose(0, 2, 1) % p, p)
-                           for i, k in _blocks(len(R), len(actions))])
+def _orbit_images(actions, bases, position: dict, p: int):
+    """The positions of the distinct X V for every action X and every basis V of the
+    (k, r, h) array ``bases``: ``position`` maps their ``_plucker_keys`` rows to them.
+    At most AUT_BLOCK (base, action) pairs per batch; an image with no key there is refused."""
+    keys = np.concatenate([_plucker_keys(bases[i] @ actions[k].transpose(0, 2, 1) % p, p)
+                           for i, k in _blocks(len(bases), len(actions))])
     try:
-        return [keyed[key] for key in map(tuple, _unique_rows(keys).tolist())]
+        return np.array([position[key] for key in map(tuple, _unique_rows(keys).tolist())], dtype=np.int64)
     except KeyError:
-        raise NiljError("orbit left the admissible census") from None
+        raise InternalCheckError("orbit left the admissible census") from None
 
 
 def class_line(spaces, theta: Cocycle, field: Field):
@@ -1181,7 +1182,7 @@ def lemma_a_matrix(alpha, field: Field) -> Matrix:
 
 def _verify_lemma_postconditions(F: Field, alpha, A: Matrix):
     if F.is_zero(A.det()):
-        raise NiljError("lemma matrix is singular")
+        raise InternalCheckError("lemma matrix is singular")
     P = Matrix.from_rows(
         F,
         [
@@ -1193,13 +1194,13 @@ def _verify_lemma_postconditions(F: Field, alpha, A: Matrix):
     prod = P.mul(A)
     c = prod.at(0, 2)
     if F.is_zero(c):
-        raise NiljError("lemma product constant vanishes")
+        raise InternalCheckError("lemma product constant vanishes")
     shape = [[0, 0, c], [c, 0, 0], [0, c, 0]]
     for i in range(3):
         for j in range(3):
             if prod.at(i, j) != F.of(shape[i][j]):
-                raise NiljError("lemma product has the wrong shape")
+                raise InternalCheckError("lemma product has the wrong shape")
     image = tuple(_dot(F, alpha, A.col(j)) for j in range(3))
     if image not in ((F.one, F.zero, F.zero), (F.zero, F.zero, F.one)):
-        raise NiljError("alpha does not normalize to a unit covector")
+        raise InternalCheckError("alpha does not normalize to a unit covector")
 

@@ -21,7 +21,7 @@ from .algebra import (
     jordan_identity_holds,
 )
 from .cohomology import h2, parse_cocycle
-from .errors import InvalidCocycleError, NiljError
+from .errors import InadmissibleParameterError, InvalidCocycleError, NiljError
 from .extension import ExtensionSpec, central_extend, diagnose
 from .fields import QQ, Field
 from .isomorphism import (
@@ -177,8 +177,10 @@ def verify_catalog(extra_params=None) -> ReportSection:
     """Check every entry's stated properties at the sampled parameters.
 
     ``extra_params`` optionally adds one more binding (a name -> value dict)
-    for every parametric family it fits.
+    for every parametric family it fits, and is refused when it fits none.
     """
+    if extra_params and all(set(catalog.get(name).params) != set(extra_params) for name in catalog.names()):
+        raise InadmissibleParameterError(f"no catalog family takes exactly the parameters {sorted(extra_params)}")
     rows = []
     for name in catalog.names():
         entry = catalog.get(name)

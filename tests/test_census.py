@@ -19,7 +19,7 @@ from nilj.algebra import (
     structure_tensor,
 )
 from nilj.cohomology import Cocycle, h2, parse_cocycle, radical as joint_radical, sym_pairs
-from nilj.errors import NiljError
+from nilj.errors import InternalCheckError, NiljError
 from nilj.fields import Field
 from nilj.isomorphism import (
     _admissible_subspaces,
@@ -30,7 +30,6 @@ from nilj.isomorphism import (
     _plucker_keys,
     _rref_mod_p,
     _subspace_blocks,
-    _tuples,
     _unique_rows,
     _verify_automorphism_block,
     class_line,
@@ -46,7 +45,7 @@ def _canonical_subspaces(field, h, r):
     """Canonical RREF bases of all r-dimensional subspaces of F_p^h, as tuples,
     in the order of the census's streamed ``_subspace_blocks``."""
     for block in _subspace_blocks(field.p, h, r):
-        yield from _tuples(block)
+        yield from (tuple(map(tuple, rows)) for rows in block.tolist())
 
 
 def reference_class_coords(spaces, theta):
@@ -314,6 +313,32 @@ def test_orbit_census_refuses_an_image_outside_the_admissible_census(monkeypatch
         orbit_census(A, F5, 1)
 
 
+def test_orbit_census_refuses_an_orbit_without_its_representative(monkeypatch):
+    """With the identity dropped from both induced action arrays, the first
+    J3,2 line is not among its own images: a self-check failure, not bad input."""
+    A = reduce_mod(catalog.instantiate("J3,2"), 5)
+    induced = isomorphism._induced_actions
+
+    def without_identity(spaces, *groups):
+        return tuple(X[~(X == np.eye(X.shape[1], dtype=X.dtype)).all(axis=(1, 2))]
+                     for X in induced(spaces, *groups))
+
+    monkeypatch.setattr(isomorphism, "_induced_actions", without_identity)
+    with pytest.raises(InternalCheckError, match="orbit image lost its own representative"):
+        orbit_census(A, F5, 1)
+
+
+def test_orbit_members_are_built_on_first_read():
+    """The members are no stored field: the first read builds the reference's
+    frozensets from the sorted bases and their labels, and later reads keep them."""
+    A = catalog.instantiate("J3,3")
+    rep = orbit_census(A, F5, 2)
+    assert "orbit_members" not in vars(rep)
+    members = rep.orbit_members
+    assert members == reference_census(A, F5, 2)[2]
+    assert rep.orbit_members is members
+
+
 def test_int64_guard_refuses_large_moduli():
     _check_int64(5, 15)
     with pytest.raises(NiljError):
@@ -405,7 +430,7 @@ def test_batched_admissibility_matches_the_per_candidate_filter(p, r):
         h = len(spaces.h2_reps)
         if h < r:
             continue
-        got = _admissible_subspaces(spaces, ann, r)
+        got = [tuple(map(tuple, rows)) for rows in _admissible_subspaces(spaces, ann, r).tolist()]
         candidates = list(_canonical_subspaces(field, h, r))
         if len(candidates) <= REFERENCE_CANDIDATES:
             assert got == reference_admissible(spaces, ann, candidates), name
@@ -443,6 +468,7 @@ def test_block_boundaries_move_nothing(monkeypatch):
         got_autos, got_census = results()
         assert all(np.array_equal(a, b) for a, b in zip(autos, got_autos))
         assert got_census == census
+        assert [c.orbit_members for c in got_census] == [c.orbit_members for c in census]
 
 
 def _coset_products(spaces, T, K, p):

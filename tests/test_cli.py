@@ -8,6 +8,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,6 +241,10 @@ BAD_DOCUMENTS = {
         # the auxiliary presentations take no parameters, whether a key names a basis vector or not
         ["invariants", "R_J1[a=2]"],
         ["invariants", "R_J1[zzz=2]"],
+        # a repeated key would silently drop one of its values
+        ["invariants", "J5,30[alpha=1,alpha=2,beta=1]"],
+        # a binding that no family takes would be ignored
+        ["verify-catalog", "--params", "zzz=1"],
     ],
 )
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
@@ -251,6 +256,47 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
     for name, doc in BAD_DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     _assert_usage_error([arg.format(tmp=tmp_path) for arg in argv], capsys)
+
+
+def _unverified_search(monkeypatch):
+    monkeypatch.setattr(isomorphism, "verify_isomorphism", lambda m: False)
+    return ["iso", "J2,1", "J2,1", "--search", "--field", "p:5"]
+
+
+def _corrupted_lifts(monkeypatch):
+    lift = isomorphism._lift_candidates
+
+    def corrupted(MA, MB, leaves, all_lifts):
+        for maps in lift(MA, MB, leaves, all_lifts):
+            maps = maps.copy()
+            maps[:, 0, 0] = (maps[:, 0, 0] + 1) % 5  # e_0 moves, its products do not
+            yield maps
+
+    monkeypatch.setattr(isomorphism, "_lift_candidates", corrupted)
+    return ["orbits", "J4,4", "--field", "p:5"]
+
+
+def _zero_kernel_action(monkeypatch):
+    induced = isomorphism._induced_actions
+
+    def broken(spaces, *groups):
+        XT, XK = induced(spaces, *groups)
+        return XT, np.concatenate([XK[:-1], 0 * XK[-1:]])
+
+    monkeypatch.setattr(isomorphism, "_induced_actions", broken)
+    return ["orbits", "J4,4", "--field", "p:5"]
+
+
+@pytest.mark.parametrize("inject, message", [
+    (_unverified_search, "search produced an unverified candidate"),
+    (_corrupted_lifts, "enumerated automorphism"),
+    (_zero_kernel_action, "orbit left the admissible census"),
+], ids=["search", "cosets", "census"])
+def test_a_failed_self_check_exits_1(monkeypatch, capsys, inject, message):
+    """A self-check of the engine that fails is a failed verification (exit 1), not bad input."""
+    assert main(inject(monkeypatch)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_python_m_nilj_exit_codes():

@@ -283,7 +283,7 @@ def test_has_nontrivial_1dim_extension():
 def census_extension_verdict(A):
     """The census's own test: Ann = 0, or some line of H2 is admissible."""
     ann = annihilator(A)
-    return ann.is_zero() or bool(_admissible_subspaces(h2(A), ann, 1))
+    return ann.is_zero() or len(_admissible_subspaces(h2(A), ann, 1)) > 0
 
 
 # J4,1 is left out: dim H2 = 10, and the reference would enumerate 5^10 lines
