@@ -11,6 +11,7 @@ import math
 import string
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -248,6 +249,16 @@ def _compose(T, p):
     return _mod(T.reshape(n * n, n) @ T.reshape(n, n * n), p).reshape(n, n, n, n)
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(n: int, r: int = 2, last: bool = False) -> tuple:
+    """The index arrays of ``combinations_with_replacement(range(n), r)`` (``np.triu_indices(n)``'s for r = 2);
+    with ``last``, each tuple once per trailing index t = 0..n-1, t fastest.  Cached, so read-only."""
+    tails = [(t,) for t in range(n)] if last else [()]
+    rows = np.array([c + t for c in combinations_with_replacement(range(n), r) for t in tails], dtype=np.int64).T
+    rows.flags.writeable = False
+    return tuple(rows)
+
+
 def is_associative(A: Algebra) -> bool:
     T, p = structure_tensor(A)
     E = _compose(T, p)
@@ -353,8 +364,7 @@ def _derivation_rows(A: Algebra):
     ``derivation_algebra``."""
     T, _ = structure_tensor(A)
     n = A.dim
-    i, j = (np.repeat(t, n) for t in np.triu_indices(n))
-    k = np.tile(np.arange(n), len(i) // n)
+    i, j, k = _upper_indices(n, 2, True)
     q = np.arange(len(k))
     # row (i <= j, k): coefficient k of D(e_i o e_j) - D(e_i) o e_j - e_i o D(e_j)
     rows = np.zeros((len(k), n, n), dtype=T.dtype)

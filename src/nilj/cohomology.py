@@ -18,6 +18,7 @@ from .algebra import (
     Algebra,
     _compose,
     _mod,
+    _upper_indices,
     annihilator,
     structure_tensor,
 )
@@ -154,48 +155,47 @@ def cocycle_space(A: Algebra) -> Subspace:
     T, p = structure_tensor(A)
     n = A.dim
     E = _compose(T, p)  # E[y, z, d] = e_d (e_y e_z)
-    a, b, c, d = np.array([q + (t,) for q in combinations_with_replacement(range(n), 3)
-                           for t in range(n)]).T
+    a, b, c, d = _upper_indices(n, 3, True)
     r = np.arange(len(a))
     theta = np.zeros((len(a), n, n), dtype=T.dtype)  # row r, coefficient of theta(e_i, e_j)
     for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
         theta[r, x] += E[y, z, d]
     for (x, y), (z, w) in (((a, b), (c, d)), ((b, c), (a, d)), ((a, c), (b, d))):
         theta -= _mod(T[x, y][:, :, None] * T[z, w][:, None, :], p)
-    return _symmetric_solutions(A, theta, p)
+    return _symmetric_solutions(A, theta)
 
 
 def coboundary_space(A: Algebra) -> Subspace:
     """Span of df for the n coordinate functionals f, (df)(x,y) = f(x o y)."""
     T, _ = structure_tensor(A)
-    i, j = np.triu_indices(A.dim)
+    i, j = _upper_indices(A.dim)
     return Subspace.span(A.field, len(i), T[i, j].T)
 
 
 def associativity_constraint_space(A: Algebra) -> Subspace:
     """Symmetric maps with theta(x o y, z) = theta(x, y o z) on all basis triples."""
-    T, p = structure_tensor(A)
+    T, _ = structure_tensor(A)
     n = A.dim
     i, j, k = np.indices((n, n, n)).reshape(3, -1)
     r = np.arange(len(i))
     theta = np.zeros((len(i), n, n), dtype=T.dtype)
     theta[r, :, k] = T[i, j]
     theta[r, i, :] -= T[j, k]
-    return _symmetric_solutions(A, theta, p)
+    return _symmetric_solutions(A, theta)
 
 
-def _symmetric_solutions(A: Algebra, theta, p) -> Subspace:
+def _symmetric_solutions(A: Algebra, theta) -> Subspace:
     """Symmetric maps in upper-triangle coordinates annihilated by every row.
 
     theta[r, i, j] is row r's coefficient of theta(e_i, e_j); both orders of a
-    pair are folded onto its upper-triangle coordinate, and zero rows dropped.
+    pair are folded onto its upper-triangle coordinate (``Subspace.kernel``
+    reduces the rows mod p and drops the zero ones).
     """
-    iu, ju = np.triu_indices(A.dim)
+    iu, ju = _upper_indices(A.dim)
     off = iu != ju
     rows = theta[:, iu, ju]
     rows[:, off] += theta[:, ju[off], iu[off]]
-    rows = _mod(rows, p)
-    return Subspace.kernel(A.field, len(iu), rows[(rows != 0).any(axis=1)])
+    return Subspace.kernel(A.field, len(iu), rows)
 
 
 @lru_cache(maxsize=None)

@@ -44,18 +44,17 @@ The forced closure is compiled once per source quotient and generator count
 basis vector over words in the generators.  It runs on blocks of candidate
 generator images as int64 contractions over the target's tensor, and the
 candidates are accepted or rejected in batch (multiplicativity on all basis
-pairs) by their product defects at the graded leaves, and by
-``_linear_stage``'s solve in the lift.  Full rank is decided once per graded
-leaf, by one determinant: a multiplicative forced map is block lower
-triangular in filtration coordinates with the leaf as its level-1 block, and
-onto when that block is invertible, so ``_lift_candidates`` drops the
-singular leaves and no stage computes a rank per map.  ``_rref_mod_p`` runs
-only where an echelon form is needed: the linear stage's systems and null
-spaces, ``_level1_rows`` and admissibility.  The defects are evaluated only at
-the entries that some forced map can make nonzero: ``_supports`` runs the
-program on the tensors' nonzero patterns, and every other entry vanishes for
-all candidates.  The graded leaves take the test on the associated graded tensors
-(``_graded``: C keeps the components of level(k) = level(i) + level(j)).
+pairs) by ``_linear_stage``'s solve in the lift, which also drops the graded
+leaves with a defect on the associated graded tensors (``_graded``): no digit
+moves such an entry.  Full rank is decided once per graded leaf, by one
+determinant: a multiplicative forced map is block lower triangular in
+filtration coordinates with the leaf as its level-1 block, and onto when that
+block is invertible, so ``_lift_candidates`` drops the singular leaves and no
+stage computes a rank per map.  ``_rref_mod_p`` runs only where an echelon
+form is needed: the linear stage's systems and null spaces, ``_level1_rows``
+and admissibility.  The defects are evaluated only at the entries that some
+forced map can make nonzero: ``_supports`` runs the program on the tensors'
+nonzero patterns, and every other entry vanishes for all candidates.
 
 Every stream moves in blocks of at most AUT_BLOCK rows.  Every enumeration is
 one parent-major stream of (parent, child) pairs from ``_blocks``: the graded
@@ -63,13 +62,13 @@ stage extends partial level-1 codes by one of the next generator's typed
 codes (those with its ``_level1_rows`` row) and keeps the extensions whose
 level-(1,1) products are zero or nonzero as in the source; the free digits
 extend a block of cores by every digit setting; candidate subspaces have one
-parent.  A digit level enumerates nothing: it streams each candidate's
-solutions in ``iproduct`` order of its digits.  ``_regroup`` packs the graded
-leaves, each digit level's solutions and the automorphisms to be verified
-into full blocks, so the lift takes and yields (k, n, n) blocks and a search
-that hits early has lifted one block of leaves.  Candidates keep their
-enumeration order, so the first hit is the one a candidate-by-candidate
-search finds.
+parent.  A digit level enumerates nothing: it streams its candidates'
+solutions as one run of flat indices, each candidate's in ``iproduct`` order
+of its digits, cut into full blocks.  ``_regroup`` packs the graded leaves
+and the automorphisms to be verified into full blocks, so the lift takes and
+yields (k, n, n) blocks and a search that hits early has lifted one block of
+leaves.  Candidates keep their enumeration order, so the first hit is the one
+a candidate-by-candidate search finds.
 
 The engine works in filtration coordinates.  ``search_isomorphism`` maps
 ``_search``'s first lift back to the original bases and re-verifies it with
@@ -101,6 +100,7 @@ from .algebra import (
     Algebra,
     _check_int64,
     _power_filtration,
+    _upper_indices,
     annihilator,
     invariant_vector,
     is_multiplicative,
@@ -306,7 +306,8 @@ def _dual_products(X, Y, C, p: int):
 
 def _forced_maps(MA: _FilteredModel, MB: _FilteredModel, gens, slots=None):
     """The maps forced by multiplicativity from generator images, and their
-    defects, or with ``slots`` their first-order changes.
+    defects (the reference the tests hold the lift to), or with ``slots``
+    their first-order changes.
 
     ``gens`` is a (k, s, d) array: candidate images of the first s coordinates
     in the quotients C[:d, :d, :d] of both models.  Runs MA's compiled closure
@@ -399,13 +400,14 @@ def _supports(MA: _FilteredModel, MB: _FilteredModel, d: int, s: int, levels: tu
 @lru_cache(maxsize=None)
 def _level1_rows(M: _FilteredModel):
     """The row of every level-1 vector x of ``_graded(M)``, indexed by x's code (its base-p
-    digits, least significant first): the rank of y -> x y on each level block, then which of
-    the right powers x, x x, (x x) x, ... vanish.  An isomorphism induces a graded one, which
-    maps level 1 onto level 1 and keeps every row.  Cached, so read-only."""
+    digits, least significant first): the rank of y -> x y on each level block k, ranked on
+    block k + 1's columns, where the graded product lands (none for the top block, rank 0),
+    then which of the right powers x, x x, (x x) x, ... vanish.  An isomorphism induces a
+    graded one, which maps level 1 onto level 1 and keeps every row.  Cached, so read-only."""
     p, s, n, C = M.p, M.n1, M.A.dim, _graded(M).C
     x = _digits(np.arange(p**s, dtype=np.int64), p, s) @ np.eye(s, n, dtype=np.int64)
-    cols = [_rref_mod_p((x @ C[:, lo:hi].reshape(n, -1) % p).reshape(len(x), hi - lo, n), p)[1]
-            for lo, hi in (M.block[k] for k in range(1, M.m))]
+    cols = [_rref_mod_p((x @ C[:, lo:hi, to:end].reshape(n, -1) % p).reshape(len(x), hi - lo, end - to), p)[1]
+            for (lo, hi), (to, end) in ((M.block[k], M.block.get(k + 1, (0, 0))) for k in range(1, M.m))]
     power = x
     for _ in range(1, M.m):
         cols.append(~power.any(axis=1))
@@ -521,17 +523,19 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
     block.  If the leaf is singular, so is phi.  If it is invertible, phi's
     image S is a subalgebra with S + J_B^2 = J_B; then J_B = S + J_B^k for
     every k (J_B^2 = (S + J_B^2)^2 lies in S + J_B^3, and so on), and J_B is
-    nilpotent, so S = J_B and phi is onto.  So no stage computes a rank, and a
-    kept leaf needs only zero defects on the graded tensors (``_graded``): its
-    forced images are block-diagonal and multiplicative at every level sum.
+    nilpotent, so S = J_B and phi is onto.  So no stage computes a rank.  No
+    leaf is tested on the graded tensors (``_graded``) apart: a graded defect
+    sits at an entry (c, i, j) with level(c) = level(i) + level(j), which no
+    digit moves, so ``_linear_stage``'s ``live`` mask drops the leaf at the
+    first stage whose quotient holds c (with m >= 5 an intermediate stage may
+    expand it first, for nothing).
 
     Yields (k, n, n) blocks, 0 < k <= AUT_BLOCK, of matrices whose columns
     are the images of A's basis, leaf by leaf and within a leaf in
     ``iproduct`` order of its digits.  ``_linear_stage`` solves each level K
     with 2K < m modulo the levels >= K + 2, streaming every solution on as a
     candidate, then the levels with 2K >= m together, where ``find_all``
-    decides; with nilpotency index m <= 3 that last group has no digit, and
-    its check on C, which is graded then, is the graded one.
+    decides; with nilpotency index m <= 3 that last group has no digit.
     """
     n, s, m = MA.A.dim, MA.n1, MA.m
     leaves = leaves[_minors(leaves, MA.p)[:, 0] != 0]
@@ -550,9 +554,6 @@ def _lift_candidates(MA: _FilteredModel, MB: _FilteredModel, leaves, find_all):
 
     gens = np.zeros((len(leaves), s, n), dtype=np.int64)
     gens[:, :, :s] = leaves
-    if m > 3:
-        # with J^3 = 0, C is graded already, and the zero-slot stage below is the graded check
-        gens = gens[~_forced_maps(_graded(MA), _graded(MB), gens)[1].any(axis=1)]
     if len(gens):
         yield from stage(0, gens)
 
@@ -579,14 +580,17 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
     constant term, and the slopes of its digits.  The defect is evaluated at
     the entries that can be nonzero (``_supports``, compiled once per model
     pair, d and levels; pairs i <= j, as both tensors are symmetric): those no digit
-    moves must vanish already, a mask, and only the moved ones go into one
-    batched RREF.  Its rows span the full system's row space, so the solution
-    set and the particular solution (free digits zero) are those of the full
-    system.  The solutions come in ``iproduct`` order of the digits, the
-    particular one alone unless ``find_all``; a candidate's solution set is
-    streamed in that order from the RREF of its null space.  A solution's map
-    is the constant plus the slopes, multiplicative by construction; blocks
-    of at most AUT_BLOCK (d, d) maps are yielded.  The digits leave the
+    moves must vanish already, the ``live`` mask (the graded leaf test, see
+    ``_lift_candidates``), and only the moved ones go into one batched RREF.
+    Its rows span the full system's row space, so the solution set and the
+    particular solution (free digits zero) are those of the full system.  The
+    solutions come in ``iproduct`` order of the digits, the particular one alone
+    unless ``find_all``: one stream of flat indices, candidate b owning
+    p^nullity[b] consecutive ones, whose base-p digits within it, most
+    significant first, weight the RREF rows of its null space (a total of 2^63
+    or more is refused).  A solution's map is the constant plus the slopes,
+    multiplicative by construction; blocks of at most AUT_BLOCK (d, d) maps are
+    yielded.  The digits leave the
     candidates' level-1 block alone, and ``_lift_candidates`` hands on only
     invertible ones, so every map yielded has full rank d (the lemma in
     ``_lift_candidates``) and no rank is computed.  With no digit
@@ -617,6 +621,7 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
     b, r = np.nonzero(pivot)
     x0 = np.zeros((len(reduced), T), dtype=np.int64)
     x0[b, lead[b, r]] = reduced[b, r, T]
+    nullity = np.zeros(len(x0), dtype=np.int64)
     if find_all and T:
         # null vectors e_f - sum_r reduced[r, f] e_lead(r), zero where f is a pivot column; in RREF
         # their coordinates order the solutions lexicographically from the one that vanishes at
@@ -625,19 +630,19 @@ def _linear_stage(MA, MB, gens, levels, d, find_all):
         null[b, :, lead[b, r]] -= reduced[b, r, :T]
         null, nullity = _rref_mod_p(null, p)
         x0 = (x0 - (np.take_along_axis(x0, (null != 0).argmax(axis=2), axis=1)[:, None] @ null)[:, 0]) % p
-    base = np.concatenate([np.arange(len(x0))[:, None], x0], axis=1)  # (candidate | digits)
-
-    def solutions():
-        start = 0
-        for at in np.flatnonzero(nullity) if find_all and T else ():
-            yield base[start:at]
-            for y in _combos(p, nullity[at]):
-                yield np.concatenate([np.full((len(y), 1), at), (x0[at] + y @ null[at, :nullity[at]]) % p], axis=1)
-            start = at + 1
-        yield base[start:]
-
-    for block in _regroup(solutions()):
-        at, x = block[:, 0], block[:, 1:]
+    total = sum(count * p**k for k, count in enumerate(np.bincount(nullity).tolist()))
+    if total >= 2**63:
+        raise SearchBudgetExceededError(f"{total} solutions of the linear stage exceed the search budget")
+    sizes = p**nullity
+    ends = np.cumsum(sizes)
+    for start in range(0, total, AUT_BLOCK):
+        flat = np.arange(start, min(start + AUT_BLOCK, total), dtype=np.int64)
+        at = np.searchsorted(ends, flat, side="right")
+        x = x0[at]
+        if find_all and T:
+            place = nullity[at, None] - 1 - np.arange(T)  # of each null row's digit, most significant first
+            y = np.where(place >= 0, (flat - ends[at] + sizes[at])[:, None] // p ** np.maximum(place, 0) % p, 0)
+            x = (x + (y[:, None] @ null[at])[:, 0]) % p
         yield (phis[at] + np.einsum("bt,btij->bij", x, slopes[at])) % p
 
 
@@ -743,6 +748,7 @@ def _rref_mod_p(mats, p: int):
 
     Returns (reduced, rank).  Zero rows sink to the bottom, so the nonzero
     rows of reduced[b] are the canonical basis of the row space of mats[b].
+    A step at column c keeps the columns left of c: the pivot row is zero there.
     """
     M = np.array(mats, dtype=np.int64) % p
     rank = np.zeros(len(M), dtype=np.int64)
@@ -754,13 +760,13 @@ def _rref_mod_p(mats, p: int):
             continue
         src = cand[b].argmax(axis=1)
         dst = rank[b]
-        pivot = M[b, src]
-        M[b, src] = M[b, dst]
-        pivot = pivot * _inv_mod(pivot[:, c], p)[:, None] % p
-        M[b, dst] = pivot
+        pivot = M[b, src, c:]
+        M[b, src, c:] = M[b, dst, c:]
+        pivot = pivot * _inv_mod(pivot[:, 0], p)[:, None] % p
+        M[b, dst, c:] = pivot
         f = M[b, :, c]
         f[np.arange(len(b)), dst] = 0
-        M[b] = (M[b] - f[:, :, None] * pivot[:, None, :]) % p
+        M[b, :, c:] = (M[b, :, c:] - f[:, :, None] * pivot[:, None, :]) % p
         rank[b] += 1
     return M, rank
 
@@ -935,7 +941,7 @@ def _admissible_subspaces(spaces, ann, r: int):
 def _forms(spaces):
     """The H2 representatives as an (h, n, n) int64 array of symmetric forms."""
     n = spaces.algebra.dim
-    i, j = np.triu_indices(n)
+    i, j = _upper_indices(n)
     coords = np.array([c.upper() for c in spaces.h2_reps], dtype=np.int64).reshape(-1, len(i))
     forms = np.zeros((len(coords), n, n), dtype=np.int64)
     forms[:, i, j] = forms[:, j, i] = coords
@@ -1009,7 +1015,7 @@ def _induced_actions(spaces, *groups):
     _check_int64(p, E.cols)
     extractor = np.array(E.data, dtype=np.int64).reshape(hdim, E.cols)
     reps = _forms(spaces)
-    upper = np.triu_indices(spaces.algebra.dim)  # row-major, the order of the extractor's columns
+    upper = _upper_indices(spaces.algebra.dim)  # row-major, the order of the extractor's columns
     actions = []
     for autos in groups:
         found = []

@@ -248,11 +248,15 @@ class Subspace:
 
 def _add_all(ech: "Echelon", vectors) -> "Echelon":
     """ech with the vectors added, each checked for length and, over F_p, coerced entry by entry;
-    an integer array is reduced mod p in one step instead, and over Q skips the scan for denominators."""
+    an integer array is checked and reduced mod p in one step instead, its zero rows dropped, and
+    over Q skips the scan for denominators."""
     field, width = ech.field, ech.key
     coerce, ints = field.p is not None, isinstance(vectors, np.ndarray)
     if ints:
-        vectors, coerce = (vectors if field.p is None else vectors % field.p).tolist(), False
+        if len(vectors) and vectors.shape[1] != width:
+            raise DimensionMismatchError("vector length mismatch")
+        vectors = vectors if field.p is None else vectors % field.p
+        vectors, coerce = vectors[vectors.any(axis=1)].tolist(), False
     for v in vectors:
         if len(v) != width:
             raise DimensionMismatchError("vector length mismatch")

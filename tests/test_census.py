@@ -221,6 +221,26 @@ def test_batched_rref_matches_matrix_rref():
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
+def test_batched_rref_matches_matrix_rref_on_every_shape(p):
+    """``_rref_mod_p`` touches only the columns from each pivot on, and still gives
+    ``Matrix.rref``'s form and rank: wide, square and tall shapes, int16 input with
+    negative entries, rank-deficient and zero members, and (k, r, 0) arrays of rank 0."""
+    rng = np.random.default_rng([p, 32])
+    for rows, cols in ((1, 5), (3, 3), (4, 6), (5, 3), (6, 2), (7, 1), (3, 0)):
+        mats = rng.integers(-p, p, (40, rows, cols))
+        if rows > 1 and cols:
+            mats[::4, -1] = mats[::4, 0] * 2
+            mats[::5, 1:] = 0
+        for block in (mats, mats.astype(np.int16)):
+            reduced, rank = _rref_mod_p(block, p)
+            assert reduced.shape == mats.shape and reduced.dtype == np.int64
+            for m, red, k in zip(mats.tolist(), reduced.tolist(), rank.tolist()):
+                ref, ref_rank, _ = Matrix.from_rows(Field(p), m).rref()
+                assert k == ref_rank and red == ref.row_list(), (rows, cols)
+            assert cols or not rank.any()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
 @pytest.mark.parametrize("r, h", [(1, 4), (2, 4), (2, 6), (3, 5), (3, 7)])
 def test_plucker_keys_agree_with_the_batched_rref(p, r, h):
     """Keys are equal exactly when the canonical echelon forms are, and every

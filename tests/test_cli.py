@@ -245,6 +245,11 @@ BAD_DOCUMENTS = {
         ["invariants", "J5,30[alpha=1,alpha=2,beta=1]"],
         # a binding that no family takes would be ignored
         ["verify-catalog", "--params", "zzz=1"],
+        # a --primes list with an empty entry, a composite or a negative number
+        ["report", "--primes", ""],
+        ["report", "--primes", "4"],
+        ["report", "--primes", "7,-1"],
+        ["report", "--primes", "5,7,"],
     ],
 )
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):

@@ -831,3 +831,117 @@ def test_block_size_moves_no_early_hit(name, a, b, p, monkeypatch):
         monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
         found.append(search_isomorphism(A, B, Field(p)))
     assert found[0] is not None and found[0].mat == found[1].mat == found[2].mat
+
+
+def _full_column_level1_rows(M):
+    """``_level1_rows`` with each level block's products ranked on all n columns."""
+    p, s, n, C = M.p, M.n1, M.A.dim, _graded(M).C
+    x = isomorphism._digits(np.arange(p**s, dtype=np.int64), p, s) @ np.eye(s, n, dtype=np.int64)
+    cols = [isomorphism._rref_mod_p((x @ C[:, lo:hi].reshape(n, -1) % p).reshape(len(x), hi - lo, n), p)[1]
+            for lo, hi in (M.block[k] for k in range(1, M.m))]
+    power = x
+    for _ in range(1, M.m):
+        cols.append(~power.any(axis=1))
+        power = isomorphism._products(power, x, C, p)
+    return np.stack(cols, axis=1)
+
+
+def test_level1_rows_rank_only_the_block_the_product_reaches():
+    """A graded product of level 1 and level k lies in block k + 1, so ranking it on that
+    block's columns alone (none for the top block) gives the rows of ranking it on all n:
+    every dimension-5 instance at its sample bindings over F_5 and F_7, in the catalog basis
+    and in one seeded random basis."""
+    for name in catalog.dim5_names():
+        for binding in catalog.sample_bindings(name):
+            for F in (F5, F7):
+                A = reduce_mod(catalog.instantiate(name, binding), F.p)
+                rng = random.Random(f"level1-columns:{name}:{sorted(binding.items())}:{F.p}")
+                for X in (A, change_basis(A, _random_basis(F, A.dim, rng))):
+                    M = _model(X)
+                    assert np.array_equal(_level1_rows(M), _full_column_level1_rows(M)), (name, binding, F.p)
+
+
+def _graded_checked_lifts(MA, MB, leaves, find_all):
+    """``_lift_candidates`` on the leaves whose forced maps have no defect on the graded tensors."""
+    s, n = MA.n1, MA.A.dim
+    gens = np.zeros((len(leaves), s, n), dtype=np.int64)
+    gens[:, :, :s] = leaves
+    keep = ~_forced_maps(_graded(MA), _graded(MB), gens)[1].any(axis=1)
+    return isomorphism._lift_candidates(MA, MB, leaves[keep], find_all)
+
+
+GRADED_CHECK_CASES = [("J5,13", None, "J5,16", None, 7), ("J5,17", {"alpha": "1"}, "J5,17", {"alpha": "1"}, 7)] + [
+    (name, None, name, None, 5) for name in ("J3,4", "J4,4", "J4,6", "J4,7", "J4,8", "J4,9", "J4,10", "J4,11")]
+
+
+@pytest.mark.parametrize("block", [7, isomorphism.AUT_BLOCK])
+@pytest.mark.parametrize("src, a, dst, b, p", GRADED_CHECK_CASES, ids=[f"{c[0]}-{c[2]}" for c in GRADED_CHECK_CASES])
+def test_lift_candidates_need_no_graded_leaf_check(src, a, dst, b, p, block, monkeypatch):
+    """A leaf with a defect on the graded tensors has it at an entry no digit moves, so the
+    lift drops it without a graded check of its own: ``_lift_candidates`` yields the same
+    blocks as on the leaves that pass that check first, with and without ``find_all``, for
+    J5,13 -> J5,16 and J5,17 onto itself over F_7 and every census parent with nilpotency
+    index m >= 4 onto itself over F_5; J4,10 has 24 such leaves among its 32 nonsingular ones,
+    the other cases none.  Each run takes the first 256 leaf blocks, all of the
+    leaves but at AUT_BLOCK 7 for J5,13 -> J5,16 (1,792 of its 10,584)."""
+    monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
+    A, B = (reduce_mod(catalog.instantiate(name, binding), p) for name, binding in ((src, a), (dst, b)))
+    MA, MB = _model(A), _model(B)
+    assert MA.m >= 4
+    for find_all in (True, False):
+        for leaves in itertools.islice(isomorphism._leaf_stream(MA, MB), 256):
+            got = list(isomorphism._lift_candidates(MA, MB, leaves, find_all))
+            want = list(_graded_checked_lifts(MA, MB, leaves, find_all))
+            assert len(got) == len(want) and all(map(np.array_equal, got, want)), (find_all, len(got), len(want))
+
+
+def _nullity_candidates(M, levels, draw):
+    """Seeded level-1 blocks (zero above level 1) of M whose linear stage on ``levels`` has
+    0, 1 and p^0, p^1, p^2 solutions, three of each count, by brute force over the digits."""
+    p, s, n = M.p, M.n1, M.A.dim
+    gs, cs = isomorphism._slots(M, s, levels)
+    digits = np.concatenate(list(isomorphism._combos(p, len(gs))))
+    found = {}
+    while any(len(found.get(count, [])) < 3 for count in (0, 1, p, p * p)):
+        g = np.zeros((s, n), dtype=np.int64)
+        g[:, :s] = draw.integers(0, p, (s, s)) * (draw.random((s, s)) < 0.6)
+        cand = np.repeat(g[None], len(digits), axis=0)
+        cand[:, gs, cs] = digits
+        phis, defects = _forced_maps(M, M, cand)
+        solved = ~defects.any(axis=1)
+        found.setdefault(int(solved.sum()), []).append((g, phis[solved]))
+    return [found[count].pop() for count in (1, p * p, 0, p, p, 1, p * p, 0, p * p, p, 1, 0)]
+
+
+@pytest.mark.parametrize("block", [3, 7])
+def test_linear_stage_streams_every_null_space_in_one_run(block, monkeypatch):
+    """With find_all, the linear stage streams each candidate's solutions as a reference that
+    enumerates every digit setting with ``_combos`` finds them, candidate by candidate, in
+    blocks of exactly AUT_BLOCK maps but the last: J4,6 over F_5 with candidates of nullity 0,
+    1 and 2 and inconsistent ones interleaved."""
+    monkeypatch.setattr(isomorphism, "AUT_BLOCK", block)
+    M = _model(reduce_mod(catalog.instantiate("J4,6"), 5))
+    levels = [2]
+    cases = _nullity_candidates(M, levels, np.random.default_rng(32))
+    gens = np.array([g for g, _ in cases])
+    want = [phi for _, phis in cases for phi in phis]
+    got = list(isomorphism._linear_stage(M, M, gens, levels, M.A.dim, True))
+    assert all(len(maps) == block for maps in got[:-1]) and 0 < len(got[-1]) <= block
+    got = np.concatenate(got)
+    assert len(got) == len(want) == 3 * (1 + 5 + 25) and all(map(np.array_equal, got, want))
+
+
+def test_linear_stage_refuses_a_solution_count_past_int64():
+    """Candidates whose p^nullity sum to 2^63 or more are refused before any solution is
+    formed: 1,024 zero maps of J4,6, each with every one of its two digits free, at
+    p = 10^8 + 7, sum to 1.024 * 10^19.  900 of them (9 * 10^18) stream their first block."""
+    p = 10**8 + 7
+    M = _model(reduce_mod(catalog.instantiate("J4,6"), p))
+    for count in (1024, 900):
+        gens = np.zeros((count, M.n1, M.A.dim), dtype=np.int64)
+        stage = isomorphism._linear_stage(M, M, gens, [2], M.A.dim, True)
+        if count * p**2 >= 2**63:
+            with pytest.raises(SearchBudgetExceededError):
+                next(stage)
+        else:
+            assert len(next(stage)) == isomorphism.AUT_BLOCK
